@@ -1,0 +1,58 @@
+"""Byte-identity guard for the CLI's outputs.
+
+Each case runs ``uwloc simulate`` on the bundled scenario, cut to
+``GOLDEN_TRIALS`` trials, for one sweep kind and power mode, and compares
+the CSV with the file pinned under ``tests/golden``.  ``uwloc locate`` on a
+pinned noisy measurement file is compared the same way.  A refactor or a
+faster solver must leave every byte as it is; a deliberate change to the
+numbers has to replace the pinned files in the same change and say why.
+
+The ``frequency_khz=50`` row of both frequency files has an empty
+``nrmse_t_m``: at 50 kHz every trial fails the ``build_system`` rank gate,
+and the pinned files keep that row as the sweep writes it.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from uwloc.cli import main
+from uwloc.config import bundled_scenario_path
+from uwloc.experiments import SWEEP_KINDS
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+GOLDEN_TRIALS = 10
+POWER_MODES = {"joint": False, "known": True}
+
+
+def golden_config(tmp_path, sweep_kind, known_power):
+    doc = json.loads(Path(bundled_scenario_path()).read_text())
+    doc["mc_trials"] = GOLDEN_TRIALS
+    doc["sweep"]["kind"] = sweep_kind
+    doc["solver"]["known_power"] = known_power
+    path = tmp_path / f"{sweep_kind}.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("mode", sorted(POWER_MODES))
+@pytest.mark.parametrize("sweep_kind", SWEEP_KINDS)
+def test_simulate_csv_is_pinned(tmp_path, capsys, sweep_kind, mode):
+    config = golden_config(tmp_path, sweep_kind, POWER_MODES[mode])
+    out = tmp_path / "out.csv"
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+    capsys.readouterr()
+    expected = (GOLDEN_DIR / f"simulate_{sweep_kind}_{mode}.csv").read_bytes()
+    assert out.read_bytes() == expected
+
+
+def test_locate_json_is_pinned(capsys):
+    argv = [
+        "locate",
+        "--config", str(bundled_scenario_path()),
+        "--measurements", str(GOLDEN_DIR / "measurements.json"),
+    ]
+    assert main(argv) == 0
+    expected = (GOLDEN_DIR / "locate.json").read_text()
+    assert capsys.readouterr().out == expected
