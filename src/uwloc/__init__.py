@@ -30,6 +30,7 @@ from .errors import (
 from .experiments import (
     ExperimentConfig,
     ResultRecord,
+    locate,
     measure_runtime,
     run_sweep,
     run_trial,
@@ -76,6 +77,7 @@ __all__ = [
     "UwlocError",
     "ExperimentConfig",
     "ResultRecord",
+    "locate",
     "measure_runtime",
     "run_sweep",
     "run_trial",

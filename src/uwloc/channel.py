@@ -120,17 +120,16 @@ def sample_noise(model, rng, size=None):
     return gauss + rng.uniform(0.0, model.impulsive_upper_db, size)
 
 
-def _gradient_directions(anchors, target, env):
-    """Stack the per-anchor gradient directions used by the regularity test.
+def gradient_directions(position_m, anchors_m, env):
+    """Offsets t - s_i, ranges d_i and gradient directions c_i, one row each.
 
-    Row i is [c_i^T, ln(10)*d_i^2] where c_i is the range-gradient of the
-    mean RSS scaled by ln(10)*d_i^2.  The estimation problem is regular only
-    when these rows span dimension k + 1.
+    c_i = (10*beta + alpha*ln10*d_i) * (t - s_i) is the range-gradient of
+    the mean RSS scaled by ln(10)*d_i^2; the Fisher information and the
+    regularity test of :class:`Scenario` are built from it.
     """
-    diff = target - anchors
+    diff = position_m - anchors_m
     d = np.linalg.norm(diff, axis=1)
-    coef = 10.0 * env.ple + env.absorption_db_per_m * LN10 * d
-    return np.column_stack([coef[:, None] * diff, LN10 * d**2])
+    return diff, d, (10.0 * env.ple + env.absorption_db_per_m * LN10 * d)[:, None] * diff
 
 
 @dataclass(frozen=True)
@@ -169,8 +168,9 @@ class Scenario:
                 f"anchor {i} lies inside the reference distance"
                 f" (d = {d[i]:.3g} m)"
             )
-        g = _gradient_directions(anchors, target, self.environment)
-        s = np.linalg.svd(g, compute_uv=False)
+        # Regular only when the rows [c_i^T, ln(10)*d_i^2] span dimension k + 1.
+        _, d, c = gradient_directions(target, anchors, self.environment)
+        s = np.linalg.svd(np.column_stack([c, LN10 * d**2]), compute_uv=False)
         if s[-1] <= GEOMETRY_RANK_TOL * s[0]:
             raise GeometryError(
                 "degenerate anchor placement: gradient directions do not"

@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from . import crlb, experiments, gtrs, weighting
+from . import experiments, weighting
 from .channel import absorption_coefficient
 from .config import load_measurements, parse_scenario
 from .errors import ConfigError, UwlocError
@@ -83,6 +83,17 @@ def _cmd_simulate(args):
     records = experiments.run_sweep(config, n_threads=args.threads)
     with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
         experiments.write_csv(records, handle, include_timing=args.timing)
+    for record in records:
+        if record.failures:
+            causes = "; ".join(
+                f"{name} in {len(trials)}, first trials {', '.join(map(str, trials[:5]))}"
+                for name, trials in record.failures
+            )
+            print(
+                f"{record.sweep_coord}: {record.solve_failures} of {record.trials} trials"
+                f" dropped from the averages ({causes})",
+                file=sys.stderr,
+            )
     mean_solve = float(np.mean([r.seconds_per_solve for r in records]))
     print(
         f"seconds_per_solve={mean_solve:.6f} (measured wall clock; informational)",
@@ -95,45 +106,17 @@ def _cmd_crlb(args):
     config = parse_scenario(args.config)
     print("sigma_db,crlb_t_m,crlb_p_db")
     for sigma in config.sigma_grid_db:
-        if config.known_power:
-            report = crlb.fim_known_power(config.scenario, sigma)
-            power = ""
-        else:
-            report = crlb.fim_unknown_power(config.scenario, sigma)
-            power = f"{report.crlb_p_db:.9g}"
-        print(f"{sigma:.9g},{report.crlb_t_m:.9g},{power}")
+        crlb_t, crlb_p = experiments.point_bounds(config.scenario, sigma, config.known_power)
+        power = "" if crlb_p is None else f"{crlb_p:.9g}"
+        print(f"{sigma:.9g},{crlb_t:.9g},{power}")
     return 0
-
-
-def _solve_measurements(config, measurements):
-    n = config.scenario.n_anchors
-    if config.weighted:
-        w = weighting.link_weights(measurements, config.scenario.environment)
-    else:
-        w = np.full(n, 1.0 / n)
-    if config.known_power:
-        system = gtrs.build_known_power_system(
-            measurements, w, config.scenario.anchors_m, config.scenario.environment,
-            squared_weights=config.squared_weights,
-        )
-        return w, gtrs.solve_known_power(
-            system, tol_phi=config.tol_phi, tol_lambda=config.tol_lambda,
-            max_iter=config.max_iter,
-        )
-    system = gtrs.build_system(
-        measurements, w, config.scenario.anchors_m, config.scenario.environment,
-        squared_weights=config.squared_weights,
-    )
-    return w, gtrs.solve(
-        system, tol_phi=config.tol_phi, tol_lambda=config.tol_lambda,
-        max_iter=config.max_iter,
-    )
 
 
 def _cmd_locate(args):
     config = parse_scenario(args.config)
-    measurements = load_measurements(args.measurements, config.scenario.environment)
-    _, estimate = _solve_measurements(config, measurements)
+    env = config.scenario.environment
+    measurements = load_measurements(args.measurements, env)
+    estimate = experiments.locate(config, measurements, config.scenario.anchors_m, env)
     record = {
         "position_m": [float(x) for x in estimate.position_m],
         "transmit_power_dbm": estimate.transmit_power_dbm,

@@ -7,6 +7,7 @@ keys ``anchor_index`` and ``rss_dbm``.
 """
 
 import json
+import sys
 from importlib import resources
 
 import numpy as np
@@ -14,9 +15,6 @@ import numpy as np
 from .channel import Environment, MeasurementSet, NoiseModel, Scenario
 from .errors import ConfigError, GeometryError
 from .experiments import ExperimentConfig
-
-DEFAULT_SIGMA_GRID_DB = (1.0, 3.0, 5.0, 7.0, 9.0)
-DEFAULT_MC_TRIALS = 3000
 
 
 def bundled_scenario_path():
@@ -34,19 +32,27 @@ def _load_json(path):
         raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
 
 
+def _number(value, kind, what):
+    """``value`` as a finite ``kind`` (float or int), else a ConfigError.
+
+    An int is accepted where a float is asked for, never the reverse, and
+    a bool is neither.
+    """
+    allowed = (int, float) if kind is float else int
+    if isinstance(value, bool) or not isinstance(value, allowed):
+        raise ConfigError(f"{what} must be a {kind.__name__}, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # NaN, infinities, huge ints
+        raise ConfigError(f"{what} must be finite, got {value!r}")
+    return kind(value)
+
+
 def _require(doc, key, kind, context):
     if key not in doc:
         raise ConfigError(f"{context}: missing required field {key!r}")
     value = doc[key]
-    if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    if kind is int and isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if kind is list and isinstance(value, list):
-        return value
-    if kind is dict and isinstance(value, dict):
-        return value
-    if kind is bool and isinstance(value, bool):
+    if kind in (float, int):
+        return _number(value, kind, f"{context}: field {key!r}")
+    if isinstance(value, kind):
         return value
     raise ConfigError(f"{context}: field {key!r} must be a {kind.__name__}")
 
@@ -55,6 +61,14 @@ def _optional(doc, key, kind, context, default):
     if key not in doc:
         return default
     return _require(doc, key, kind, context)
+
+
+def _grid(doc, key, kind, context, default):
+    """Optional list field whose entries are finite numbers of ``kind``."""
+    entries = _optional(doc, key, list, context, None)
+    if entries is None:
+        return default
+    return tuple(_number(entry, kind, f"{context}: {key} entry") for entry in entries)
 
 
 def _positions(doc, key, context):
@@ -89,12 +103,9 @@ def parse_scenario(path):
 
     noise_doc = _optional(doc, "noise", dict, ctx, {})
     noise_ctx = f"{ctx}: noise"
-    kind = noise_doc.get("kind", "zero_mean_gaussian")
-    if not isinstance(kind, str):
-        raise ConfigError(f"{noise_ctx}: field 'kind' must be a string")
     try:
         noise = NoiseModel(
-            kind=kind,
+            kind=_optional(noise_doc, "kind", str, noise_ctx, "zero_mean_gaussian"),
             sigma_db=_optional(noise_doc, "sigma_db", float, noise_ctx, 3.0),
             mean_db=_optional(noise_doc, "mean_db", float, noise_ctx, None),
             impulsive_upper_db=_optional(noise_doc, "impulsive_upper_db", float, noise_ctx, None),
@@ -106,11 +117,7 @@ def parse_scenario(path):
     solver_ctx = f"{ctx}: solver"
     sweep_doc = _optional(doc, "sweep", dict, ctx, {})
     sweep_ctx = f"{ctx}: sweep"
-    sweep_kind = sweep_doc.get("kind", "sigma")
-    if not isinstance(sweep_kind, str):
-        raise ConfigError(f"{sweep_ctx}: field 'kind' must be a string")
 
-    anchor_counts = _optional(sweep_doc, "anchor_counts", list, sweep_ctx, None)
     bias_raw = _optional(sweep_doc, "bias_scenarios", list, sweep_ctx, None)
     bias_scenarios = None
     if bias_raw is not None:
@@ -125,15 +132,16 @@ def parse_scenario(path):
                     f"{sweep_ctx}: bias_scenarios entries must be"
                     " [label, ple_bias_fraction, absorption_bias_fraction]"
                 )
-            bias_scenarios.append((entry[0], float(entry[1]), float(entry[2])))
+            what = f"{sweep_ctx}: bias_scenarios entry {entry[0]!r}"
+            bias_scenarios.append(
+                (entry[0], _number(entry[1], float, what), _number(entry[2], float, what))
+            )
 
     config = ExperimentConfig(
         scenario=scenario,
         noise=noise,
-        sigma_grid_db=tuple(
-            float(s) for s in _optional(doc, "sigma_grid_db", list, ctx, list(DEFAULT_SIGMA_GRID_DB))
-        ),
-        mc_trials=_optional(doc, "mc_trials", int, ctx, DEFAULT_MC_TRIALS),
+        sigma_grid_db=_grid(doc, "sigma_grid_db", float, ctx, ExperimentConfig.sigma_grid_db),
+        mc_trials=_optional(doc, "mc_trials", int, ctx, ExperimentConfig.mc_trials),
         master_seed=_optional(doc, "master_seed", int, ctx, 1),
         weighted=_optional(solver_doc, "weighted", bool, solver_ctx, True),
         squared_weights=_optional(solver_doc, "squared_weights", bool, solver_ctx, False),
@@ -141,12 +149,12 @@ def parse_scenario(path):
         tol_phi=_optional(solver_doc, "tol_phi", float, solver_ctx, 0.0),
         tol_lambda=_optional(solver_doc, "tol_lambda", float, solver_ctx, 0.0),
         max_iter=_optional(solver_doc, "max_iter", int, solver_ctx, 200),
-        sweep_kind=sweep_kind,
+        sweep_kind=_optional(sweep_doc, "kind", str, sweep_ctx, "sigma"),
         sweep_sigma_db=_optional(sweep_doc, "sigma_db", float, sweep_ctx, 2.0),
-        anchor_counts=tuple(anchor_counts) if anchor_counts is not None else None,
-        ple_grid=tuple(_optional(sweep_doc, "ple_grid", list, sweep_ctx, list(ExperimentConfig.ple_grid))),
-        frequency_grid_khz=tuple(
-            _optional(sweep_doc, "frequency_grid_khz", list, sweep_ctx, list(ExperimentConfig.frequency_grid_khz))
+        anchor_counts=_grid(sweep_doc, "anchor_counts", int, sweep_ctx, None),
+        ple_grid=_grid(sweep_doc, "ple_grid", float, sweep_ctx, ExperimentConfig.ple_grid),
+        frequency_grid_khz=_grid(
+            sweep_doc, "frequency_grid_khz", float, sweep_ctx, ExperimentConfig.frequency_grid_khz
         ),
         noise_kinds=tuple(
             _optional(sweep_doc, "noise_kinds", list, sweep_ctx, list(ExperimentConfig.noise_kinds))

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .channel import LN10
-from .errors import GeometryError, SingularMatrixError
+from .channel import LN10, gradient_directions
+from .errors import GeometryError
 
 # A Fisher matrix whose smallest eigenvalue falls below this fraction of the
 # largest is reported as degenerate rather than silently inverted.
@@ -101,87 +101,54 @@ def c_vector(target_m, anchor_m, env):
     return (10.0 * env.ple + env.absorption_db_per_m * LN10 * d) * diff
 
 
-def _d_matrix(diff, d, env):
-    # Second-derivative helper: 10*beta*I + alpha*ln10*(d*I + diff diff^T / d)
-    k = diff.shape[0]
-    eye = np.eye(k)
-    alpha = env.absorption_db_per_m
-    return 10.0 * env.ple * eye + alpha * LN10 * (d * eye + np.outer(diff, diff) / d)
-
-
 def hessian_loglik(measurements, anchors_m, position_m, transmit_power_dbm, env, sigmas):
     """Hessian of the log-likelihood with respect to (position, power).
 
     Exact expression including the residual-weighted curvature terms; at
     noiseless measurements and the true parameters it equals the negated
-    Fisher information matrix.
+    Fisher information matrix.  The curvature of c_i is
+    D_i = (10*beta + alpha*ln10*d_i)*I + alpha*ln10*(t - s_i)(t - s_i)^T/d_i.
     """
     anchors_m = np.atleast_2d(np.asarray(anchors_m, dtype=float))
     position_m = np.asarray(position_m, dtype=float)
     k = position_m.shape[0]
-    n = len(measurements)
-    sig2 = _per_anchor_sigmas(sigmas, n) ** 2
+    sig2 = _per_anchor_sigmas(sigmas, len(measurements)) ** 2
     f = residuals(measurements, anchors_m, position_m, transmit_power_dbm, env)
-    block_tt = np.zeros((k, k))
-    block_tp = np.zeros(k)
-    block_pp = 0.0
-    for i in range(n):
-        s_i = anchors_m[measurements.anchor_index[i]]
-        diff = position_m - s_i
-        d = np.linalg.norm(diff)
-        ci = c_vector(position_m, s_i, env)
-        di = _d_matrix(diff, d, env)
-        block_tt += (-1.0 / sig2[i]) * (
-            np.outer(ci, ci) + LN10 * d**2 * f[i] * di - 2.0 * LN10 * f[i] * np.outer(ci, diff)
-        ) / (LN10**2 * d**4)
-        block_tp += ci / (sig2[i] * LN10 * d**2)
-        block_pp += -1.0 / sig2[i]
-    hess = np.zeros((k + 1, k + 1))
-    hess[:k, :k] = block_tt
-    hess[:k, k] = block_tp
-    hess[k, :k] = block_tp
-    hess[k, k] = block_pp
+    diff, d, c = gradient_directions(position_m, anchors_m[measurements.anchor_index], env)
+    s = 1.0 / (sig2 * LN10**2 * d**4)
+    g = s * LN10 * d**2 * f  # weight of D_i
+    alpha_ln10 = env.absorption_db_per_m * LN10
+    coef = 10.0 * env.ple + alpha_ln10 * d
+    hess = np.empty((k + 1, k + 1))
+    hess[:k, :k] = -(
+        (c * s[:, None]).T @ c
+        + (g @ coef) * np.eye(k)
+        + alpha_ln10 * (diff * (g / d)[:, None]).T @ diff
+        - 2.0 * LN10 * (c * (s * f)[:, None]).T @ diff
+    )
+    hess[:k, k] = hess[k, :k] = np.sum(c / (sig2 * LN10 * d**2)[:, None], axis=0)
+    hess[k, k] = -np.sum(1.0 / sig2)
     return hess
 
 
 def _fim_blocks(scenario, sigmas):
-    anchors = scenario.anchors_m
-    t = scenario.target_m
-    env = scenario.environment
-    n, k = anchors.shape
-    sig2 = _per_anchor_sigmas(sigmas, n) ** 2
-    a_block = np.zeros((k, k))
-    b_block = np.zeros(k)
-    c_block = 0.0
-    for i in range(n):
-        diff = t - anchors[i]
-        d = np.linalg.norm(diff)
-        ci = c_vector(t, anchors[i], env)
-        a_block += np.outer(ci, ci) / (sig2[i] * LN10**2 * d**4)
-        b_block += -ci / (sig2[i] * LN10 * d**2)
-        c_block += 1.0 / sig2[i]
-    return a_block, b_block, c_block
+    sig2 = _per_anchor_sigmas(sigmas, scenario.n_anchors) ** 2
+    _, d, c = gradient_directions(scenario.target_m, scenario.anchors_m, scenario.environment)
+    a_block = (c / (sig2 * LN10**2 * d**4)[:, None]).T @ c
+    b_block = -np.sum(c / (sig2 * LN10 * d**2)[:, None], axis=0)
+    return a_block, b_block, np.sum(1.0 / sig2)
 
 
 def _invert_reported(fim, context):
-    """Inverse via SPD solves against identity columns, with a PD report."""
+    """Inverse of a Fisher matrix that passes a positive-definiteness gate,
+    with its eigenvalue ratio."""
     w, _ = numerics.sym_eig(fim)
     if w[0] <= DEFINITENESS_TOL * w[-1]:
         raise GeometryError(
             f"{context}: Fisher matrix is not positive definite"
             f" (smallest eigenvalue {w[0]:.3e}, largest {w[-1]:.3e})"
         )
-    n = fim.shape[0]
-    cols = []
-    try:
-        for j in range(n):
-            e = np.zeros(n)
-            e[j] = 1.0
-            cols.append(numerics.solve_spd(fim, e))
-    except SingularMatrixError as exc:
-        raise GeometryError(f"{context}: Fisher matrix inversion failed: {exc}") from exc
-    inv = np.column_stack(cols)
-    return inv, float(w[-1] / w[0])
+    return np.linalg.inv(fim), float(w[-1] / w[0])
 
 
 def fim_unknown_power(scenario, sigmas):

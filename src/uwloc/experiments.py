@@ -17,7 +17,7 @@ the count of such failures is published alongside.
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -99,10 +99,12 @@ class ResultRecord:
     """Aggregated outcome for one sweep coordinate.
 
     ``solve_failures`` counts trials whose solve raised (excluded from the
-    error averages); it is not part of the CSV contract. It is not always
-    zero: on the bundled sigma sweep, trial 210 at sigma=7 and trials 210,
-    2255 and 2474 at sigma=9 fail the ``build_system`` rank gate with
-    ``GeometryError``, so those NRMSEs average 2999 and 2997 trials.
+    error averages), and ``failures`` lists them as (exception class name,
+    trial indices) pairs; neither is part of the CSV contract.  They are
+    not always empty: on the bundled sigma sweep, trial 210 at sigma=7 and
+    trials 210, 2255 and 2474 at sigma=9 fail the ``build_system`` rank
+    gate with ``GeometryError``, so those NRMSEs average 2999 and 2997
+    trials.
     """
 
     sweep_coord: str
@@ -114,22 +116,17 @@ class ResultRecord:
     trials: int
     seconds_per_solve: float
     solve_failures: int = 0
+    failures: tuple = ()
 
 
 @dataclass(frozen=True)
 class _TrialSetting:
-    """Fully resolved inputs for trials at one sweep coordinate."""
+    """Inputs that vary between sweep coordinates (solver options do not)."""
 
     label: str
     scenario: Scenario
     noise: NoiseModel
     solve_env: Environment
-    weighted: bool
-    squared_weights: bool
-    known_power: bool
-    tol_phi: float
-    tol_lambda: float
-    max_iter: int
 
 
 def trial_rng(master_seed, trial_index):
@@ -137,50 +134,28 @@ def trial_rng(master_seed, trial_index):
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(trial_index,)))
 
 
-def _solve_once(setting, measurements):
-    n = setting.scenario.n_anchors
-    if setting.weighted:
-        w = weighting.link_weights(measurements, setting.solve_env)
+def locate(config, measurements, anchors_m, env):
+    """One fix with the solver options of ``config``: weight, build, solve.
+
+    ``env`` is the environment the solver assumes, which a sensitivity
+    sweep biases away from the one the measurements were drawn in.
+    Returns the solver's Estimate.
+    """
+    if config.weighted:
+        w = weighting.link_weights(measurements, env)
     else:
-        w = np.full(n, 1.0 / n)
-    if setting.known_power:
-        system = gtrs.build_known_power_system(
-            measurements, w, setting.scenario.anchors_m, setting.solve_env,
-            squared_weights=setting.squared_weights,
-        )
-        return gtrs.solve_known_power(
-            system, tol_phi=setting.tol_phi, tol_lambda=setting.tol_lambda,
-            max_iter=setting.max_iter,
-        )
-    system = gtrs.build_system(
-        measurements, w, setting.scenario.anchors_m, setting.solve_env,
-        squared_weights=setting.squared_weights,
-    )
+        w = np.full(len(measurements), 1.0 / len(measurements))
+    build = gtrs.build_known_power_system if config.known_power else gtrs.build_system
+    system = build(measurements, w, anchors_m, env, squared_weights=config.squared_weights)
     return gtrs.solve(
-        system, tol_phi=setting.tol_phi, tol_lambda=setting.tol_lambda,
-        max_iter=setting.max_iter,
+        system, tol_phi=config.tol_phi, tol_lambda=config.tol_lambda, max_iter=config.max_iter
     )
 
 
-def _execute_trial(setting, master_seed, trial_index):
-    rng = trial_rng(master_seed, trial_index)
+def _execute_trial(setting, config, trial_index):
+    rng = trial_rng(config.master_seed, trial_index)
     measurements = generate_measurements(setting.scenario, setting.noise, rng)
-    return _solve_once(setting, measurements)
-
-
-def _base_setting(config):
-    return _TrialSetting(
-        label="base",
-        scenario=config.scenario,
-        noise=config.noise,
-        solve_env=config.scenario.environment,
-        weighted=config.weighted,
-        squared_weights=config.squared_weights,
-        known_power=config.known_power,
-        tol_phi=config.tol_phi,
-        tol_lambda=config.tol_lambda,
-        max_iter=config.max_iter,
-    )
+    return locate(config, measurements, setting.scenario.anchors_m, setting.solve_env)
 
 
 def run_trial(config, trial_index):
@@ -189,7 +164,9 @@ def run_trial(config, trial_index):
     Returns (position, transmit power or None, solver estimate).
     """
     config.validate()
-    estimate = _execute_trial(_base_setting(config), config.master_seed, trial_index)
+    scenario = config.scenario
+    setting = _TrialSetting("base", scenario, config.noise, scenario.environment)
+    estimate = _execute_trial(setting, config, trial_index)
     return estimate.position_m, estimate.transmit_power_dbm, estimate
 
 
@@ -198,155 +175,70 @@ def _fmt(value):
 
 
 def _sweep_settings(config):
-    """Resolved (setting, point-scenario-for-bounds) pairs for the sweep."""
+    """Resolved trial settings, one per sweep coordinate."""
     config.validate()
     base = config.scenario
     env = base.environment
-    points = []
+    sigma = config.sweep_sigma_db
+    at_sigma = f",sigma={_fmt(sigma)}"
+    kind = config.sweep_kind
 
-    def with_noise(sigma, kind=None):
-        kind = kind if kind is not None else config.noise.kind
-        if kind == "zero_mean_gaussian":
-            return NoiseModel(kind=kind, sigma_db=sigma, mean_db=0.0)
-        return NoiseModel(kind=kind, sigma_db=sigma, mean_db=config.noise.mean_db)
+    def with_noise(sigma):  # the impulsive bound follows sigma
+        return replace(config.noise, sigma_db=sigma, impulsive_upper_db=None)
 
-    if config.sweep_kind == "sigma":
-        for sigma in config.sigma_grid_db:
-            points.append(
-                _TrialSetting(
-                    label=f"sigma={_fmt(sigma)}",
-                    scenario=base,
-                    noise=with_noise(sigma),
-                    solve_env=env,
-                    weighted=config.weighted,
-                    squared_weights=config.squared_weights,
-                    known_power=config.known_power,
-                    tol_phi=config.tol_phi,
-                    tol_lambda=config.tol_lambda,
-                    max_iter=config.max_iter,
-                )
-            )
-    elif config.sweep_kind == "anchor_count":
+    if kind == "sigma":
+        return [
+            _TrialSetting(f"sigma={_fmt(s)}", base, with_noise(s), env)
+            for s in config.sigma_grid_db
+        ]
+    if kind == "anchor_count":
         counts = config.anchor_counts
         if counts is None:
-            counts = tuple(range(base.dimension + 3, base.n_anchors + 1))
-        sigma = config.sweep_sigma_db
-        for count in counts:
-            points.append(
-                _TrialSetting(
-                    label=f"n_anchors={count},sigma={_fmt(sigma)}",
-                    scenario=base.subset(count),
-                    noise=with_noise(sigma),
-                    solve_env=env,
-                    weighted=config.weighted,
-                    squared_weights=config.squared_weights,
-                    known_power=config.known_power,
-                    tol_phi=config.tol_phi,
-                    tol_lambda=config.tol_lambda,
-                    max_iter=config.max_iter,
-                )
-            )
-    elif config.sweep_kind == "ple":
-        sigma = config.sweep_sigma_db
-        for ple in config.ple_grid:
-            point_env = Environment(
-                ple=ple,
-                frequency_khz=env.frequency_khz,
-                transmit_power_dbm=env.transmit_power_dbm,
-                absorption_db_per_m=env.absorption_db_per_m,
-                reference_distance_m=env.reference_distance_m,
-            )
-            points.append(
-                _TrialSetting(
-                    label=f"ple={_fmt(ple)},sigma={_fmt(sigma)}",
-                    scenario=Scenario(base.anchors_m, base.target_m, point_env),
-                    noise=with_noise(sigma),
-                    solve_env=point_env,
-                    weighted=config.weighted,
-                    squared_weights=config.squared_weights,
-                    known_power=config.known_power,
-                    tol_phi=config.tol_phi,
-                    tol_lambda=config.tol_lambda,
-                    max_iter=config.max_iter,
-                )
-            )
-    elif config.sweep_kind == "frequency":
-        sigma = config.sweep_sigma_db
-        for freq in config.frequency_grid_khz:
-            point_env = Environment(
-                ple=env.ple,
-                frequency_khz=freq,
-                transmit_power_dbm=env.transmit_power_dbm,
-                reference_distance_m=env.reference_distance_m,
-            )  # absorption recomputed from the frequency
-            points.append(
-                _TrialSetting(
-                    label=f"frequency_khz={_fmt(freq)},sigma={_fmt(sigma)}",
-                    scenario=Scenario(base.anchors_m, base.target_m, point_env),
-                    noise=with_noise(sigma),
-                    solve_env=point_env,
-                    weighted=config.weighted,
-                    squared_weights=config.squared_weights,
-                    known_power=config.known_power,
-                    tol_phi=config.tol_phi,
-                    tol_lambda=config.tol_lambda,
-                    max_iter=config.max_iter,
-                )
-            )
-    elif config.sweep_kind == "noise_scenarios":
-        for kind in config.noise_kinds:
-            for sigma in config.sigma_grid_db:
-                points.append(
-                    _TrialSetting(
-                        label=f"noise={kind},sigma={_fmt(sigma)}",
-                        scenario=base,
-                        noise=NoiseModel(kind=kind, sigma_db=sigma),
-                        solve_env=env,
-                        weighted=config.weighted,
-                        squared_weights=config.squared_weights,
-                        known_power=config.known_power,
-                        tol_phi=config.tol_phi,
-                        tol_lambda=config.tol_lambda,
-                        max_iter=config.max_iter,
-                    )
-                )
-    elif config.sweep_kind == "sensitivity":
-        for label, ple_bias, absorption_bias in config.bias_scenarios:
-            biased_env = Environment(
-                ple=env.ple * (1.0 + ple_bias),
-                frequency_khz=env.frequency_khz,
-                transmit_power_dbm=env.transmit_power_dbm,
-                absorption_db_per_m=env.absorption_db_per_m * (1.0 + absorption_bias),
-                reference_distance_m=env.reference_distance_m,
-            )
-            for sigma in config.sigma_grid_db:
-                points.append(
-                    _TrialSetting(
-                        label=f"bias={label},sigma={_fmt(sigma)}",
-                        scenario=base,
-                        noise=with_noise(sigma),
-                        solve_env=biased_env,
-                        weighted=config.weighted,
-                        squared_weights=config.squared_weights,
-                        known_power=config.known_power,
-                        tol_phi=config.tol_phi,
-                        tol_lambda=config.tol_lambda,
-                        max_iter=config.max_iter,
-                    )
-                )
+            counts = range(base.dimension + 3, base.n_anchors + 1)
+        return [
+            _TrialSetting(f"n_anchors={count}{at_sigma}", base.subset(count), with_noise(sigma), env)
+            for count in counts
+        ]
+    if kind in ("ple", "frequency"):
+        if kind == "ple":
+            envs = [(f"ple={_fmt(ple)}", replace(env, ple=ple)) for ple in config.ple_grid]
+        else:  # absorption recomputed from the frequency
+            envs = [
+                (f"frequency_khz={_fmt(f)}", replace(env, frequency_khz=f, absorption_db_per_m=None))
+                for f in config.frequency_grid_khz
+            ]
+        return [
+            _TrialSetting(label + at_sigma, replace(base, environment=e), with_noise(sigma), e)
+            for label, e in envs
+        ]
+    if kind == "noise_scenarios":
+        return [
+            _TrialSetting(f"noise={k},sigma={_fmt(s)}", base, NoiseModel(kind=k, sigma_db=s), env)
+            for k in config.noise_kinds
+            for s in config.sigma_grid_db
+        ]
+    points = []  # sensitivity: the solver assumes biased parameters
+    for label, ple_bias, absorption_bias in config.bias_scenarios:
+        biased_env = replace(
+            env,
+            ple=env.ple * (1.0 + ple_bias),
+            absorption_db_per_m=env.absorption_db_per_m * (1.0 + absorption_bias),
+        )
+        points += [
+            _TrialSetting(f"bias={label},sigma={_fmt(s)}", base, with_noise(s), biased_env)
+            for s in config.sigma_grid_db
+        ]
     return points
 
 
-def _point_sigma(setting):
-    return setting.noise.sigma_db
+def point_bounds(scenario, sigma, known_power):
+    """Zero-mean-Gaussian (CRLB_t, CRLB_p) at ``scenario``'s true parameters.
 
-
-def _point_bounds(setting):
-    """Paired zero-mean-Gaussian bounds at the point's true parameters."""
-    if setting.known_power:
-        report = crlb.fim_known_power(setting.scenario, _point_sigma(setting))
-        return report.crlb_t_m, None
-    report = crlb.fim_unknown_power(setting.scenario, _point_sigma(setting))
+    CRLB_p is None when the transmit power is known.
+    """
+    if known_power:
+        return crlb.fim_known_power(scenario, sigma).crlb_t_m, None
+    report = crlb.fim_unknown_power(scenario, sigma)
     return report.crlb_t_m, report.crlb_p_db
 
 
@@ -355,16 +247,16 @@ def _run_point(setting, config, n_threads):
     err2 = np.full(m, np.nan)
     power_err2 = np.full(m, np.nan)
     power_ok = np.zeros(m, dtype=bool)
-    solved = np.zeros(m, dtype=bool)
+    failed = [None] * m  # exception class name of each dropped trial
     true_t = setting.scenario.target_m
     true_p = setting.scenario.environment.transmit_power_dbm
 
     def one(trial):
         try:
-            est = _execute_trial(setting, config.master_seed, trial)
-        except UwlocError:
+            est = _execute_trial(setting, config, trial)
+        except UwlocError as exc:
+            failed[trial] = type(exc).__name__
             return
-        solved[trial] = True
         err2[trial] = float(np.sum((est.position_m - true_t) ** 2))
         if est.power_valid:
             power_ok[trial] = True
@@ -379,26 +271,32 @@ def _run_point(setting, config, n_threads):
             one(trial)
     elapsed = time.perf_counter() - start
 
+    failures = {}
+    for trial, name in enumerate(failed):
+        if name is not None:
+            failures.setdefault(name, []).append(trial)
+    solved = np.array([name is None for name in failed])
     n_solved = int(solved.sum())
     nrmse_t = float(np.sqrt(np.mean(err2[solved]))) if n_solved else float("nan")
-    if setting.known_power:
+    if config.known_power:
         nrmse_p = None
-        failures = 0
+        power_failures = 0
     else:
         n_power = int(power_ok.sum())
         nrmse_p = float(np.sqrt(np.mean(power_err2[power_ok]))) if n_power else None
-        failures = n_solved - n_power
-    crlb_t, crlb_p = _point_bounds(setting)
+        power_failures = n_solved - n_power
+    crlb_t, crlb_p = point_bounds(setting.scenario, setting.noise.sigma_db, config.known_power)
     return ResultRecord(
         sweep_coord=setting.label,
         nrmse_t_m=nrmse_t,
         nrmse_p_db=nrmse_p,
         crlb_t_m=crlb_t,
         crlb_p_db=crlb_p,
-        power_failures=failures,
+        power_failures=power_failures,
         trials=m,
         seconds_per_solve=elapsed / m,
         solve_failures=m - n_solved,
+        failures=tuple((name, tuple(trials)) for name, trials in sorted(failures.items())),
     )
 
 
@@ -420,14 +318,14 @@ def measure_runtime(config, n_solves=100):
     """
     config.validate()
     n_solves = max(int(n_solves), 100)
-    setting = _base_setting(config)
+    scenario = config.scenario
     batches = [
-        generate_measurements(setting.scenario, setting.noise, trial_rng(config.master_seed, i))
+        generate_measurements(scenario, config.noise, trial_rng(config.master_seed, i))
         for i in range(n_solves)
     ]
     start = time.perf_counter()
     for measurements in batches:
-        _solve_once(setting, measurements)
+        locate(config, measurements, scenario.anchors_m, scenario.environment)
     return (time.perf_counter() - start) / n_solves
 
 

@@ -35,6 +35,7 @@ import numpy as np
 from . import numerics
 from .channel import LN10
 from .errors import (
+    ConfigError,
     ConvergenceError,
     GeometryError,
     InfeasibleProblemError,
@@ -125,13 +126,19 @@ def build_system(measurements, weights, anchors_m, env, squared_weights=False):
     with q_i = 10^((P_i - alpha)/(10*beta)), and the target entry is
     -(5*beta/ln10)*q_i^2*||s_i||^2.  Rows are scaled by sqrt(w_i) so the
     objective is sum_i w_i * residual_i^2; pass ``squared_weights`` to scale
-    by w_i instead (weights enter the objective squared).
+    by w_i instead (weights enter the objective squared).  Measurement i
+    is taken at anchor row ``measurements.anchor_index[i]``.
     """
     anchors = np.atleast_2d(np.asarray(anchors_m, dtype=float))
     weights = np.asarray(weights, dtype=float)
     n, k = anchors.shape
     if len(measurements) != n:
         raise ValueError(f"{len(measurements)} measurements for {n} anchors")
+    index = measurements.anchor_index
+    outside = index[(index < 0) | (index >= n)]
+    if outside.size:
+        raise ConfigError(f"anchor_index {outside[0]} is outside [0, {n - 1}]")
+    anchors = anchors[index]
     if weights.shape != (n,):
         raise ValueError(f"weights shape {weights.shape} does not match {n} anchors")
     if n < k + 2:
@@ -168,10 +175,8 @@ def build_known_power_system(measurements, weights, anchors_m, env, squared_weig
     design = full.design[:, : k + 1].copy()
     target = full.target - full.design[:, k + 1] * u
     _check_rank(design)
-    quad = np.zeros((k + 1, k + 1))
-    quad[:k, :k] = np.eye(k)
-    lin = np.zeros(k + 1)
-    lin[k] = -0.5
+    quad = full.constraint_quad[: k + 1, : k + 1].copy()
+    lin = full.constraint_lin[: k + 1].copy()
     return GtrsSystem(
         design, target, quad, lin, k, full.n_anchors, env.ple, estimates_power=False
     )
@@ -342,6 +347,11 @@ def _bisect(eq, tol_phi, tol_lambda, max_iter):
     return best[0], best[2], iterations
 
 
+def _power_dbm(u, ple):
+    """Power read-out 5*beta*log10(u), or None for a nonpositive ``u``."""
+    return 5.0 * ple * np.log10(u) if u > 0.0 else None
+
+
 def extract_estimate(z, env):
     """Split a solution vector into (position, transmit power or None).
 
@@ -352,10 +362,7 @@ def extract_estimate(z, env):
     k = z.shape[0] - 2
     if k < 1:
         raise ValueError("solution vector must have length k + 2 with k >= 1")
-    u = z[k + 1]
-    if u > 0.0:
-        return z[:k].copy(), 5.0 * env.ple * np.log10(u)
-    return z[:k].copy(), None
+    return z[:k].copy(), _power_dbm(z[k + 1], env.ple)
 
 
 def _finalize(system, eq, lam, z_hat, iterations):
@@ -372,15 +379,10 @@ def _finalize(system, eq, lam, z_hat, iterations):
     min_eig = float(np.linalg.eigvalsh(shifted).min())
     min_eig_ratio = min_eig / float(np.linalg.norm(gram, 2))
     k = system.dimension
-    position = z[:k].copy()
-    power = None
-    if system.estimates_power:
-        u = z[k + 1]
-        if u > 0.0:
-            power = 5.0 * system.ple * np.log10(u)
+    power = _power_dbm(z[k + 1], system.ple) if system.estimates_power else None
     return Estimate(
         z=z,
-        position_m=position,
+        position_m=z[:k].copy(),
         transmit_power_dbm=power,
         power_valid=power is not None,
         multiplier=float(lam),
@@ -392,25 +394,21 @@ def _finalize(system, eq, lam, z_hat, iterations):
 
 
 def solve(system, tol_phi=0.0, tol_lambda=0.0, max_iter=200):
-    """Solve the joint position/power GTRS by bisection on the multiplier.
+    """Solve a GTRS by bisection on the multiplier.
 
+    Serves both system kinds: the joint position/power system of
+    :func:`build_system` and the smaller known-power system of
+    :func:`build_known_power_system`, whose estimate carries no power.
     With the default tolerances the bisection runs until the bracket
     collapses to adjacent floating-point numbers, keeping the multiplier
     with the smallest constraint residual seen.  ``tol_phi`` > 0 allows an
     early stop on the residual magnitude; ``tol_lambda`` > 0 on the bracket
     width.
     """
-    if not system.estimates_power:
-        raise ValueError("system was built with known power; use solve_known_power")
     eq = _Equilibrated(system)
     lam, z_hat, iterations = _bisect(eq, tol_phi, tol_lambda, max_iter)
     return _finalize(system, eq, lam, z_hat, iterations)
 
 
-def solve_known_power(system, tol_phi=0.0, tol_lambda=0.0, max_iter=200):
-    """Position-only GTRS solve for a system built with the power folded in."""
-    if system.estimates_power:
-        raise ValueError("system estimates power; use solve")
-    eq = _Equilibrated(system)
-    lam, z_hat, iterations = _bisect(eq, tol_phi, tol_lambda, max_iter)
-    return _finalize(system, eq, lam, z_hat, iterations)
+# The known-power system needs no solver of its own; the name stays public.
+solve_known_power = solve

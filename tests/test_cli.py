@@ -102,6 +102,23 @@ class TestSimulateCommand:
         assert out1.read_bytes() == out2.read_bytes()
         assert "seconds_per_solve" in capsys.readouterr().err
 
+    def test_dropped_trials_reported_on_stderr(self, config_path, tmp_path, capsys):
+        # At 50 kHz every trial fails the build_system rank gate; the CSV
+        # keeps its row and the drops are named on stderr.
+        doc = json.loads(config_path.read_text())
+        doc["mc_trials"] = 6
+        doc["sweep"] = {"kind": "frequency", "frequency_grid_khz": [9, 50]}
+        path = tmp_path / "frequency.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "f.csv"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        dropped = [line for line in capsys.readouterr().err.splitlines() if "dropped" in line]
+        assert dropped == [
+            "frequency_khz=50,sigma=2: 6 of 6 trials dropped from the averages"
+            " (GeometryError in 6, first trials 0, 1, 2, 3, 4)"
+        ]
+        assert out.read_text().splitlines()[2].startswith("frequency_khz=50,sigma=2,,,")
+
     def test_csv_header(self, small_config_path, tmp_path):
         out = tmp_path / "c.csv"
         main(["simulate", "--config", str(small_config_path), "--out", str(out)])
@@ -135,6 +152,30 @@ class TestLocateCommand:
         assert abs(record["transmit_power_dbm"]) <= 1e-6
 
 
+    def test_anchor_index_selects_anchor_rows(self, config_path, tmp_path, capsys):
+        parsed = parse_scenario(config_path)
+        scenario = parsed.scenario
+        clean = uwloc.noiseless_rss(scenario.target_m, scenario.anchors_m, scenario.environment)
+        positions = []
+        for order in (np.arange(10), np.random.default_rng(3).permutation(10)):
+            meas = tmp_path / "measurements.json"
+            meas.write_text(json.dumps(
+                {"anchor_index": order.tolist(), "rss_dbm": clean[order].tolist()}
+            ))
+            assert main(["locate", "--config", str(config_path), "--measurements", str(meas)]) == 0
+            positions.append(json.loads(capsys.readouterr().out)["position_m"])
+        assert np.allclose(positions[0], positions[1], rtol=0.0, atol=1e-6)
+
+    @pytest.mark.parametrize("bad_index", [99, -1])
+    def test_anchor_index_out_of_range_exits_one(self, config_path, tmp_path, capsys, bad_index):
+        meas = tmp_path / "measurements.json"
+        meas.write_text(json.dumps(
+            {"anchor_index": list(range(9)) + [bad_index], "rss_dbm": [-70.0] * 10}
+        ))
+        assert main(["locate", "--config", str(config_path), "--measurements", str(meas)]) == 1
+        assert f"anchor_index {bad_index}" in capsys.readouterr().err
+
+
 class TestWeightsCommand:
     def test_prints_normalized_vector(self, zero_absorption_paths, capsys):
         cfg, meas, _ = zero_absorption_paths
@@ -166,6 +207,26 @@ class TestExitCodes:
         path.write_text(json.dumps(doc))
         assert main(["crlb", "--config", str(path)]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            (None, "frequency_khz", float("nan")),
+            (None, "transmit_power_dbm", float("inf")),
+            (None, "sigma_grid_db", ["abc"]),
+            ("sweep", "ple_grid", ["x"]),
+        ],
+    )
+    def test_bad_numbers_are_named_config_errors(
+        self, tmp_path, config_path, capsys, section, key, value
+    ):
+        doc = json.loads(config_path.read_text())
+        (doc[section] if section else doc)[key] = value
+        path = tmp_path / "bad_number.json"
+        path.write_text(json.dumps(doc))
+        assert main(["crlb", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and key in err
 
     def test_help_exits_zero(self):
         with pytest.raises(SystemExit) as excinfo:

@@ -54,6 +54,27 @@ def fd_hessian(rss, anchors, position, power, env, sigma):
     return hess
 
 
+def loop_hessian(measurements, anchors, position, power, env, sigmas):
+    """Per-anchor loop form of the log-likelihood Hessian (reference)."""
+    k = position.shape[0]
+    sig2 = np.broadcast_to(np.asarray(sigmas, dtype=float) ** 2, (len(measurements),))
+    f = residuals(measurements, anchors, position, power, env)
+    alpha_ln10 = env.absorption_db_per_m * LN10
+    hess = np.zeros((k + 1, k + 1))
+    for i, anchor in enumerate(anchors[measurements.anchor_index]):
+        diff = position - anchor
+        d = np.linalg.norm(diff)
+        ci = c_vector(position, anchor, env)
+        di = (10.0 * env.ple + alpha_ln10 * d) * np.eye(k) + alpha_ln10 * np.outer(diff, diff) / d
+        hess[:k, :k] -= (
+            np.outer(ci, ci) + LN10 * d**2 * f[i] * di - 2.0 * LN10 * f[i] * np.outer(ci, diff)
+        ) / (sig2[i] * LN10**2 * d**4)
+        hess[:k, k] += ci / (sig2[i] * LN10 * d**2)
+        hess[k, k] -= 1.0 / sig2[i]
+    hess[k, :k] = hess[:k, k]
+    return hess
+
+
 def noiseless_set(scenario):
     rss = uwloc.noiseless_rss(scenario.target_m, scenario.anchors_m, scenario.environment)
     return MeasurementSet(np.arange(scenario.n_anchors), rss, scenario.environment)
@@ -141,6 +162,24 @@ class TestHessian:
             )
             numeric = fd_hessian(meas.rss_dbm, reference_scenario.anchors_m, position, power, env, 2.0)
             assert np.linalg.norm(numeric - analytic) <= 1e-4 * np.linalg.norm(analytic)
+
+
+    def test_matches_per_anchor_loop(self, reference_scenario):
+        env = reference_scenario.environment
+        anchors = reference_scenario.anchors_m
+        k = reference_scenario.dimension
+        model = NoiseModel("zero_mean_gaussian", 2.0)
+        for trial in range(5):
+            rng = np.random.default_rng(300 + trial)
+            drawn = uwloc.generate_measurements(reference_scenario, model, rng)
+            order = rng.permutation(reference_scenario.n_anchors)
+            meas = MeasurementSet(order, drawn.rss_dbm[order], env)
+            position = reference_scenario.target_m + rng.normal(0.0, 200.0, 3)
+            sigmas = rng.uniform(0.5, 3.0, reference_scenario.n_anchors)
+            fast = hessian_loglik(meas, anchors, position, 1.5, env, sigmas)
+            ref = loop_hessian(meas, anchors, position, 1.5, env, sigmas)
+            for block in (np.s_[:k, :k], np.s_[:, k]):
+                assert np.max(np.abs(fast[block] - ref[block])) <= 1e-12 * np.max(np.abs(ref[block]))
 
 
 class TestUnknownPowerBound:

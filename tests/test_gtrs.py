@@ -232,15 +232,6 @@ class TestSolve:
             solve(inst["system"], max_iter=2)
         assert err.value.bracket is not None
 
-    def test_rejects_known_power_system(self, zero_absorption_scenario):
-        meas = noiseless_measurements(zero_absorption_scenario)
-        system = build_known_power_system(
-            meas, equal_weights(10), zero_absorption_scenario.anchors_m,
-            zero_absorption_scenario.environment,
-        )
-        with pytest.raises(ValueError):
-            solve(system)
-
 
 class TestKnownPower:
     def test_reduced_shapes(self, reference_scenario):
@@ -281,14 +272,15 @@ class TestKnownPower:
             assert np.all(np.isfinite(est.position_m))
             assert est.kkt_stationarity <= 1e-8
 
-    def test_rejects_full_system(self, zero_absorption_scenario):
+    def test_one_solver_serves_both_system_kinds(self, zero_absorption_scenario):
+        assert solve_known_power is solve
         meas = noiseless_measurements(zero_absorption_scenario)
-        system = build_system(
-            meas, equal_weights(10), zero_absorption_scenario.anchors_m,
-            zero_absorption_scenario.environment,
-        )
-        with pytest.raises(ValueError):
-            solve_known_power(system)
+        args = (meas, equal_weights(10), zero_absorption_scenario.anchors_m,
+                zero_absorption_scenario.environment)
+        known = solve(build_known_power_system(*args))
+        joint = solve(build_system(*args))
+        assert known.z.shape == (4,) and not known.power_valid
+        assert joint.z.shape == (5,) and joint.power_valid
 
 
 class TestExtractEstimate:
