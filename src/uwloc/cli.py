@@ -23,7 +23,7 @@ SIMULATE_EPILOG = (
     + ", ".join(experiments.CSV_COLUMNS)
     + ". Numbers use 9 significant digits and '.' as the decimal separator. "
     "Two runs with the same config and seed produce byte-identical files "
-    "regardless of --threads (timing is only written with --timing)."
+    "(timing is only written with --timing)."
 )
 
 
@@ -52,7 +52,13 @@ def _build_parser():
     )
     sim.add_argument("--config", required=True, help="scenario JSON file")
     sim.add_argument("--out", required=True, help="output CSV path")
-    sim.add_argument("--threads", type=int, default=1, help="worker threads (results unaffected)")
+    sim.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        help="accepted for compatibility and has no effect: each sweep point's"
+        " trials are solved as one batch in this process",
+    )
     sim.add_argument(
         "--timing",
         action="store_true",
@@ -80,7 +86,7 @@ def _cmd_simulate(args):
     config = parse_scenario(args.config)
     if args.threads < 1:
         raise ConfigError("--threads must be >= 1")
-    records = experiments.run_sweep(config, n_threads=args.threads)
+    records = experiments.run_sweep(config)
     with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
         experiments.write_csv(records, handle, include_timing=args.timing)
     for record in records:

@@ -110,6 +110,8 @@ def parse_scenario(path):
             mean_db=_optional(noise_doc, "mean_db", float, noise_ctx, None),
             impulsive_upper_db=_optional(noise_doc, "impulsive_upper_db", float, noise_ctx, None),
         )
+    except ConfigError:
+        raise  # already names its field with this context
     except ValueError as exc:
         raise ConfigError(f"{noise_ctx}: {exc}") from exc
 

@@ -2,7 +2,7 @@
 
 Every trial draws its noise from a dedicated generator spawned as
 ``SeedSequence(master_seed, spawn_key=(trial_index,))``, so results are
-independent of execution order and worker count, and trials with the same
+independent of execution order and batch size, and trials with the same
 index share their underlying draws across sweep coordinates (common random
 numbers, which makes fixed-seed trend comparisons sharp).
 
@@ -16,13 +16,13 @@ the count of such failures is published alongside.
 """
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import crlb, gtrs, weighting
 from .channel import (
+    NOISE_KINDS,
     Environment,
     NoiseModel,
     Scenario,
@@ -91,6 +91,9 @@ class ExperimentConfig:
             raise ConfigError("ple_grid entries must be positive")
         if any(f <= 0 for f in self.frequency_grid_khz):
             raise ConfigError("frequency_grid_khz entries must be positive")
+        for kind in self.noise_kinds:
+            if kind not in NOISE_KINDS:
+                raise ConfigError(f"noise_kinds entry {kind!r} is not one of {NOISE_KINDS}")
         return self
 
 
@@ -134,6 +137,20 @@ def trial_rng(master_seed, trial_index):
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(trial_index,)))
 
 
+def _system(config, measurements, anchors_m, env):
+    """The weighted GTRS of one fix, built with the options of ``config``."""
+    if config.weighted:
+        w = weighting.link_weights(measurements, env)
+    else:
+        w = np.full(len(measurements), 1.0 / len(measurements))
+    build = gtrs.build_known_power_system if config.known_power else gtrs.build_system
+    return build(measurements, w, anchors_m, env, squared_weights=config.squared_weights)
+
+
+def _solver_options(config):
+    return dict(tol_phi=config.tol_phi, tol_lambda=config.tol_lambda, max_iter=config.max_iter)
+
+
 def locate(config, measurements, anchors_m, env):
     """One fix with the solver options of ``config``: weight, build, solve.
 
@@ -141,21 +158,14 @@ def locate(config, measurements, anchors_m, env):
     sweep biases away from the one the measurements were drawn in.
     Returns the solver's Estimate.
     """
-    if config.weighted:
-        w = weighting.link_weights(measurements, env)
-    else:
-        w = np.full(len(measurements), 1.0 / len(measurements))
-    build = gtrs.build_known_power_system if config.known_power else gtrs.build_system
-    system = build(measurements, w, anchors_m, env, squared_weights=config.squared_weights)
-    return gtrs.solve(
-        system, tol_phi=config.tol_phi, tol_lambda=config.tol_lambda, max_iter=config.max_iter
-    )
+    system = _system(config, measurements, anchors_m, env)
+    return gtrs.solve(system, **_solver_options(config))
 
 
-def _execute_trial(setting, config, trial_index):
+def _trial_system(setting, config, trial_index):
     rng = trial_rng(config.master_seed, trial_index)
     measurements = generate_measurements(setting.scenario, setting.noise, rng)
-    return locate(config, measurements, setting.scenario.anchors_m, setting.solve_env)
+    return _system(config, measurements, setting.scenario.anchors_m, setting.solve_env)
 
 
 def run_trial(config, trial_index):
@@ -166,7 +176,8 @@ def run_trial(config, trial_index):
     config.validate()
     scenario = config.scenario
     setting = _TrialSetting("base", scenario, config.noise, scenario.environment)
-    estimate = _execute_trial(setting, config, trial_index)
+    system = _trial_system(setting, config, trial_index)
+    estimate = gtrs.solve(system, **_solver_options(config))
     return estimate.position_m, estimate.transmit_power_dbm, estimate
 
 
@@ -242,7 +253,8 @@ def point_bounds(scenario, sigma, known_power):
     return report.crlb_t_m, report.crlb_p_db
 
 
-def _run_point(setting, config, n_threads):
+def _run_point(setting, config):
+    """One sweep coordinate: build every trial's system, solve them as a batch."""
     m = config.mc_trials
     err2 = np.full(m, np.nan)
     power_err2 = np.full(m, np.nan)
@@ -251,24 +263,23 @@ def _run_point(setting, config, n_threads):
     true_t = setting.scenario.target_m
     true_p = setting.scenario.environment.transmit_power_dbm
 
-    def one(trial):
+    start = time.perf_counter()
+    built, systems = [], []
+    for trial in range(m):
         try:
-            est = _execute_trial(setting, config, trial)
+            systems.append(_trial_system(setting, config, trial))
         except UwlocError as exc:
             failed[trial] = type(exc).__name__
-            return
+            continue
+        built.append(trial)
+    for trial, est in zip(built, gtrs.solve_many(systems, **_solver_options(config))):
+        if isinstance(est, UwlocError):
+            failed[trial] = type(est).__name__
+            continue
         err2[trial] = float(np.sum((est.position_m - true_t) ** 2))
         if est.power_valid:
             power_ok[trial] = True
             power_err2[trial] = (est.transmit_power_dbm - true_p) ** 2
-
-    start = time.perf_counter()
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            list(pool.map(one, range(m)))
-    else:
-        for trial in range(m):
-            one(trial)
     elapsed = time.perf_counter() - start
 
     failures = {}
@@ -300,14 +311,15 @@ def _run_point(setting, config, n_threads):
     )
 
 
-def run_sweep(config, n_threads=1):
+def run_sweep(config):
     """All sweep coordinates of ``config``, each over ``mc_trials`` trials.
 
-    Results are bit-identical for a given (config, master_seed) regardless
-    of ``n_threads``; only the recorded wall time varies.
+    Each coordinate's trials are solved as one batch whose estimates are
+    bit-identical to solving the trials one by one, so results depend only
+    on (config, master_seed); only the recorded wall time varies.
     """
     settings = _sweep_settings(config)
-    return [_run_point(setting, config, n_threads) for setting in settings]
+    return [_run_point(setting, config) for setting in settings]
 
 
 def measure_runtime(config, n_solves=100):
@@ -351,7 +363,7 @@ def write_csv(records, stream, include_timing=False):
     """Write records as CSV with locale-independent 9-significant-digit numbers.
 
     Wall time is replaced by 0 unless ``include_timing`` is set, so default
-    output is byte-identical across runs and thread counts.
+    output is byte-identical across runs.
     """
     stream.write(",".join(CSV_COLUMNS) + "\n")
     for record in records:

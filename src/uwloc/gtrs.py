@@ -41,6 +41,7 @@ from .errors import (
     InfeasibleProblemError,
     NumericalError,
     SingularMatrixError,
+    UwlocError,
 )
 
 # Column-rank tolerance on the column-normalized design matrix.  The raw
@@ -53,6 +54,12 @@ ENDPOINT_GUARD = 1e-12
 
 # Cap on geometric bracket expansions in either direction.
 MAX_EXPANSIONS = 120
+
+# Fewest trial multipliers a lockstep round evaluates as one stack.  On a
+# 5x5 system a stacked round costs about 70 us of numpy call overhead plus
+# about 8 us per system, one system alone about 30 us, so one or two
+# unfinished systems (and a batch of one) are cheaper one at a time.
+MIN_STACK_ROWS = 3
 
 
 @dataclass(frozen=True)
@@ -127,13 +134,15 @@ def build_system(measurements, weights, anchors_m, env, squared_weights=False):
     -(5*beta/ln10)*q_i^2*||s_i||^2.  Rows are scaled by sqrt(w_i) so the
     objective is sum_i w_i * residual_i^2; pass ``squared_weights`` to scale
     by w_i instead (weights enter the objective squared).  Measurement i
-    is taken at anchor row ``measurements.anchor_index[i]``.
+    is taken at anchor row ``measurements.anchor_index[i]``; a reading
+    count other than the anchor count, or an index outside the anchor
+    list, is a ConfigError.
     """
     anchors = np.atleast_2d(np.asarray(anchors_m, dtype=float))
     weights = np.asarray(weights, dtype=float)
     n, k = anchors.shape
     if len(measurements) != n:
-        raise ValueError(f"{len(measurements)} measurements for {n} anchors")
+        raise ConfigError(f"{len(measurements)} measurements for {n} anchors")
     index = measurements.anchor_index
     outside = index[(index < 0) | (index >= n)]
     if outside.size:
@@ -205,17 +214,17 @@ class _Equilibrated:
         matrix is PD whenever the Gram matrix is.
         """
         shifted = self.gram + lam * self.quad
-        diag = np.diag(shifted)
-        if np.any(diag <= 0.0):
+        diag = shifted.diagonal()
+        if (diag <= 0.0).any():
             return None
         s = 1.0 / np.sqrt(diag)
-        scaled = shifted * np.outer(s, s)
+        scaled = shifted * (s[:, None] * s)
         if check_definite:
             try:
                 factor = np.linalg.cholesky(scaled)
             except np.linalg.LinAlgError:
                 return None
-            if np.min(np.diagonal(factor)) <= 1e-6:
+            if factor.diagonal().min() <= 1e-6:
                 return None
         try:
             y = np.linalg.solve(scaled, (self.rhs0 - lam * self.lin) * s)
@@ -264,22 +273,29 @@ def phi(lam, system):
     return eq.constraint_residual(z_hat)
 
 
-def _bisect(eq, tol_phi, tol_lambda, max_iter):
+def _classify(eq, lam):
+    """(low, residual, z_hat) of one trial multiplier.
+
+    ``low`` says the multiplier is below the root: the shifted matrix fails
+    to be PD (below the pole, sent as residual inf and z_hat None) or the
+    residual is positive.
+    """
+    z_hat = eq.solve_at(lam, check_definite=lam < 0.0)
+    if z_hat is None:
+        return True, np.inf, None
+    residual = eq.constraint_residual(z_hat)
+    return residual > 0.0, residual, z_hat
+
+
+def _bisect_steps(eq, tol_phi, tol_lambda, max_iter):
     """Root of the constraint residual by classification bisection.
 
-    A trial multiplier is below the root when the shifted matrix fails to
-    be PD (below the pole) or the residual is positive; above otherwise.
-    Returns (multiplier, z_hat, iterations).
+    A generator, so one search can be driven alone or in lockstep with
+    others: it yields each trial multiplier and must be sent back that
+    multiplier's :func:`_classify` triple.  Returns (multiplier, z_hat,
+    iterations).
     """
-
-    def classify(lam):
-        z_hat = eq.solve_at(lam, check_definite=lam < 0.0)
-        if z_hat is None:
-            return True, np.inf, None
-        residual = eq.constraint_residual(z_hat)
-        return residual > 0.0, residual, z_hat
-
-    _, f0, z0 = classify(0.0)
+    _, f0, z0 = yield 0.0
     if z0 is None:
         raise GeometryError("normal matrix is not positive definite")
     if f0 == 0.0 or abs(f0) <= tol_phi:
@@ -288,11 +304,11 @@ def _bisect(eq, tol_phi, tol_lambda, max_iter):
         # Root is positive: expand upward until the residual turns negative.
         a = 0.0
         b = max(1.0, float(np.linalg.norm(eq.gram)))
-        low, fb, zb = classify(b)
+        low, fb, zb = yield b
         n = 0
         while low and n < MAX_EXPANSIONS:
             a, b = b, 2.0 * b
-            low, fb, zb = classify(b)
+            low, fb, zb = yield b
             n += 1
         if low:
             raise InfeasibleProblemError(
@@ -308,7 +324,7 @@ def _bisect(eq, tol_phi, tol_lambda, max_iter):
         a = eq.multiplier_floor()
         if not np.isfinite(a):
             raise InfeasibleProblemError("constraint matrix has no negative pole")
-        low, fa, za = classify(a)
+        low, fa, za = yield a
         step = 0.1 * (1.0 + abs(a))
         n = 0
         while not low and n < MAX_EXPANSIONS:
@@ -317,7 +333,7 @@ def _bisect(eq, tol_phi, tol_lambda, max_iter):
                 best = (a, abs(fa), za)
             a -= step
             step *= 2.0
-            low, fa, za = classify(a)
+            low, fa, za = yield a
             n += 1
         if not low:
             raise InfeasibleProblemError(
@@ -334,7 +350,7 @@ def _bisect(eq, tol_phi, tol_lambda, max_iter):
         mid = 0.5 * (a + b)
         if mid == a or mid == b:
             break  # bracket has collapsed to adjacent floats
-        low, fm, zm = classify(mid)
+        low, fm, zm = yield mid
         iterations += 1
         if zm is not None and abs(fm) < best[1]:
             best = (mid, abs(fm), zm)
@@ -406,9 +422,112 @@ def solve(system, tol_phi=0.0, tol_lambda=0.0, max_iter=200):
     width.
     """
     eq = _Equilibrated(system)
-    lam, z_hat, iterations = _bisect(eq, tol_phi, tol_lambda, max_iter)
+    steps = _bisect_steps(eq, tol_phi, tol_lambda, max_iter)
+    try:
+        lam = next(steps)
+        while True:
+            lam = steps.send(_classify(eq, lam))
+    except StopIteration as done:
+        lam, z_hat, iterations = done.value
     return _finalize(system, eq, lam, z_hat, iterations)
 
 
 # The known-power system needs no solver of its own; the name stays public.
 solve_known_power = solve
+
+
+class _Stack:
+    """Equilibrated normal equations of equal-size systems, stacked."""
+
+    def __init__(self, eqs):
+        self.eqs = eqs
+        self.gram = np.stack([eq.gram for eq in eqs])
+        self.quad = np.stack([eq.quad for eq in eqs])
+        self.lin = np.stack([eq.lin for eq in eqs])
+        self.rhs0 = np.stack([eq.rhs0 for eq in eqs])
+
+    def classify(self, rows, lams):
+        """:func:`_classify` of ``eqs[rows[j]]`` at ``lams[j]`` for every j.
+
+        One stacked evaluation whose arithmetic is that of
+        :meth:`_Equilibrated.solve_at` matrix by matrix, so every bit
+        matches.  Fewer than MIN_STACK_ROWS multipliers, or a stack that
+        numpy rejects as a whole (one matrix not PD or singular), are
+        classified one matrix at a time instead.
+        """
+        if len(rows) >= MIN_STACK_ROWS:
+            try:
+                return self._classify_stacked(np.array(rows), np.array(lams))
+            except np.linalg.LinAlgError:
+                pass
+        return [_classify(self.eqs[r], lam) for r, lam in zip(rows, lams)]
+
+    def _classify_stacked(self, rows, lams):
+        quad = self.quad[rows]
+        shifted = self.gram[rows] + lams[:, None, None] * quad
+        diag = shifted.diagonal(axis1=1, axis2=2)
+        live = np.flatnonzero(~(diag <= 0.0).any(axis=1))
+        s = 1.0 / np.sqrt(diag[live])
+        scaled = shifted[live] * (s[:, :, None] * s[:, None, :])
+        check = lams[live] < 0.0
+        if check.any():
+            factor = np.linalg.cholesky(scaled[check])
+            weak = factor.diagonal(axis1=1, axis2=2).min(axis=1) <= 1e-6
+            definite = np.ones(live.size, dtype=bool)
+            definite[np.flatnonzero(check)[weak]] = False
+            live, s, scaled = live[definite], s[definite], scaled[definite]
+        lin = self.lin[rows[live]]
+        rhs = (self.rhs0[rows[live]] - lams[live, None] * lin) * s
+        z = np.linalg.solve(scaled, rhs[:, :, None])[:, :, 0] * s
+        # z @ quad @ z + 2 lin @ z through the same vector-matrix and
+        # vector-vector matmuls as the scalar residual, so every sum runs
+        # in its order (np.sum and einsum do not).
+        row, col = z[:, None, :], z[:, :, None]
+        residual = ((row @ quad[live]) @ col + (2.0 * lin)[:, None, :] @ col)[:, 0, 0]
+        replies = [(True, np.inf, None)] * rows.size
+        for j, f, z_hat in zip(live, residual.tolist(), z):
+            replies[j] = (f > 0.0, f, z_hat)
+        return replies
+
+
+def solve_many(systems, tol_phi=0.0, tol_lambda=0.0, max_iter=200):
+    """:func:`solve` applied to every system, with bit-identical results.
+
+    The bisections run in lockstep: each round classifies the trial
+    multipliers of all unfinished systems of one size in one stacked
+    evaluation, and a system leaves the stack when its search ends.
+    Returns one entry per system, in order: its Estimate, or the UwlocError
+    instance that :func:`solve` would have raised for it alone.
+    """
+    results = [None] * len(systems)
+    by_size = {}
+    for i, system in enumerate(systems):
+        by_size.setdefault(system.design.shape[1], []).append(i)
+    for indices in by_size.values():
+        eqs, searches, trials = [], [], {}  # trials: stack row -> multiplier
+        for i in indices:
+            try:
+                eq = _Equilibrated(systems[i])
+            except UwlocError as exc:
+                results[i] = exc
+                continue
+            search = _bisect_steps(eq, tol_phi, tol_lambda, max_iter)
+            trials[len(eqs)] = next(search)
+            eqs.append(eq)
+            searches.append((i, search))
+        if not eqs:
+            continue
+        stack = _Stack(eqs)
+        while trials:
+            rows = list(trials)
+            for r, reply in zip(rows, stack.classify(rows, [trials[r] for r in rows])):
+                i, search = searches[r]
+                try:
+                    trials[r] = search.send(reply)
+                except StopIteration as done:
+                    del trials[r]
+                    results[i] = _finalize(systems[i], eqs[r], *done.value)
+                except UwlocError as exc:
+                    del trials[r]
+                    results[i] = exc
+    return results

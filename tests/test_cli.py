@@ -228,6 +228,33 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and key in err
 
+    def test_unknown_noise_kind_fails_before_the_sweep(self, tmp_path, config_path, capsys):
+        doc = json.loads(config_path.read_text())
+        doc["sweep"] = {"kind": "noise_scenarios", "noise_kinds": ["x"]}
+        path = tmp_path / "bad_kind.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "never.csv"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and "noise_kinds entry 'x'" in err
+        assert not out.exists()
+
+    def test_noise_field_error_names_its_context_once(self, tmp_path, config_path, capsys):
+        doc = json.loads(config_path.read_text())
+        doc["noise"]["sigma_db"] = "a"
+        path = tmp_path / "bad_noise.json"
+        path.write_text(json.dumps(doc))
+        assert main(["crlb", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count(f"{path}: noise") == 1 and "'sigma_db'" in err
+
+    def test_fewer_readings_than_anchors_exits_one(self, config_path, tmp_path, capsys):
+        meas = tmp_path / "measurements.json"
+        meas.write_text(json.dumps({"anchor_index": list(range(9)), "rss_dbm": [-70.0] * 9}))
+        assert main(["locate", "--config", str(config_path), "--measurements", str(meas)]) == 1
+        err = capsys.readouterr().err
+        assert err == "configuration error: 9 measurements for 10 anchors\n"
+
     def test_help_exits_zero(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["simulate", "--help"])

@@ -102,15 +102,23 @@ class TestRunSweep:
         assert all(r.power_failures >= 0 for r in records)
         assert all(r.solve_failures == 0 for r in records)
 
-    def test_thread_count_does_not_change_results(self, small_config):
+    def test_batched_nrmse_equals_per_trial_recomputation(self, small_config):
         config = replace(small_config, sigma_grid_db=(3.0, 5.0))
-        serial = run_sweep(config, n_threads=1)
-        threaded = run_sweep(config, n_threads=4)
-        for a, b in zip(serial, threaded):
-            assert a.sweep_coord == b.sweep_coord
-            assert a.nrmse_t_m == b.nrmse_t_m
-            assert a.nrmse_p_db == b.nrmse_p_db
-            assert a.power_failures == b.power_failures
+        records = run_sweep(config)
+        true_t = config.scenario.target_m
+        true_p = config.scenario.environment.transmit_power_dbm
+        for record, sigma in zip(records, config.sigma_grid_db):
+            at_sigma = replace(config, noise=replace(config.noise, sigma_db=sigma))
+            err2, power_err2 = [], []
+            for trial in range(config.mc_trials):
+                position, power, _ = run_trial(at_sigma, trial)
+                err2.append(float(np.sum((position - true_t) ** 2)))
+                if power is not None:
+                    power_err2.append((power - true_p) ** 2)
+            assert record.solve_failures == 0
+            assert record.nrmse_t_m == float(np.sqrt(np.mean(np.array(err2))))
+            assert record.nrmse_p_db == float(np.sqrt(np.mean(np.array(power_err2))))
+            assert record.power_failures == config.mc_trials - len(power_err2)
 
     def test_anchor_sweep_drops_last_listed_first(self, small_config):
         config = replace(small_config, sweep_kind="anchor_count", mc_trials=5)

@@ -1,11 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 import uwloc
 from conftest import brute_force_objective, gtrs_objective, random_solver_instance
+from uwloc import experiments, gtrs
 from uwloc.channel import Environment, MeasurementSet, NoiseModel, generate_measurements
-from uwloc.errors import ConvergenceError, GeometryError
+from uwloc.errors import ConvergenceError, GeometryError, UwlocError
 from uwloc.gtrs import (
     GtrsSystem,
     build_known_power_system,
@@ -15,6 +18,7 @@ from uwloc.gtrs import (
     phi,
     solve,
     solve_known_power,
+    solve_many,
 )
 from uwloc.weighting import link_weights
 
@@ -281,6 +285,124 @@ class TestKnownPower:
         joint = solve(build_system(*args))
         assert known.z.shape == (4,) and not known.power_valid
         assert joint.z.shape == (5,) and joint.power_valid
+
+
+def solve_each(systems, **options):
+    """Reference for solve_many: solve one system at a time."""
+    outcomes = []
+    for system in systems:
+        try:
+            outcomes.append(solve(system, **options))
+        except UwlocError as exc:
+            outcomes.append(exc)
+    return outcomes
+
+
+def assert_bit_identical(batch, reference):
+    assert len(batch) == len(reference)
+    for got, expected in zip(batch, reference):
+        assert type(got) is type(expected)
+        if isinstance(expected, UwlocError):
+            assert str(got) == str(expected)
+            assert getattr(got, "bracket", None) == getattr(expected, "bracket", None)
+            continue
+        assert np.array_equal(got.z, expected.z)
+        assert np.array_equal(got.position_m, expected.position_m)
+        for field in (
+            "multiplier", "iterations", "transmit_power_dbm", "power_valid",
+            "kkt_stationarity", "kkt_constraint", "kkt_min_eig_ratio",
+        ):
+            assert getattr(got, field) == getattr(expected, field), field
+
+
+def sigma9_trial_systems(bundled_config, trials):
+    noise = replace(bundled_config.noise, sigma_db=9.0)
+    env = bundled_config.scenario.environment
+    setting = experiments._TrialSetting("sigma=9", bundled_config.scenario, noise, env)
+    return [experiments._trial_system(setting, bundled_config, t) for t in trials]
+
+
+class TestSolveMany:
+    @pytest.mark.parametrize("tol_phi", [0.0, 1e-3])
+    def test_matches_solve_on_random_instances(self, tol_phi):
+        rng = np.random.default_rng(10)
+        systems = []
+        for _ in range(15):
+            inst = random_solver_instance(rng)
+            env = inst["scenario"].environment
+            anchors = inst["scenario"].anchors_m
+            systems.append(inst["system"])
+            systems.append(
+                build_known_power_system(inst["measurements"], inst["weights"], anchors, env)
+            )
+        # Three stack sizes; the 4-column one mixes k = 2 joint systems
+        # with k = 3 known-power ones.
+        assert sorted({system.design.shape[1] for system in systems}) == [3, 4, 5]
+        assert_bit_identical(
+            solve_many(systems, tol_phi=tol_phi), solve_each(systems, tol_phi=tol_phi)
+        )
+
+    def test_matches_solve_on_bundled_sigma9_trials(self, bundled_config, monkeypatch):
+        systems = sigma9_trial_systems(bundled_config, range(12))
+        # Trial 210 fails the build_system rank gate; built past the gate,
+        # its system solves in the stack exactly as it does alone.
+        with pytest.raises(GeometryError):
+            sigma9_trial_systems(bundled_config, [210])
+        monkeypatch.setattr(gtrs, "_check_rank", lambda design: None)
+        systems[5:5] = sigma9_trial_systems(bundled_config, [210])
+        assert_bit_identical(solve_many(systems), solve_each(systems))
+        assert_bit_identical(solve_many(systems[:1]), solve_each(systems[:1]))
+
+    def test_one_convergence_failure_leaves_the_stack_solved(self, bundled_config):
+        systems = sigma9_trial_systems(bundled_config, range(12))
+        iterations = [estimate.iterations for estimate in solve_each(systems)]
+        assert iterations.count(max(iterations)) == 1
+        max_iter = max(iterations) - 1
+        reference = solve_each(systems, max_iter=max_iter)
+        batch = solve_many(systems, max_iter=max_iter)
+        assert_bit_identical(batch, reference)
+        failed = [i for i, outcome in enumerate(batch) if isinstance(outcome, UwlocError)]
+        assert failed == [iterations.index(max(iterations))]
+        assert isinstance(batch[failed[0]], ConvergenceError)
+
+    def test_stack_rejected_by_numpy_is_classified_one_by_one(self, bundled_config):
+        eqs = [gtrs._Equilibrated(system) for system in sigma9_trial_systems(bundled_config, range(3))]
+        below_pole = 2.0 * eqs[0].multiplier_floor()
+        stack = gtrs._Stack(eqs)
+        with pytest.raises(np.linalg.LinAlgError):
+            stack._classify_stacked(np.arange(3), np.array([below_pole, 0.0, 1.0]))
+        replies = stack.classify([0, 1, 2], [below_pole, 0.0, 1.0])
+        assert replies[0] == (True, np.inf, None)
+        for eq, lam, (low, residual, z_hat) in zip(eqs[1:], [0.0, 1.0], replies[1:]):
+            expected = gtrs._classify(eq, lam)
+            assert (low, residual) == expected[:2]
+            assert np.array_equal(z_hat, expected[2])
+
+    def test_weak_pivot_rule_matches_one_by_one(self, bundled_config):
+        # Just above the multiplier where the Cholesky of a shifted matrix
+        # starts to fail, it succeeds with a pivot under the 1e-6 floor;
+        # a stacked round must call such multipliers low as solve_at does.
+        systems = sigma9_trial_systems(bundled_config, range(6))
+        eqs = [gtrs._Equilibrated(system) for system in systems]
+        stack = gtrs._Stack(eqs)
+        edges = []
+        for row, eq in enumerate(eqs):
+            fails, works = 2.0 * eq.multiplier_floor(), eq.multiplier_floor()
+            while fails < 0.5 * (fails + works) < works:
+                mid = 0.5 * (fails + works)
+                try:
+                    stack._classify_stacked(np.array([row]), np.array([mid]))
+                    works = mid
+                except np.linalg.LinAlgError:
+                    fails = mid
+            edges.append(works)
+        replies = stack._classify_stacked(np.arange(len(eqs)), np.array(edges))
+        assert any(z_hat is None for _, _, z_hat in replies)
+        for eq, lam, (low, residual, z_hat) in zip(eqs, edges, replies):
+            expected = gtrs._classify(eq, lam)
+            assert (low, residual) == expected[:2]
+            assert (z_hat is None) == (expected[2] is None)
+            assert z_hat is None or np.array_equal(z_hat, expected[2])
 
 
 class TestExtractEstimate:
