@@ -3,7 +3,8 @@
 Each case runs ``uwloc simulate`` on the bundled scenario, cut to
 ``GOLDEN_TRIALS`` trials, for one sweep kind and power mode, and compares
 the CSV with the file pinned under ``tests/golden``.  ``uwloc locate`` on a
-pinned noisy measurement file is compared the same way.  A refactor or a
+pinned noisy measurement file and ``uwloc crlb`` are compared the same way,
+in both power modes.  A refactor or a
 faster solver must leave every byte as it is; a deliberate change to the
 numbers has to replace the pinned files in the same change and say why.
 
@@ -55,4 +56,23 @@ def test_locate_json_is_pinned(capsys):
     ]
     assert main(argv) == 0
     expected = (GOLDEN_DIR / "locate.json").read_text()
+    assert capsys.readouterr().out == expected
+
+
+def test_locate_known_power_json_is_pinned(tmp_path, capsys):
+    argv = [
+        "locate",
+        "--config", str(golden_config(tmp_path, "sigma", known_power=True)),
+        "--measurements", str(GOLDEN_DIR / "measurements.json"),
+    ]
+    assert main(argv) == 0
+    expected = (GOLDEN_DIR / "locate_known.json").read_text()
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("mode", sorted(POWER_MODES))
+def test_crlb_output_is_pinned(tmp_path, capsys, mode):
+    config = golden_config(tmp_path, "sigma", POWER_MODES[mode])
+    assert main(["crlb", "--config", str(config)]) == 0
+    expected = (GOLDEN_DIR / f"crlb_{mode}.csv").read_text()
     assert capsys.readouterr().out == expected
