@@ -139,29 +139,28 @@ def parse_scenario(path):
                 (entry[0], _number(entry[1], float, what), _number(entry[2], float, what))
             )
 
+    default = ExperimentConfig  # the class attributes hold the field defaults
     config = ExperimentConfig(
         scenario=scenario,
         noise=noise,
-        sigma_grid_db=_grid(doc, "sigma_grid_db", float, ctx, ExperimentConfig.sigma_grid_db),
-        mc_trials=_optional(doc, "mc_trials", int, ctx, ExperimentConfig.mc_trials),
-        master_seed=_optional(doc, "master_seed", int, ctx, 1),
-        weighted=_optional(solver_doc, "weighted", bool, solver_ctx, True),
-        squared_weights=_optional(solver_doc, "squared_weights", bool, solver_ctx, False),
-        known_power=_optional(solver_doc, "known_power", bool, solver_ctx, False),
-        tol_phi=_optional(solver_doc, "tol_phi", float, solver_ctx, 0.0),
-        tol_lambda=_optional(solver_doc, "tol_lambda", float, solver_ctx, 0.0),
-        max_iter=_optional(solver_doc, "max_iter", int, solver_ctx, 200),
-        sweep_kind=_optional(sweep_doc, "kind", str, sweep_ctx, "sigma"),
-        sweep_sigma_db=_optional(sweep_doc, "sigma_db", float, sweep_ctx, 2.0),
-        anchor_counts=_grid(sweep_doc, "anchor_counts", int, sweep_ctx, None),
-        ple_grid=_grid(sweep_doc, "ple_grid", float, sweep_ctx, ExperimentConfig.ple_grid),
+        sigma_grid_db=_grid(doc, "sigma_grid_db", float, ctx, default.sigma_grid_db),
+        mc_trials=_optional(doc, "mc_trials", int, ctx, default.mc_trials),
+        master_seed=_optional(doc, "master_seed", int, ctx, default.master_seed),
+        weighted=_optional(solver_doc, "weighted", bool, solver_ctx, default.weighted),
+        known_power=_optional(solver_doc, "known_power", bool, solver_ctx, default.known_power),
+        tol_phi=_optional(solver_doc, "tol_phi", float, solver_ctx, default.tol_phi),
+        max_iter=_optional(solver_doc, "max_iter", int, solver_ctx, default.max_iter),
+        sweep_kind=_optional(sweep_doc, "kind", str, sweep_ctx, default.sweep_kind),
+        sweep_sigma_db=_optional(sweep_doc, "sigma_db", float, sweep_ctx, default.sweep_sigma_db),
+        anchor_counts=_grid(sweep_doc, "anchor_counts", int, sweep_ctx, default.anchor_counts),
+        ple_grid=_grid(sweep_doc, "ple_grid", float, sweep_ctx, default.ple_grid),
         frequency_grid_khz=_grid(
-            sweep_doc, "frequency_grid_khz", float, sweep_ctx, ExperimentConfig.frequency_grid_khz
+            sweep_doc, "frequency_grid_khz", float, sweep_ctx, default.frequency_grid_khz
         ),
         noise_kinds=tuple(
-            _optional(sweep_doc, "noise_kinds", list, sweep_ctx, list(ExperimentConfig.noise_kinds))
+            _optional(sweep_doc, "noise_kinds", list, sweep_ctx, list(default.noise_kinds))
         ),
-        bias_scenarios=tuple(bias_scenarios) if bias_scenarios is not None else ExperimentConfig.bias_scenarios,
+        bias_scenarios=tuple(bias_scenarios) if bias_scenarios is not None else default.bias_scenarios,
     )
     try:
         config.validate()

@@ -92,13 +92,11 @@ def c_vector(target_m, anchor_m, env):
 
     Always parallel to the target-anchor offset.
     """
-    target_m = np.asarray(target_m, dtype=float)
-    anchor_m = np.asarray(anchor_m, dtype=float)
-    diff = target_m - anchor_m
-    d = np.linalg.norm(diff)
-    if d == 0.0:
+    anchor_m = np.asarray(anchor_m, dtype=float)[None, :]
+    _, d, c = gradient_directions(np.asarray(target_m, dtype=float), anchor_m, env)
+    if d[0] == 0.0:
         raise ValueError("target coincides with the anchor")
-    return (10.0 * env.ple + env.absorption_db_per_m * LN10 * d) * diff
+    return c[0]
 
 
 def hessian_loglik(measurements, anchors_m, position_m, transmit_power_dbm, env, sigmas):

@@ -57,10 +57,8 @@ class ExperimentConfig:
     mc_trials: int = 3000
     master_seed: int = 1
     weighted: bool = True
-    squared_weights: bool = False
     known_power: bool = False
     tol_phi: float = 0.0
-    tol_lambda: float = 0.0
     max_iter: int = 200
     sweep_kind: str = "sigma"
     sweep_sigma_db: float = 2.0
@@ -144,11 +142,11 @@ def _system(config, measurements, anchors_m, env):
     else:
         w = np.full(len(measurements), 1.0 / len(measurements))
     build = gtrs.build_known_power_system if config.known_power else gtrs.build_system
-    return build(measurements, w, anchors_m, env, squared_weights=config.squared_weights)
+    return build(measurements, w, anchors_m, env)
 
 
 def _solver_options(config):
-    return dict(tol_phi=config.tol_phi, tol_lambda=config.tol_lambda, max_iter=config.max_iter)
+    return dict(tol_phi=config.tol_phi, max_iter=config.max_iter)
 
 
 def locate(config, measurements, anchors_m, env):

@@ -125,19 +125,8 @@ def _check_rank(design):
         )
 
 
-def build_system(measurements, weights, anchors_m, env, squared_weights=False):
-    """Assemble the weighted GTRS from measurements and link weights.
-
-    Row i of the unweighted design is
-    [-(10*beta/ln10)*q_i^2*s_i^T, (5*beta/ln10)*q_i^2, -(5*beta/ln10)]
-    with q_i = 10^((P_i - alpha)/(10*beta)), and the target entry is
-    -(5*beta/ln10)*q_i^2*||s_i||^2.  Rows are scaled by sqrt(w_i) so the
-    objective is sum_i w_i * residual_i^2; pass ``squared_weights`` to scale
-    by w_i instead (weights enter the objective squared).  Measurement i
-    is taken at anchor row ``measurements.anchor_index[i]``; a reading
-    count other than the anchor count, or an index outside the anchor
-    list, is a ConfigError.
-    """
+def _build(measurements, weights, anchors_m, env, estimates_power):
+    """The joint (k + 2 columns) or known-power (k + 1) system of one fix."""
     anchors = np.atleast_2d(np.asarray(anchors_m, dtype=float))
     weights = np.asarray(weights, dtype=float)
     n, k = anchors.shape
@@ -156,56 +145,70 @@ def build_system(measurements, weights, anchors_m, env, squared_weights=False):
     q2 = _q_squared(measurements, env)
     c_pos = 10.0 * beta / LN10
     c_aux = 5.0 * beta / LN10
-    design = np.empty((n, k + 2))
+    m = k + 2 if estimates_power else k + 1
+    design = np.empty((n, m))
     design[:, :k] = -c_pos * q2[:, None] * anchors
     design[:, k] = c_aux * q2
-    design[:, k + 1] = -c_aux
-    target = -c_aux * q2 * np.sum(anchors**2, axis=1)
-    scale = weights if squared_weights else np.sqrt(weights)
+    scale = np.sqrt(weights)
+    target = -c_aux * q2 * np.sum(anchors**2, axis=1) * scale
+    if estimates_power:
+        design[:, k + 1] = -c_aux
+    else:  # the known u moves the weighted column -c_aux*u into the target
+        u = 10.0 ** (env.transmit_power_dbm / (5.0 * beta))
+        target = target + (c_aux * scale) * u
     design = design * scale[:, None]
-    target = target * scale
     _check_rank(design)
-    quad = np.zeros((k + 2, k + 2))
+    quad = np.zeros((m, m))
     quad[:k, :k] = np.eye(k)
-    lin = np.zeros(k + 2)
+    lin = np.zeros(m)
     lin[k] = -0.5
-    return GtrsSystem(design, target, quad, lin, k, n, beta, estimates_power=True)
+    return GtrsSystem(design, target, quad, lin, k, n, beta, estimates_power)
 
 
-def build_known_power_system(measurements, weights, anchors_m, env, squared_weights=False):
+def build_system(measurements, weights, anchors_m, env):
+    """Assemble the weighted GTRS from measurements and link weights.
+
+    Row i of the unweighted design is
+    [-(10*beta/ln10)*q_i^2*s_i^T, (5*beta/ln10)*q_i^2, -(5*beta/ln10)]
+    with q_i = 10^((P_i - alpha)/(10*beta)), and the target entry is
+    -(5*beta/ln10)*q_i^2*||s_i||^2.  Rows are scaled by sqrt(w_i) so the
+    objective is sum_i w_i * residual_i^2.  Measurement i is taken at
+    anchor row ``measurements.anchor_index[i]``; a reading count other
+    than the anchor count, or an index outside the anchor list, is a
+    ConfigError.  A design that is rank deficient after column
+    normalization is a GeometryError.
+    """
+    return _build(measurements, weights, anchors_m, env, estimates_power=True)
+
+
+def build_known_power_system(measurements, weights, anchors_m, env):
     """GTRS with the transmit power known: the u column folds into the target.
 
     The reduced unknown is [t; ||t||^2] with constraint matrices
-    diag(I_k, 0) and [0_k; -1/2].
+    diag(I_k, 0) and [0_k; -1/2].  Only this (n, k + 1) design is rank
+    checked, so anchors equidistant from the target, whose joint design
+    is singular, are fine.
     """
-    full = build_system(measurements, weights, anchors_m, env, squared_weights)
-    k = full.dimension
-    u = 10.0 ** (env.transmit_power_dbm / (5.0 * env.ple))
-    design = full.design[:, : k + 1].copy()
-    target = full.target - full.design[:, k + 1] * u
-    _check_rank(design)
-    quad = full.constraint_quad[: k + 1, : k + 1].copy()
-    lin = full.constraint_lin[: k + 1].copy()
-    return GtrsSystem(
-        design, target, quad, lin, k, full.n_anchors, env.ple, estimates_power=False
-    )
+    return _build(measurements, weights, anchors_m, env, estimates_power=False)
 
 
 class _Equilibrated:
-    """Jacobi-scaled copy of the normal equations for one system."""
+    """Jacobi-scaled normal equations of one system; ``normal`` and
+    ``moment`` keep the unscaled R^T R and R^T v."""
 
     def __init__(self, system):
         design = system.design
-        gram = design.T @ design
-        diag = np.diag(gram)
+        self.normal = design.T @ design
+        self.moment = design.T @ system.target
+        diag = np.diag(self.normal)
         if np.any(diag <= 0.0):
             raise GeometryError("normal matrix has a nonpositive diagonal entry")
         self.scale = 1.0 / np.sqrt(diag)
         outer = np.outer(self.scale, self.scale)
-        self.gram = gram * outer
+        self.gram = self.normal * outer
         self.quad = system.constraint_quad * outer
         self.lin = system.constraint_lin * self.scale
-        self.rhs0 = (design.T @ system.target) * self.scale
+        self.rhs0 = self.moment * self.scale
 
     def solve_at(self, lam, check_definite):
         """Solution of the shifted system, or None when it is not PD.
@@ -287,7 +290,7 @@ def _classify(eq, lam):
     return residual > 0.0, residual, z_hat
 
 
-def _bisect_steps(eq, tol_phi, tol_lambda, max_iter):
+def _bisect_steps(eq, tol_phi, max_iter):
     """Root of the constraint residual by classification bisection.
 
     A generator, so one search can be driven alone or in lockstep with
@@ -340,7 +343,7 @@ def _bisect_steps(eq, tol_phi, tol_lambda, max_iter):
                 f"no constraint-residual sign change down to multiplier {a:.3e}"
             )
     iterations = 0
-    while (b - a) > tol_lambda:
+    while b > a:
         if iterations >= max_iter:
             raise ConvergenceError(
                 f"bisection exceeded {max_iter} iterations"
@@ -383,9 +386,8 @@ def extract_estimate(z, env):
 
 def _finalize(system, eq, lam, z_hat, iterations):
     z = z_hat * eq.scale
-    gram = system.design.T @ system.design
-    rhs = system.design.T @ system.target - lam * system.constraint_lin
-    shifted = gram + lam * system.constraint_quad
+    rhs = eq.moment - lam * system.constraint_lin
+    shifted = eq.normal + lam * system.constraint_quad
     residual = np.linalg.norm(shifted @ z - rhs)
     scale = np.linalg.norm(shifted) * np.linalg.norm(z) + np.linalg.norm(rhs)
     stationarity = residual / scale if scale > 0 else residual
@@ -393,7 +395,7 @@ def _finalize(system, eq, lam, z_hat, iterations):
         z @ system.constraint_quad @ z + 2.0 * system.constraint_lin @ z
     )
     min_eig = float(np.linalg.eigvalsh(shifted).min())
-    min_eig_ratio = min_eig / float(np.linalg.norm(gram, 2))
+    min_eig_ratio = min_eig / float(np.linalg.norm(eq.normal, 2))
     k = system.dimension
     power = _power_dbm(z[k + 1], system.ple) if system.estimates_power else None
     return Estimate(
@@ -409,7 +411,7 @@ def _finalize(system, eq, lam, z_hat, iterations):
     )
 
 
-def solve(system, tol_phi=0.0, tol_lambda=0.0, max_iter=200):
+def solve(system, tol_phi=0.0, max_iter=200):
     """Solve a GTRS by bisection on the multiplier.
 
     Serves both system kinds: the joint position/power system of
@@ -418,11 +420,10 @@ def solve(system, tol_phi=0.0, tol_lambda=0.0, max_iter=200):
     With the default tolerances the bisection runs until the bracket
     collapses to adjacent floating-point numbers, keeping the multiplier
     with the smallest constraint residual seen.  ``tol_phi`` > 0 allows an
-    early stop on the residual magnitude; ``tol_lambda`` > 0 on the bracket
-    width.
+    early stop on the residual magnitude.
     """
     eq = _Equilibrated(system)
-    steps = _bisect_steps(eq, tol_phi, tol_lambda, max_iter)
+    steps = _bisect_steps(eq, tol_phi, max_iter)
     try:
         lam = next(steps)
         while True:
@@ -490,7 +491,7 @@ class _Stack:
         return replies
 
 
-def solve_many(systems, tol_phi=0.0, tol_lambda=0.0, max_iter=200):
+def solve_many(systems, tol_phi=0.0, max_iter=200):
     """:func:`solve` applied to every system, with bit-identical results.
 
     The bisections run in lockstep: each round classifies the trial
@@ -511,7 +512,7 @@ def solve_many(systems, tol_phi=0.0, tol_lambda=0.0, max_iter=200):
             except UwlocError as exc:
                 results[i] = exc
                 continue
-            search = _bisect_steps(eq, tol_phi, tol_lambda, max_iter)
+            search = _bisect_steps(eq, tol_phi, max_iter)
             trials[len(eqs)] = next(search)
             eqs.append(eq)
             searches.append((i, search))

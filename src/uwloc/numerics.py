@@ -48,7 +48,7 @@ def sym_eig(a):
 def solve_spd(a, b):
     """Solve ``a @ x = b`` for symmetric positive definite ``a``.
 
-    Uses an unpivoted Cholesky factorization; a pivot at or below
+    The gate is numpy's Cholesky factorization: a pivot at or below
     ``PIVOT_TOL`` times the largest diagonal entry raises
     SingularMatrixError naming the pivot index.
     """
@@ -58,25 +58,20 @@ def solve_spd(a, b):
     if b.shape[0] != n:
         raise ValueError(f"rhs length {b.shape[0]} does not match order {n}")
     tol = PIVOT_TOL * np.max(np.diag(a)) if n else 0.0
-    lower = np.zeros((n, n))
+    # Pivot j is the last pivot of the leading (j+1)-block, so the first
+    # weak one is found block by block; numpy names no failing pivot.
     for j in range(n):
-        pivot = a[j, j] - lower[j, :j] @ lower[j, :j]
+        try:
+            pivot = np.linalg.cholesky(a[: j + 1, : j + 1])[j, j] ** 2
+        except np.linalg.LinAlgError:
+            pivot = 0.0  # numpy rejects a pivot that is not positive
         if not pivot > tol:
             raise SingularMatrixError(
-                f"matrix is not positive definite: pivot {j} is {pivot:.3e}"
-                f" (tolerance {tol:.3e})",
+                f"matrix is not positive definite: pivot {j} is at or below"
+                f" the tolerance {tol:.3e}",
                 pivot_index=j,
             )
-        lower[j, j] = np.sqrt(pivot)
-        if j + 1 < n:
-            lower[j + 1 :, j] = (a[j + 1 :, j] - lower[j + 1 :, :j] @ lower[j, :j]) / lower[j, j]
-    y = np.zeros_like(b, dtype=float)
-    for i in range(n):
-        y[i] = (b[i] - lower[i, :i] @ y[:i]) / lower[i, i]
-    x = np.zeros_like(y)
-    for i in range(n - 1, -1, -1):
-        x[i] = (y[i] - lower[i + 1 :, i] @ x[i + 1 :]) / lower[i, i]
-    return x
+    return np.linalg.solve(a, b)
 
 
 def inv_sqrt_sym(a, tol=PIVOT_TOL):
