@@ -3,7 +3,8 @@
 Scenario files are JSON with positions in meters and powers in dBm; the
 bundled default describes the reference ten-anchor 3-D network this
 package's experiments run on.  Measurement files share the format with
-keys ``anchor_index`` and ``rss_dbm``.
+keys ``anchor_index`` and ``rss_dbm``.  A key outside these formats is a
+ConfigError, so a typo fails instead of running on a default.
 """
 
 import json
@@ -46,6 +47,30 @@ def _number(value, kind, what):
     return kind(value)
 
 
+SCENARIO_KEYS = (
+    "anchors_m", "target_m", "ple", "frequency_khz", "transmit_power_dbm",
+    "absorption_db_per_m", "reference_distance_m", "noise", "sigma_grid_db",
+    "mc_trials", "master_seed", "solver", "sweep",
+)
+NOISE_KEYS = ("kind", "sigma_db", "mean_db", "impulsive_upper_db")
+SOLVER_KEYS = ("weighted", "known_power", "tol_phi", "max_iter")
+SWEEP_KEYS = (
+    "kind", "sigma_db", "anchor_counts", "ple_grid", "frequency_grid_khz",
+    "noise_kinds", "bias_scenarios",
+)
+MEASUREMENT_KEYS = ("anchor_index", "rss_dbm")
+
+
+def _known_keys(doc, keys, context):
+    """``doc`` if it is a JSON object whose keys are all in ``keys``."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{context}: expected a JSON object")
+    for key in doc:
+        if key not in keys:
+            raise ConfigError(f"{context}: unknown field {key!r}; expected one of {keys}")
+    return doc
+
+
 def _require(doc, key, kind, context):
     if key not in doc:
         raise ConfigError(f"{context}: missing required field {key!r}")
@@ -63,12 +88,15 @@ def _optional(doc, key, kind, context, default):
     return _require(doc, key, kind, context)
 
 
+def _numbers(doc, key, kind, context):
+    """Required list field whose entries are finite numbers of ``kind``."""
+    entries = _require(doc, key, list, context)
+    return tuple(_number(entry, kind, f"{context}: {key} entry") for entry in entries)
+
+
 def _grid(doc, key, kind, context, default):
     """Optional list field whose entries are finite numbers of ``kind``."""
-    entries = _optional(doc, key, list, context, None)
-    if entries is None:
-        return default
-    return tuple(_number(entry, kind, f"{context}: {key} entry") for entry in entries)
+    return _numbers(doc, key, kind, context) if key in doc else default
 
 
 def _positions(doc, key, context):
@@ -88,8 +116,8 @@ def parse_scenario(path):
     Raises ConfigError naming the offending field, or GeometryError when
     the anchor/target layout is unusable.
     """
-    doc = _load_json(path)
     ctx = str(path)
+    doc = _known_keys(_load_json(path), SCENARIO_KEYS, ctx)
     anchors = _positions(doc, "anchors_m", ctx)
     target = _positions(doc, "target_m", ctx)
     env = Environment(
@@ -101,8 +129,8 @@ def parse_scenario(path):
     )
     scenario = Scenario(anchors, target, env)
 
-    noise_doc = _optional(doc, "noise", dict, ctx, {})
     noise_ctx = f"{ctx}: noise"
+    noise_doc = _known_keys(_optional(doc, "noise", dict, ctx, {}), NOISE_KEYS, noise_ctx)
     try:
         noise = NoiseModel(
             kind=_optional(noise_doc, "kind", str, noise_ctx, "zero_mean_gaussian"),
@@ -115,10 +143,10 @@ def parse_scenario(path):
     except ValueError as exc:
         raise ConfigError(f"{noise_ctx}: {exc}") from exc
 
-    solver_doc = _optional(doc, "solver", dict, ctx, {})
     solver_ctx = f"{ctx}: solver"
-    sweep_doc = _optional(doc, "sweep", dict, ctx, {})
+    solver_doc = _known_keys(_optional(doc, "solver", dict, ctx, {}), SOLVER_KEYS, solver_ctx)
     sweep_ctx = f"{ctx}: sweep"
+    sweep_doc = _known_keys(_optional(doc, "sweep", dict, ctx, {}), SWEEP_KEYS, sweep_ctx)
 
     bias_raw = _optional(sweep_doc, "bias_scenarios", list, sweep_ctx, None)
     bias_scenarios = None
@@ -171,15 +199,11 @@ def parse_scenario(path):
 
 def load_measurements(path, env):
     """Read a measurement file (anchor_index / rss_dbm) against ``env``."""
-    doc = _load_json(path)
     ctx = str(path)
-    idx = _require(doc, "anchor_index", list, ctx)
-    rss = _require(doc, "rss_dbm", list, ctx)
+    doc = _known_keys(_load_json(path), MEASUREMENT_KEYS, ctx)
+    index = _numbers(doc, "anchor_index", int, ctx)
+    rss = _numbers(doc, "rss_dbm", float, ctx)
     try:
-        return MeasurementSet(
-            anchor_index=np.asarray(idx, dtype=int),
-            rss_dbm=np.asarray(rss, dtype=float),
-            environment=env,
-        )
-    except (TypeError, ValueError) as exc:
+        return MeasurementSet(anchor_index=index, rss_dbm=rss, environment=env)
+    except (OverflowError, ValueError) as exc:  # OverflowError: an index past int64
         raise ConfigError(f"{ctx}: {exc}") from exc

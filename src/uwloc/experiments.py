@@ -71,6 +71,10 @@ class ExperimentConfig:
     def validate(self):
         if self.mc_trials < 1:
             raise ConfigError(f"mc_trials must be >= 1, got {self.mc_trials}")
+        if self.master_seed < 0:
+            raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")
+        if self.max_iter < 1:
+            raise ConfigError(f"max_iter must be >= 1, got {self.max_iter}")
         if len(self.sigma_grid_db) == 0 or any(s <= 0 for s in self.sigma_grid_db):
             raise ConfigError("sigma_grid_db entries must be positive")
         if self.sweep_kind not in SWEEP_KINDS:
@@ -79,6 +83,10 @@ class ExperimentConfig:
             raise ConfigError("sweep_sigma_db must be positive")
         n = self.scenario.n_anchors
         k = self.scenario.dimension
+        for name in ("anchor_counts", "ple_grid", "frequency_grid_khz", "noise_kinds", "bias_scenarios"):
+            values = getattr(self, name)
+            if values is not None and len(values) == 0:
+                raise ConfigError(f"{name} must not be empty")
         if self.anchor_counts is not None:
             for count in self.anchor_counts:
                 if not k + 2 <= count <= n:
@@ -92,6 +100,11 @@ class ExperimentConfig:
         for kind in self.noise_kinds:
             if kind not in NOISE_KINDS:
                 raise ConfigError(f"noise_kinds entry {kind!r} is not one of {NOISE_KINDS}")
+        for label, ple_bias, absorption_bias in self.bias_scenarios:
+            if not (ple_bias > -1.0 and absorption_bias > -1.0):
+                raise ConfigError(
+                    f"bias_scenarios entry {label!r}: bias fractions must be > -1"
+                )
         return self
 
 

@@ -255,6 +255,82 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == "configuration error: 9 measurements for 10 anchors\n"
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("solver", "squared_weights", True),
+            ("solver", "tol_lambda", 0.0),
+            (None, "mc_trails", 10),
+            ("noise", "sigma", 3.0),
+            ("sweep", "ple_gird", [2.0]),
+        ],
+    )
+    def test_unknown_keys_are_named_config_errors(
+        self, tmp_path, config_path, capsys, section, key, value
+    ):
+        doc = json.loads(config_path.read_text())
+        (doc[section] if section else doc)[key] = value
+        path = tmp_path / "unknown_key.json"
+        path.write_text(json.dumps(doc))
+        assert main(["crlb", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and f"unknown field {key!r}" in err
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            (None, "master_seed", -1),
+            ("solver", "max_iter", 0),
+            ("sweep", "ple_grid", []),
+            ("sweep", "frequency_grid_khz", []),
+            ("sweep", "anchor_counts", []),
+            ("sweep", "noise_kinds", []),
+            ("sweep", "bias_scenarios", []),
+            ("sweep", "bias_scenarios", [["ple_minus_100pct", -1.0, 0.0]]),
+            ("sweep", "bias_scenarios", [["absorption_minus_150pct", 0.0, -1.5]]),
+        ],
+    )
+    def test_values_that_break_a_sweep_fail_at_parse_time(
+        self, tmp_path, config_path, capsys, section, key, value
+    ):
+        doc = json.loads(config_path.read_text())
+        doc["mc_trials"] = 5
+        (doc[section] if section else doc)[key] = value
+        path = tmp_path / "bad_sweep.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "never.csv"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and key in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "field, entry",
+        [
+            ("anchor_index", 0.7),
+            ("anchor_index", "3"),
+            ("anchor_index", True),
+            ("rss_dbm", "-70"),
+            ("rss_dbm", None),
+        ],
+    )
+    def test_measurement_entries_are_typed(self, config_path, tmp_path, capsys, field, entry):
+        doc = {"anchor_index": list(range(10)), "rss_dbm": [-70.0] * 10}
+        doc[field][3] = entry
+        meas = tmp_path / "measurements.json"
+        meas.write_text(json.dumps(doc))
+        assert main(["locate", "--config", str(config_path), "--measurements", str(meas)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and f"{field} entry" in err
+
+    def test_unknown_measurement_key_is_a_config_error(self, config_path, tmp_path, capsys):
+        meas = tmp_path / "measurements.json"
+        meas.write_text(json.dumps(
+            {"anchor_index": list(range(10)), "rss_dbm": [-70.0] * 10, "rss_dmb": []}
+        ))
+        assert main(["locate", "--config", str(config_path), "--measurements", str(meas)]) == 1
+        assert "unknown field 'rss_dmb'" in capsys.readouterr().err
+
     def test_help_exits_zero(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["simulate", "--help"])

@@ -276,6 +276,20 @@ class TestKnownPower:
             assert np.all(np.isfinite(est.position_m))
             assert est.kkt_stationarity <= 1e-8
 
+    def test_anchors_equidistant_from_the_target(self):
+        # Equal ranges make the joint design's q^2 column a multiple of its
+        # constant column; the known-power design has no constant column.
+        env = Environment(
+            ple=2.0, frequency_khz=9.0, transmit_power_dbm=0.0, absorption_db_per_m=0.0
+        )
+        target = np.array([2000.0, 2500.0, 1800.0])
+        anchors = target + 1500.0 * np.vstack([np.eye(3), -np.eye(3)])
+        meas = MeasurementSet(np.arange(6), uwloc.noiseless_rss(target, anchors, env), env)
+        with pytest.raises(GeometryError):
+            build_system(meas, equal_weights(6), anchors, env)
+        est = solve(build_known_power_system(meas, equal_weights(6), anchors, env))
+        assert np.linalg.norm(est.position_m - target) <= 1e-6 * np.linalg.norm(target)
+
     def test_one_solver_serves_both_system_kinds(self, zero_absorption_scenario):
         assert solve_known_power is solve
         meas = noiseless_measurements(zero_absorption_scenario)
