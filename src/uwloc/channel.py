@@ -69,8 +69,10 @@ class Environment:
             object.__setattr__(
                 self, "absorption_db_per_m", absorption_coefficient(self.frequency_khz)
             )
-        elif self.absorption_db_per_m < 0:
-            raise ValueError("absorption must be nonnegative")
+        if not 0.0 <= self.absorption_db_per_m < np.inf:  # nan above ~1e154 kHz
+            raise ValueError(
+                f"absorption must be finite and nonnegative, got {self.absorption_db_per_m}"
+            )
 
 
 @dataclass(frozen=True)
@@ -170,7 +172,12 @@ class Scenario:
             )
         # Regular only when the rows [c_i^T, ln(10)*d_i^2] span dimension k + 1.
         _, d, c = gradient_directions(target, anchors, self.environment)
-        s = np.linalg.svd(np.column_stack([c, LN10 * d**2]), compute_uv=False)
+        rows = np.column_stack([c, LN10 * d**2])
+        if not np.all(np.isfinite(rows)):
+            raise GeometryError(
+                "gradient directions overflow; coordinates or ple are too large"
+            )
+        s = np.linalg.svd(rows, compute_uv=False)
         if s[-1] <= GEOMETRY_RANK_TOL * s[0]:
             raise GeometryError(
                 "degenerate anchor placement: gradient directions do not"

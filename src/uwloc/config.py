@@ -52,8 +52,8 @@ SCENARIO_KEYS = (
     "absorption_db_per_m", "reference_distance_m", "noise", "sigma_grid_db",
     "mc_trials", "master_seed", "solver", "sweep",
 )
-NOISE_KEYS = ("kind", "sigma_db", "mean_db", "impulsive_upper_db")
-SOLVER_KEYS = ("weighted", "known_power", "tol_phi", "max_iter")
+NOISE_KEYS = ("kind", "sigma_db", "mean_db")
+SOLVER_KEYS = ("weighted", "known_power")
 SWEEP_KEYS = (
     "kind", "sigma_db", "anchor_counts", "ple_grid", "frequency_grid_khz",
     "noise_kinds", "bias_scenarios",
@@ -99,14 +99,22 @@ def _grid(doc, key, kind, context, default):
     return _numbers(doc, key, kind, context) if key in doc else default
 
 
-def _positions(doc, key, context):
-    raw = _require(doc, key, list, context)
+def _positions(doc, key, context, ndim):
+    """Required ``ndim``-dimensional array field of finite numbers."""
+    what = f"{context}: field {key!r}"
+
+    def entries(value):
+        if isinstance(value, list):
+            return [entries(entry) for entry in value]
+        return _number(value, float, f"{what} entry")
+
+    values = entries(_require(doc, key, list, context))
     try:
-        arr = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{context}: field {key!r} must be numeric: {exc}") from exc
-    if not np.all(np.isfinite(arr)):
-        raise ConfigError(f"{context}: field {key!r} contains non-finite values")
+        arr = np.array(values, dtype=float)
+    except ValueError as exc:  # ragged nesting
+        raise ConfigError(f"{what} must be a regular array: {exc}") from exc
+    if arr.ndim != ndim:
+        raise ConfigError(f"{what} must be a {ndim}-d array, got {arr.ndim}-d")
     return arr
 
 
@@ -118,15 +126,20 @@ def parse_scenario(path):
     """
     ctx = str(path)
     doc = _known_keys(_load_json(path), SCENARIO_KEYS, ctx)
-    anchors = _positions(doc, "anchors_m", ctx)
-    target = _positions(doc, "target_m", ctx)
-    env = Environment(
-        ple=_require(doc, "ple", float, ctx),
-        frequency_khz=_require(doc, "frequency_khz", float, ctx),
-        transmit_power_dbm=_require(doc, "transmit_power_dbm", float, ctx),
-        absorption_db_per_m=_optional(doc, "absorption_db_per_m", float, ctx, None),
-        reference_distance_m=_optional(doc, "reference_distance_m", float, ctx, 1.0),
-    )
+    anchors = _positions(doc, "anchors_m", ctx, 2)
+    target = _positions(doc, "target_m", ctx, 1)
+    try:
+        env = Environment(
+            ple=_require(doc, "ple", float, ctx),
+            frequency_khz=_require(doc, "frequency_khz", float, ctx),
+            transmit_power_dbm=_require(doc, "transmit_power_dbm", float, ctx),
+            absorption_db_per_m=_optional(doc, "absorption_db_per_m", float, ctx, None),
+            reference_distance_m=_optional(doc, "reference_distance_m", float, ctx, 1.0),
+        )
+    except ConfigError:
+        raise  # already names its field with this context
+    except ValueError as exc:
+        raise ConfigError(f"{ctx}: {exc}") from exc
     scenario = Scenario(anchors, target, env)
 
     noise_ctx = f"{ctx}: noise"
@@ -136,7 +149,6 @@ def parse_scenario(path):
             kind=_optional(noise_doc, "kind", str, noise_ctx, "zero_mean_gaussian"),
             sigma_db=_optional(noise_doc, "sigma_db", float, noise_ctx, 3.0),
             mean_db=_optional(noise_doc, "mean_db", float, noise_ctx, None),
-            impulsive_upper_db=_optional(noise_doc, "impulsive_upper_db", float, noise_ctx, None),
         )
     except ConfigError:
         raise  # already names its field with this context
@@ -176,8 +188,6 @@ def parse_scenario(path):
         master_seed=_optional(doc, "master_seed", int, ctx, default.master_seed),
         weighted=_optional(solver_doc, "weighted", bool, solver_ctx, default.weighted),
         known_power=_optional(solver_doc, "known_power", bool, solver_ctx, default.known_power),
-        tol_phi=_optional(solver_doc, "tol_phi", float, solver_ctx, default.tol_phi),
-        max_iter=_optional(solver_doc, "max_iter", int, solver_ctx, default.max_iter),
         sweep_kind=_optional(sweep_doc, "kind", str, sweep_ctx, default.sweep_kind),
         sweep_sigma_db=_optional(sweep_doc, "sigma_db", float, sweep_ctx, default.sweep_sigma_db),
         anchor_counts=_grid(sweep_doc, "anchor_counts", int, sweep_ctx, default.anchor_counts),

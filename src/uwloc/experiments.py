@@ -58,8 +58,6 @@ class ExperimentConfig:
     master_seed: int = 1
     weighted: bool = True
     known_power: bool = False
-    tol_phi: float = 0.0
-    max_iter: int = 200
     sweep_kind: str = "sigma"
     sweep_sigma_db: float = 2.0
     anchor_counts: tuple | None = None
@@ -73,8 +71,6 @@ class ExperimentConfig:
             raise ConfigError(f"mc_trials must be >= 1, got {self.mc_trials}")
         if self.master_seed < 0:
             raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")
-        if self.max_iter < 1:
-            raise ConfigError(f"max_iter must be >= 1, got {self.max_iter}")
         if len(self.sigma_grid_db) == 0 or any(s <= 0 for s in self.sigma_grid_db):
             raise ConfigError("sigma_grid_db entries must be positive")
         if self.sweep_kind not in SWEEP_KINDS:
@@ -158,10 +154,6 @@ def _system(config, measurements, anchors_m, env):
     return build(measurements, w, anchors_m, env)
 
 
-def _solver_options(config):
-    return dict(tol_phi=config.tol_phi, max_iter=config.max_iter)
-
-
 def locate(config, measurements, anchors_m, env):
     """One fix with the solver options of ``config``: weight, build, solve.
 
@@ -170,7 +162,7 @@ def locate(config, measurements, anchors_m, env):
     Returns the solver's Estimate.
     """
     system = _system(config, measurements, anchors_m, env)
-    return gtrs.solve(system, **_solver_options(config))
+    return gtrs.solve(system)
 
 
 def _trial_system(setting, config, trial_index):
@@ -188,7 +180,7 @@ def run_trial(config, trial_index):
     scenario = config.scenario
     setting = _TrialSetting("base", scenario, config.noise, scenario.environment)
     system = _trial_system(setting, config, trial_index)
-    estimate = gtrs.solve(system, **_solver_options(config))
+    estimate = gtrs.solve(system)
     return estimate.position_m, estimate.transmit_power_dbm, estimate
 
 
@@ -283,7 +275,7 @@ def _run_point(setting, config):
             failed[trial] = type(exc).__name__
             continue
         built.append(trial)
-    for trial, est in zip(built, gtrs.solve_many(systems, **_solver_options(config))):
+    for trial, est in zip(built, gtrs.solve_many(systems)):
         if isinstance(est, UwlocError):
             failed[trial] = type(est).__name__
             continue

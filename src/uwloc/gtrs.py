@@ -55,10 +55,15 @@ ENDPOINT_GUARD = 1e-12
 # Cap on geometric bracket expansions in either direction.
 MAX_EXPANSIONS = 120
 
-# Fewest trial multipliers a lockstep round evaluates as one stack.  On a
-# 5x5 system a stacked round costs about 70 us of numpy call overhead plus
-# about 8 us per system, one system alone about 30 us, so one or two
-# unfinished systems (and a batch of one) are cheaper one at a time.
+# Cap on bisection steps.  Searches take 60-130, but a root just above 0
+# can need over 1000 halvings to collapse its bracket; stop those here.
+MAX_ITER = 200
+
+# Fewest trial multipliers a lockstep round evaluates as one stack.  On the
+# bundled 5x5 systems a stacked round costs 40-90 us of numpy call overhead
+# plus 1-2.5 us per system (about 2 us each in a stack of 200), and one
+# system alone 18-37 us, so one or two unfinished systems (and a batch of
+# one) are cheaper one at a time.
 MIN_STACK_ROWS = 3
 
 
@@ -77,7 +82,6 @@ class GtrsSystem:
     constraint_quad: np.ndarray
     constraint_lin: np.ndarray
     dimension: int
-    n_anchors: int
     ple: float
     estimates_power: bool = True
 
@@ -109,7 +113,36 @@ def _q_squared(measurements, env):
     return (10.0 ** ((measurements.rss_dbm - env.absorption_db_per_m) / (10.0 * env.ple))) ** 2
 
 
-def _check_rank(design):
+def _gram_floor(columns):
+    """Smallest eigenvalue of the column-normalized Gram matrix."""
+    normalized = columns / np.linalg.norm(columns, axis=0)
+    return np.linalg.eigvalsh(normalized.T @ normalized).min()
+
+
+def _rank_loss_cause(design, q2, k):
+    """Why a design failed the rank gate, for the GeometryError message.
+
+    Columns k and k + 1 of a joint design are q^2 and the constant; a
+    known-power design has no constant column, so its slice from k on is
+    one column and never singular.
+    """
+    if _gram_floor(design[:, k:]) <= RANK_TOL:
+        return (
+            "every reading implies the same range, so the q^2 column is parallel"
+            " to the constant column; place anchors at different ranges or give"
+            " the transmit power"
+        )
+    top = np.argmax(q2)
+    if _gram_floor(np.delete(design, top, axis=0)) > RANK_TOL:
+        ratio = q2[top] / np.delete(q2, top).max()
+        return (
+            f"one reading dominates: its q^2 is {ratio:.2g} times the next"
+            " largest, and without it the design has full rank"
+        )
+    return "the anchors lie close to one line or plane; add anchors or move them off it"
+
+
+def _check_rank(design, q2, k):
     norms = np.linalg.norm(design, axis=0)
     if np.any(norms == 0.0):
         raise GeometryError(
@@ -120,8 +153,7 @@ def _check_rank(design):
     if smallest <= RANK_TOL:
         raise GeometryError(
             "design matrix is rank deficient (normalized Gram eigenvalue"
-            f" {smallest:.2e}); add anchors or relocate them off the common"
-            " line/plane"
+            f" {smallest:.2e}): {_rank_loss_cause(design, q2, k)}"
         )
 
 
@@ -157,12 +189,12 @@ def _build(measurements, weights, anchors_m, env, estimates_power):
         u = 10.0 ** (env.transmit_power_dbm / (5.0 * beta))
         target = target + (c_aux * scale) * u
     design = design * scale[:, None]
-    _check_rank(design)
+    _check_rank(design, q2, k)
     quad = np.zeros((m, m))
     quad[:k, :k] = np.eye(k)
     lin = np.zeros(m)
     lin[k] = -0.5
-    return GtrsSystem(design, target, quad, lin, k, n, beta, estimates_power)
+    return GtrsSystem(design, target, quad, lin, k, beta, estimates_power)
 
 
 def build_system(measurements, weights, anchors_m, env):
@@ -290,7 +322,7 @@ def _classify(eq, lam):
     return residual > 0.0, residual, z_hat
 
 
-def _bisect_steps(eq, tol_phi, max_iter):
+def _bisect_steps(eq):
     """Root of the constraint residual by classification bisection.
 
     A generator, so one search can be driven alone or in lockstep with
@@ -301,7 +333,7 @@ def _bisect_steps(eq, tol_phi, max_iter):
     _, f0, z0 = yield 0.0
     if z0 is None:
         raise GeometryError("normal matrix is not positive definite")
-    if f0 == 0.0 or abs(f0) <= tol_phi:
+    if f0 == 0.0:
         return 0.0, z0, 0
     if f0 > 0.0:
         # Root is positive: expand upward until the residual turns negative.
@@ -344,9 +376,9 @@ def _bisect_steps(eq, tol_phi, max_iter):
             )
     iterations = 0
     while b > a:
-        if iterations >= max_iter:
+        if iterations >= MAX_ITER:
             raise ConvergenceError(
-                f"bisection exceeded {max_iter} iterations"
+                f"bisection exceeded {MAX_ITER} iterations"
                 f" (bracket width {b - a:.3e})",
                 bracket=(a, b),
             )
@@ -357,7 +389,7 @@ def _bisect_steps(eq, tol_phi, max_iter):
         iterations += 1
         if zm is not None and abs(fm) < best[1]:
             best = (mid, abs(fm), zm)
-        if zm is not None and abs(fm) <= tol_phi:
+        if zm is not None and fm == 0.0:
             break
         if low:
             a = mid
@@ -411,19 +443,19 @@ def _finalize(system, eq, lam, z_hat, iterations):
     )
 
 
-def solve(system, tol_phi=0.0, max_iter=200):
+def solve(system):
     """Solve a GTRS by bisection on the multiplier.
 
     Serves both system kinds: the joint position/power system of
     :func:`build_system` and the smaller known-power system of
     :func:`build_known_power_system`, whose estimate carries no power.
-    With the default tolerances the bisection runs until the bracket
-    collapses to adjacent floating-point numbers, keeping the multiplier
-    with the smallest constraint residual seen.  ``tol_phi`` > 0 allows an
-    early stop on the residual magnitude.
+    The bisection runs until the bracket collapses to adjacent
+    floating-point numbers or the residual is exactly zero, keeping the
+    multiplier with the smallest constraint residual seen; more than
+    MAX_ITER steps is a ConvergenceError.
     """
     eq = _Equilibrated(system)
-    steps = _bisect_steps(eq, tol_phi, max_iter)
+    steps = _bisect_steps(eq)
     try:
         lam = next(steps)
         while True:
@@ -491,44 +523,42 @@ class _Stack:
         return replies
 
 
-def solve_many(systems, tol_phi=0.0, max_iter=200):
+def solve_many(systems):
     """:func:`solve` applied to every system, with bit-identical results.
 
-    The bisections run in lockstep: each round classifies the trial
-    multipliers of all unfinished systems of one size in one stacked
-    evaluation, and a system leaves the stack when its search ends.
-    Returns one entry per system, in order: its Estimate, or the UwlocError
-    instance that :func:`solve` would have raised for it alone.
+    Every system must have the same design width (one power mode of one
+    spatial dimension), as the trials of one sweep point do.  The
+    bisections run in lockstep: each round classifies the trial
+    multipliers of all unfinished systems in one stacked evaluation, and a
+    system leaves the stack when its search ends.  Returns one entry per
+    system, in order: its Estimate, or the UwlocError instance that
+    :func:`solve` would have raised for it alone.
     """
     results = [None] * len(systems)
-    by_size = {}
+    eqs, searches, trials = [], [], {}  # trials: stack row -> multiplier
     for i, system in enumerate(systems):
-        by_size.setdefault(system.design.shape[1], []).append(i)
-    for indices in by_size.values():
-        eqs, searches, trials = [], [], {}  # trials: stack row -> multiplier
-        for i in indices:
-            try:
-                eq = _Equilibrated(systems[i])
-            except UwlocError as exc:
-                results[i] = exc
-                continue
-            search = _bisect_steps(eq, tol_phi, max_iter)
-            trials[len(eqs)] = next(search)
-            eqs.append(eq)
-            searches.append((i, search))
-        if not eqs:
+        try:
+            eq = _Equilibrated(system)
+        except UwlocError as exc:
+            results[i] = exc
             continue
-        stack = _Stack(eqs)
-        while trials:
-            rows = list(trials)
-            for r, reply in zip(rows, stack.classify(rows, [trials[r] for r in rows])):
-                i, search = searches[r]
-                try:
-                    trials[r] = search.send(reply)
-                except StopIteration as done:
-                    del trials[r]
-                    results[i] = _finalize(systems[i], eqs[r], *done.value)
-                except UwlocError as exc:
-                    del trials[r]
-                    results[i] = exc
+        search = _bisect_steps(eq)
+        trials[len(eqs)] = next(search)
+        eqs.append(eq)
+        searches.append((i, search))
+    if not eqs:
+        return results
+    stack = _Stack(eqs)
+    while trials:
+        rows = list(trials)
+        for r, reply in zip(rows, stack.classify(rows, [trials[r] for r in rows])):
+            i, search = searches[r]
+            try:
+                trials[r] = search.send(reply)
+            except StopIteration as done:
+                del trials[r]
+                results[i] = _finalize(systems[i], eqs[r], *done.value)
+            except UwlocError as exc:
+                del trials[r]
+                results[i] = exc
     return results

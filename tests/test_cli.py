@@ -3,11 +3,16 @@ import shutil
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import uwloc
 from uwloc.cli import main
 from uwloc.config import bundled_scenario_path, load_measurements, parse_scenario
-from uwloc.errors import ConfigError
+from uwloc.errors import ConfigError, GeometryError
+from uwloc.experiments import ExperimentConfig
+
+BUNDLED_DOC = json.loads(bundled_scenario_path().read_text())
 
 
 @pytest.fixture()
@@ -77,11 +82,64 @@ class TestParseScenario:
         with pytest.raises(uwloc.GeometryError):
             parse_scenario(path)
 
+    @settings(derandomize=True, deadline=None, max_examples=500)
+    @given(data=st.data())
+    def test_any_one_entry_changed_parses_or_is_named(self, tmp_path_factory, data):
+        """The bundled file with one entry replaced by any JSON value, or
+        deleted, parses or fails with a ConfigError or GeometryError."""
+        key = data.draw(st.sampled_from(sorted(BUNDLED_DOC)))
+        below = entry_paths(BUNDLED_DOC[key], (key,))
+        *parents, last = data.draw(st.sampled_from([(key,)] + below), label="path")
+        value = data.draw(st.just(DELETE) | json_values, label="value")
+        doc = json.loads(json.dumps(BUNDLED_DOC))
+        parent = doc
+        for step in parents:
+            parent = parent[step]
+        if value is DELETE:
+            del parent[last]
+        else:
+            parent[last] = value
+        scenario = tmp_path_factory.getbasetemp() / "one_entry_changed.json"
+        scenario.write_text(json.dumps(doc))
+        try:
+            assert isinstance(parse_scenario(scenario), ExperimentConfig)
+        except (ConfigError, GeometryError):
+            pass
+
     def test_measurement_loader(self, zero_absorption_paths):
         cfg, meas, parsed = zero_absorption_paths
         loaded = load_measurements(meas, parsed.scenario.environment)
         assert len(loaded) == 10
         assert np.array_equal(loaded.anchor_index, np.arange(10))
+
+
+def entry_paths(doc, prefix=()):
+    """Key/index path of every value below ``doc`` in a JSON document."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return []
+    paths = []
+    for key, value in items:
+        paths += [prefix + (key,)] + entry_paths(value, prefix + (key,))
+    return paths
+
+
+DELETE = "<delete the entry>"
+
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**400), max_value=10**400)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=8,
+)
 
 
 class TestAbsorptionCommand:
@@ -209,6 +267,38 @@ class TestExitCodes:
         capsys.readouterr()
 
     @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("ple", 0),
+            ("frequency_khz", -1),
+            ("frequency_khz", 1e200),  # absorption curve gives nan
+            ("reference_distance_m", 0),
+            ("absorption_db_per_m", -1),
+            ("anchors_m", [[[3380.0, 1270.0, 4460.0]]] * 10),
+            ("target_m", [[2980.0, 3750.0, 3000.0]]),
+        ],
+    )
+    def test_bad_environment_values_and_array_shapes_exit_one(
+        self, tmp_path, config_path, capsys, key, value
+    ):
+        doc = json.loads(config_path.read_text())
+        doc[key] = value
+        path = tmp_path / "bad_environment.json"
+        path.write_text(json.dumps(doc))
+        assert main(["crlb", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"configuration error: {path}: ")
+
+    def test_overflowing_coordinates_are_a_geometry_error(self, tmp_path, config_path, capsys):
+        doc = json.loads(config_path.read_text())
+        doc["anchors_m"][0][0] = 1e300
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps(doc))
+        assert main(["crlb", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.endswith(
+            "error: gradient directions overflow; coordinates or ple are too large\n"
+        )
+
+    @pytest.mark.parametrize(
         "section, key, value",
         [
             (None, "frequency_khz", float("nan")),
@@ -263,6 +353,9 @@ class TestExitCodes:
             (None, "mc_trails", 10),
             ("noise", "sigma", 3.0),
             ("sweep", "ple_gird", [2.0]),
+            ("solver", "tol_phi", 0.0),
+            ("solver", "max_iter", 0),
+            ("noise", "impulsive_upper_db", 50.0),
         ],
     )
     def test_unknown_keys_are_named_config_errors(
@@ -280,7 +373,6 @@ class TestExitCodes:
         "section, key, value",
         [
             (None, "master_seed", -1),
-            ("solver", "max_iter", 0),
             ("sweep", "ple_grid", []),
             ("sweep", "frequency_grid_khz", []),
             ("sweep", "anchor_counts", []),
