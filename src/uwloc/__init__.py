@@ -17,7 +17,7 @@ from .channel import (
     noiseless_rss,
     sample_noise,
 )
-from .crlb import FimReport, c_vector, fim_known_power, fim_unknown_power, hessian_loglik, residual_f, residuals
+from .crlb import FimReport, c_vector, fim_known_power, fim_unknown_power, hessian_loglik, residuals
 from .errors import (
     ConfigError,
     ConvergenceError,
@@ -42,7 +42,6 @@ from .gtrs import (
     GtrsSystem,
     build_known_power_system,
     build_system,
-    extract_estimate,
     lambda_interval,
     phi,
     solve,
@@ -66,7 +65,6 @@ __all__ = [
     "fim_known_power",
     "fim_unknown_power",
     "hessian_loglik",
-    "residual_f",
     "residuals",
     "ConfigError",
     "ConvergenceError",
@@ -87,7 +85,6 @@ __all__ = [
     "GtrsSystem",
     "build_known_power_system",
     "build_system",
-    "extract_estimate",
     "lambda_interval",
     "phi",
     "solve",

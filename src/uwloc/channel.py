@@ -6,17 +6,21 @@ additional absorption term that is linear in range:
     P = P_t - 10*beta*log10(d/d0) - alpha*(d - d0) + n
 
 with ``beta`` the path loss exponent, ``alpha`` the frequency-dependent
-absorption in dB per meter, ``d0`` the reference distance, and ``n`` a noise
-term in dB.  Distances are meters and powers dBm throughout.
+absorption in dB per meter, ``d0`` = 1 m the reference distance, and ``n``
+a noise term in dB.  Distances are meters and powers dBm throughout.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import GeometryError
 
 LN10 = float(np.log(10.0))
+
+# Reference distance d0 of the channel law.  The solver (gtrs) and the
+# residuals (crlb) assume this value, so it is fixed, not configurable.
+REFERENCE_DISTANCE_M = 1.0
 
 NOISE_KINDS = ("zero_mean_gaussian", "biased_gaussian", "gaussian_plus_impulsive")
 
@@ -56,15 +60,12 @@ class Environment:
     frequency_khz: float
     transmit_power_dbm: float
     absorption_db_per_m: float | None = None
-    reference_distance_m: float = 1.0
 
     def __post_init__(self):
         if not self.ple > 0:
             raise ValueError(f"path loss exponent must be positive, got {self.ple}")
         if self.frequency_khz < 0:
             raise ValueError("frequency must be nonnegative")
-        if not self.reference_distance_m > 0:
-            raise ValueError("reference distance must be positive")
         if self.absorption_db_per_m is None:
             object.__setattr__(
                 self, "absorption_db_per_m", absorption_coefficient(self.frequency_khz)
@@ -81,14 +82,13 @@ class NoiseModel:
 
     ``sigma_db`` is always the total standard deviation.  For the
     Gaussian-plus-impulsive mixture the Gaussian and uniform components each
-    carry half the variance, so the uniform upper bound defaults to
+    carry half the variance, so the uniform upper bound is
     ``sigma_db * sqrt(6)`` (a U[0, a] variable has variance a^2/12).
     """
 
     kind: str
     sigma_db: float
     mean_db: float | None = None
-    impulsive_upper_db: float | None = None
 
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
@@ -99,11 +99,6 @@ class NoiseModel:
             object.__setattr__(self, "mean_db", 0.0 if self.kind == "zero_mean_gaussian" else 2.0)
         if self.kind == "zero_mean_gaussian" and self.mean_db != 0.0:
             raise ValueError("zero_mean_gaussian requires mean_db = 0")
-        if self.kind == "gaussian_plus_impulsive":
-            if self.impulsive_upper_db is None:
-                object.__setattr__(self, "impulsive_upper_db", self.sigma_db * np.sqrt(6.0))
-        elif self.impulsive_upper_db is not None:
-            raise ValueError("impulsive_upper_db only applies to gaussian_plus_impulsive")
 
 
 def sample_noise(model, rng, size=None):
@@ -111,7 +106,7 @@ def sample_noise(model, rng, size=None):
 
     zero_mean_gaussian        N(0, sigma^2)
     biased_gaussian           N(mean, sigma^2)
-    gaussian_plus_impulsive   N(mean, sigma^2/2) + U[0, upper], matched so
+    gaussian_plus_impulsive   N(mean, sigma^2/2) + U[0, sigma*sqrt(6)], so
                               the total standard deviation equals sigma.
     """
     if model.kind == "zero_mean_gaussian":
@@ -119,7 +114,7 @@ def sample_noise(model, rng, size=None):
     if model.kind == "biased_gaussian":
         return rng.normal(model.mean_db, model.sigma_db, size)
     gauss = rng.normal(model.mean_db, model.sigma_db / np.sqrt(2.0), size)
-    return gauss + rng.uniform(0.0, model.impulsive_upper_db, size)
+    return gauss + rng.uniform(0.0, model.sigma_db * np.sqrt(6.0), size)
 
 
 def gradient_directions(position_m, anchors_m, env):
@@ -164,7 +159,7 @@ class Scenario:
                 f" position/power solve, got {n}"
             )
         d = np.linalg.norm(target - anchors, axis=1)
-        if np.any(d < self.environment.reference_distance_m):
+        if np.any(d < REFERENCE_DISTANCE_M):
             i = int(np.argmin(d))
             raise GeometryError(
                 f"anchor {i} lies inside the reference distance"
@@ -231,7 +226,7 @@ def noiseless_rss(target_m, anchor_m, env):
     target_m = np.asarray(target_m, dtype=float)
     anchor_m = np.asarray(anchor_m, dtype=float)
     d = np.linalg.norm(target_m - anchor_m, axis=-1)
-    d0 = env.reference_distance_m
+    d0 = REFERENCE_DISTANCE_M
     if np.any(d < d0):
         raise ValueError(f"distance {np.min(d):.3g} m is inside the reference distance {d0} m")
     return (

@@ -49,8 +49,8 @@ def _number(value, kind, what):
 
 SCENARIO_KEYS = (
     "anchors_m", "target_m", "ple", "frequency_khz", "transmit_power_dbm",
-    "absorption_db_per_m", "reference_distance_m", "noise", "sigma_grid_db",
-    "mc_trials", "master_seed", "solver", "sweep",
+    "absorption_db_per_m", "noise", "sigma_grid_db", "mc_trials", "master_seed",
+    "solver", "sweep",
 )
 NOISE_KEYS = ("kind", "sigma_db", "mean_db")
 SOLVER_KEYS = ("weighted", "known_power")
@@ -134,7 +134,6 @@ def parse_scenario(path):
             frequency_khz=_require(doc, "frequency_khz", float, ctx),
             transmit_power_dbm=_require(doc, "transmit_power_dbm", float, ctx),
             absorption_db_per_m=_optional(doc, "absorption_db_per_m", float, ctx, None),
-            reference_distance_m=_optional(doc, "reference_distance_m", float, ctx, 1.0),
         )
     except ConfigError:
         raise  # already names its field with this context
@@ -180,7 +179,7 @@ def parse_scenario(path):
             )
 
     default = ExperimentConfig  # the class attributes hold the field defaults
-    config = ExperimentConfig(
+    fields = dict(
         scenario=scenario,
         noise=noise,
         sigma_grid_db=_grid(doc, "sigma_grid_db", float, ctx, default.sigma_grid_db),
@@ -201,10 +200,9 @@ def parse_scenario(path):
         bias_scenarios=tuple(bias_scenarios) if bias_scenarios is not None else default.bias_scenarios,
     )
     try:
-        config.validate()
+        return ExperimentConfig(**fields)
     except ConfigError as exc:
         raise ConfigError(f"{ctx}: {exc}") from exc
-    return config
 
 
 def load_measurements(path, env):

@@ -6,7 +6,8 @@ vector given theta = (t, P_t) is, up to a constant,
     -(1/2) * sum_i f_i^2 / sigma_i^2,
     f_i = P_i - P_t + 10*beta*log10(d_i) + alpha*d_i - alpha,
 
-with d_i = ||t - s_i||.  The information matrix blocks follow from the
+with d_i = ||t - s_i|| and the reference distance d0 = 1 m of
+:mod:`uwloc.channel`.  The information matrix blocks follow from the
 gradient direction c_i = (10*beta + alpha*ln10*d_i) * (t - s_i):
 
     A = sum_i c_i c_i^T / (sigma_i^2 (ln10)^2 d_i^4)      position block
@@ -77,13 +78,6 @@ def residuals(measurements, anchors_m, position_m, transmit_power_dbm, env):
         + 10.0 * env.ple * np.log10(d)
         + alpha * d
         - alpha
-    )
-
-
-def residual_f(index, measurements, anchors_m, position_m, transmit_power_dbm, env):
-    """Single-measurement version of :func:`residuals`."""
-    return float(
-        residuals(measurements, anchors_m, position_m, transmit_power_dbm, env)[index]
     )
 
 

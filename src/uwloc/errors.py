@@ -34,9 +34,10 @@ class InfeasibleProblemError(UwlocError, RuntimeError):
 
 
 class NumericalError(UwlocError, RuntimeError):
-    """A linear solve failed during the multiplier search.
+    """A value overflowed while building a system, or a linear solve failed
+    during the multiplier search.
 
-    ``multiplier`` carries the value at which the failure occurred.
+    ``multiplier`` carries the value at which a solve failed.
     """
 
     def __init__(self, message, multiplier=None):

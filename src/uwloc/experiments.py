@@ -47,9 +47,13 @@ DEFAULT_PLE_GRID = (1.5, 1.75, 2.0, 2.25, 2.5)
 DEFAULT_FREQUENCY_GRID_KHZ = (9.0, 25.0, 50.0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """Scenario, noise, solver options, and sweep selection for one run."""
+    """Scenario, noise, solver options, and sweep selection for one run.
+
+    Construction (``dataclasses.replace`` included) raises ConfigError for
+    a value that would break a run, so no trial starts on a bad config.
+    """
 
     scenario: Scenario
     noise: NoiseModel
@@ -66,7 +70,7 @@ class ExperimentConfig:
     noise_kinds: tuple = ("zero_mean_gaussian", "biased_gaussian", "gaussian_plus_impulsive")
     bias_scenarios: tuple = DEFAULT_BIAS_SCENARIOS
 
-    def validate(self):
+    def __post_init__(self):
         if self.mc_trials < 1:
             raise ConfigError(f"mc_trials must be >= 1, got {self.mc_trials}")
         if self.master_seed < 0:
@@ -101,7 +105,6 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"bias_scenarios entry {label!r}: bias fractions must be > -1"
                 )
-        return self
 
 
 @dataclass(frozen=True)
@@ -176,7 +179,6 @@ def run_trial(config, trial_index):
 
     Returns (position, transmit power or None, solver estimate).
     """
-    config.validate()
     scenario = config.scenario
     setting = _TrialSetting("base", scenario, config.noise, scenario.environment)
     system = _trial_system(setting, config, trial_index)
@@ -190,15 +192,14 @@ def _fmt(value):
 
 def _sweep_settings(config):
     """Resolved trial settings, one per sweep coordinate."""
-    config.validate()
     base = config.scenario
     env = base.environment
     sigma = config.sweep_sigma_db
     at_sigma = f",sigma={_fmt(sigma)}"
     kind = config.sweep_kind
 
-    def with_noise(sigma):  # the impulsive bound follows sigma
-        return replace(config.noise, sigma_db=sigma, impulsive_upper_db=None)
+    def with_noise(sigma):
+        return replace(config.noise, sigma_db=sigma)
 
     if kind == "sigma":
         return [
@@ -331,7 +332,6 @@ def measure_runtime(config, n_solves=100):
     Covers weighting, system assembly, the bisection, and extraction;
     measurement generation is excluded.
     """
-    config.validate()
     n_solves = max(int(n_solves), 100)
     scenario = config.scenario
     batches = [

@@ -72,9 +72,9 @@ class GtrsSystem:
     """Weighted design matrix, target vector, and constraint matrices.
 
     ``design`` has k + 2 columns for a joint position/power system and
-    k + 1 columns when the transmit power is known (``estimates_power``
-    False); ``dimension`` is always the spatial dimension k.  ``ple`` is
-    kept so the power read-out 5*ple*log10(u) needs no extra context.
+    k + 1 columns when the transmit power is known; ``dimension`` is always
+    the spatial dimension k.  ``ple`` is kept so the power read-out
+    5*ple*log10(u) needs no extra context.
     """
 
     design: np.ndarray
@@ -83,7 +83,6 @@ class GtrsSystem:
     constraint_lin: np.ndarray
     dimension: int
     ple: float
-    estimates_power: bool = True
 
 
 @dataclass(frozen=True)
@@ -143,13 +142,11 @@ def _rank_loss_cause(design, q2, k):
 
 
 def _check_rank(design, q2, k):
-    norms = np.linalg.norm(design, axis=0)
-    if np.any(norms == 0.0):
+    if np.any(np.linalg.norm(design, axis=0) == 0.0):
         raise GeometryError(
             "design matrix has a zero column; add anchors or spread them out"
         )
-    normalized = design / norms
-    smallest = np.linalg.eigvalsh(normalized.T @ normalized).min()
+    smallest = _gram_floor(design)
     if smallest <= RANK_TOL:
         raise GeometryError(
             "design matrix is rank deficient (normalized Gram eigenvalue"
@@ -157,6 +154,7 @@ def _check_rank(design, q2, k):
         )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow raises NumericalError below
 def _build(measurements, weights, anchors_m, env, estimates_power):
     """The joint (k + 2 columns) or known-power (k + 1) system of one fix."""
     anchors = np.atleast_2d(np.asarray(anchors_m, dtype=float))
@@ -186,15 +184,26 @@ def _build(measurements, weights, anchors_m, env, estimates_power):
     if estimates_power:
         design[:, k + 1] = -c_aux
     else:  # the known u moves the weighted column -c_aux*u into the target
-        u = 10.0 ** (env.transmit_power_dbm / (5.0 * beta))
+        try:
+            u = 10.0 ** (env.transmit_power_dbm / (5.0 * beta))
+        except OverflowError:
+            raise NumericalError(
+                f"transmit power {env.transmit_power_dbm:.6g} dBm overflows"
+                " u = 10^(P_t/(5*beta))"
+            ) from None
         target = target + (c_aux * scale) * u
     design = design * scale[:, None]
+    # ||[R v]||_F^2 bounds every entry of R^T R and R^T v.
+    if not np.isfinite(np.vdot(design, design) + target @ target):
+        raise NumericalError(
+            "the weighted system overflows: readings or anchor coordinates are too large"
+        )
     _check_rank(design, q2, k)
     quad = np.zeros((m, m))
     quad[:k, :k] = np.eye(k)
     lin = np.zeros(m)
     lin[k] = -0.5
-    return GtrsSystem(design, target, quad, lin, k, beta, estimates_power)
+    return GtrsSystem(design, target, quad, lin, k, beta)
 
 
 def build_system(measurements, weights, anchors_m, env):
@@ -403,19 +412,6 @@ def _power_dbm(u, ple):
     return 5.0 * ple * np.log10(u) if u > 0.0 else None
 
 
-def extract_estimate(z, env):
-    """Split a solution vector into (position, transmit power or None).
-
-    The power read-out 5*beta*log10(z[-1]) only exists for a positive
-    auxiliary value; a nonpositive one is a flagged outcome, not an error.
-    """
-    z = np.asarray(z, dtype=float)
-    k = z.shape[0] - 2
-    if k < 1:
-        raise ValueError("solution vector must have length k + 2 with k >= 1")
-    return z[:k].copy(), _power_dbm(z[k + 1], env.ple)
-
-
 def _finalize(system, eq, lam, z_hat, iterations):
     z = z_hat * eq.scale
     rhs = eq.moment - lam * system.constraint_lin
@@ -429,7 +425,7 @@ def _finalize(system, eq, lam, z_hat, iterations):
     min_eig = float(np.linalg.eigvalsh(shifted).min())
     min_eig_ratio = min_eig / float(np.linalg.norm(eq.normal, 2))
     k = system.dimension
-    power = _power_dbm(z[k + 1], system.ple) if system.estimates_power else None
+    power = _power_dbm(z[k + 1], system.ple) if z.shape[0] == k + 2 else None
     return Estimate(
         z=z,
         position_m=z[:k].copy(),

@@ -19,17 +19,17 @@ SYMMETRY_TOL = 1e-12
 PIVOT_TOL = 1e-12
 
 
-def check_symmetric(a, tol=SYMMETRY_TOL):
+def check_symmetric(a):
     """Validate that ``a`` is a square symmetric array and return it as float.
 
     Raises ValueError when the input is not square or the asymmetry exceeds
-    ``tol`` relative to the largest absolute entry.
+    SYMMETRY_TOL relative to the largest absolute entry.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     scale = np.max(np.abs(a)) if a.size else 0.0
-    if scale > 0 and np.max(np.abs(a - a.T)) > tol * scale:
+    if scale > 0 and np.max(np.abs(a - a.T)) > SYMMETRY_TOL * scale:
         raise ValueError("matrix is not symmetric within tolerance")
     return a
 
@@ -74,14 +74,14 @@ def solve_spd(a, b):
     return np.linalg.solve(a, b)
 
 
-def inv_sqrt_sym(a, tol=PIVOT_TOL):
+def inv_sqrt_sym(a):
     """Inverse symmetric square root of a positive definite matrix.
 
     The result S satisfies ``S @ a @ S = I``.  An eigenvalue at or below
-    ``tol`` times the largest eigenvalue raises SingularMatrixError.
+    PIVOT_TOL times the largest eigenvalue raises SingularMatrixError.
     """
     w, v = sym_eig(a)
-    cutoff = tol * w[-1] if w.size else 0.0
+    cutoff = PIVOT_TOL * w[-1] if w.size else 0.0
     bad = np.nonzero(w <= cutoff)[0]
     if bad.size:
         raise SingularMatrixError(

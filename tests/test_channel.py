@@ -15,13 +15,12 @@ from uwloc.channel import (
 from uwloc.errors import GeometryError
 
 
-def make_env(ple=2.0, freq=9.0, power=0.0, absorption=None, d0=1.0):
+def make_env(ple=2.0, freq=9.0, power=0.0, absorption=None):
     return Environment(
         ple=ple,
         frequency_khz=freq,
         transmit_power_dbm=power,
         absorption_db_per_m=absorption,
-        reference_distance_m=d0,
     )
 
 
@@ -99,8 +98,13 @@ class TestNoiseModels:
         assert draws.mean() == pytest.approx(2.0 + 3.0 * np.sqrt(6.0) / 2.0, abs=0.02)
 
     def test_mixture_upper_bound_default(self):
+        # The uniform component is U[0, sigma*sqrt(6)]: same draws, same bits.
+        rng = np.random.default_rng(104)
+        gauss = rng.normal(2.0, 5.0 / np.sqrt(2.0), 100)
+        expected = gauss + rng.uniform(0.0, 5.0 * np.sqrt(6.0), 100)
         model = NoiseModel("gaussian_plus_impulsive", 5.0)
-        assert model.impulsive_upper_db == pytest.approx(5.0 * np.sqrt(6.0))
+        draws = sample_noise(model, np.random.default_rng(104), size=100)
+        assert np.array_equal(draws, expected)
 
     def test_all_kinds_within_three_standard_errors(self):
         rng = np.random.default_rng(103)
@@ -121,8 +125,6 @@ class TestNoiseModels:
             NoiseModel("zero_mean_gaussian", 0.0)
         with pytest.raises(ValueError):
             NoiseModel("zero_mean_gaussian", 1.0, mean_db=2.0)
-        with pytest.raises(ValueError):
-            NoiseModel("biased_gaussian", 1.0, impulsive_upper_db=3.0)
 
 
 class TestScenario:
@@ -187,7 +189,5 @@ class TestEnvironment:
     def test_validation(self):
         with pytest.raises(ValueError):
             make_env(ple=0.0)
-        with pytest.raises(ValueError):
-            make_env(d0=0.0)
         with pytest.raises(ValueError):
             uwloc.Environment(ple=2.0, frequency_khz=-1.0, transmit_power_dbm=0.0)

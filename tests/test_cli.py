@@ -58,7 +58,6 @@ class TestParseScenario:
         assert np.array_equal(config.scenario.target_m, [2980.0, 3750.0, 3000.0])
         assert config.mc_trials == 3000
         assert config.sigma_grid_db == (1.0, 3.0, 5.0, 7.0, 9.0)
-        assert config.scenario.environment.reference_distance_m == 1.0
 
     def test_empty_file_is_a_config_error(self, tmp_path):
         empty = tmp_path / "empty.json"
@@ -272,7 +271,7 @@ class TestExitCodes:
             ("ple", 0),
             ("frequency_khz", -1),
             ("frequency_khz", 1e200),  # absorption curve gives nan
-            ("reference_distance_m", 0),
+            ("ple", "2.0"),  # a number in a string is not a number
             ("absorption_db_per_m", -1),
             ("anchors_m", [[[3380.0, 1270.0, 4460.0]]] * 10),
             ("target_m", [[2980.0, 3750.0, 3000.0]]),
@@ -318,6 +317,42 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and key in err
 
+    def test_overflowing_transmit_power_locate_known(self, tmp_path, config_path, capsys):
+        doc = json.loads(config_path.read_text())
+        doc["transmit_power_dbm"] = 1e308
+        doc["solver"]["known_power"] = True
+        path = tmp_path / "huge_power.json"
+        path.write_text(json.dumps(doc))
+        meas = tmp_path / "measurements.json"
+        meas.write_text(json.dumps({"anchor_index": list(range(10)), "rss_dbm": [-70.0] * 10}))
+        assert main(["locate", "--config", str(path), "--measurements", str(meas)]) == 2
+        assert capsys.readouterr().err == (
+            "error: transmit power 1e+308 dBm overflows u = 10^(P_t/(5*beta))\n"
+        )
+
+    @pytest.mark.filterwarnings("error")  # no RuntimeWarning from the overflow
+    @pytest.mark.parametrize("known_power", [False, True], ids=["joint", "known"])
+    def test_overflowing_transmit_power_simulate(
+        self, tmp_path, config_path, capsys, known_power
+    ):
+        # Readings near 1e308 dBm overflow q^2 in every trial's build.
+        doc = json.loads(config_path.read_text())
+        doc["transmit_power_dbm"] = 1e308
+        doc["solver"]["known_power"] = known_power
+        doc["mc_trials"] = 3
+        doc["sigma_grid_db"] = [3.0]
+        path = tmp_path / "huge_power.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "huge.csv"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        err = capsys.readouterr().err
+        assert err.splitlines()[0] == (
+            "sigma=3: 3 of 3 trials dropped from the averages"
+            " (NumericalError in 3, first trials 0, 1, 2)"
+        )
+        assert "Traceback" not in err
+        assert out.read_text().splitlines()[1].startswith("sigma=3,,,")
+
     def test_unknown_noise_kind_fails_before_the_sweep(self, tmp_path, config_path, capsys):
         doc = json.loads(config_path.read_text())
         doc["sweep"] = {"kind": "noise_scenarios", "noise_kinds": ["x"]}
@@ -356,6 +391,7 @@ class TestExitCodes:
             ("solver", "tol_phi", 0.0),
             ("solver", "max_iter", 0),
             ("noise", "impulsive_upper_db", 50.0),
+            (None, "reference_distance_m", 0),
         ],
     )
     def test_unknown_keys_are_named_config_errors(

@@ -8,7 +8,6 @@ from uwloc.crlb import (
     fim_known_power,
     fim_unknown_power,
     hessian_loglik,
-    residual_f,
     residuals,
 )
 from uwloc.errors import GeometryError
@@ -92,9 +91,9 @@ class TestResiduals:
     def test_linear_in_power(self, reference_scenario):
         meas = noiseless_set(reference_scenario)
         env = reference_scenario.environment
-        f0 = residual_f(0, meas, reference_scenario.anchors_m, reference_scenario.target_m, 0.0, env)
-        f1 = residual_f(0, meas, reference_scenario.anchors_m, reference_scenario.target_m, 1.0, env)
-        assert f1 - f0 == pytest.approx(-1.0, abs=1e-12)
+        f0 = residuals(meas, reference_scenario.anchors_m, reference_scenario.target_m, 0.0, env)
+        f1 = residuals(meas, reference_scenario.anchors_m, reference_scenario.target_m, 1.0, env)
+        assert np.allclose(f1 - f0, -1.0, rtol=0.0, atol=1e-12)
 
     def test_coincident_point_rejected(self, reference_scenario):
         meas = noiseless_set(reference_scenario)

@@ -60,26 +60,23 @@ class TestRunTrial:
 class TestValidation:
     def test_bad_trial_count(self, bundled_config):
         with pytest.raises(ConfigError):
-            replace(bundled_config, mc_trials=0).validate()
+            replace(bundled_config, mc_trials=0)
 
     def test_bad_sweep_kind(self, bundled_config):
         with pytest.raises(ConfigError):
-            replace(bundled_config, sweep_kind="voltage").validate()
+            replace(bundled_config, sweep_kind="voltage")
 
     def test_bad_sigma_grid(self, bundled_config):
         with pytest.raises(ConfigError):
-            replace(bundled_config, sigma_grid_db=(1.0, -3.0)).validate()
+            replace(bundled_config, sigma_grid_db=(1.0, -3.0))
 
     def test_anchor_counts_out_of_range(self, bundled_config):
         with pytest.raises(ConfigError):
-            replace(
-                bundled_config, sweep_kind="anchor_count", anchor_counts=(4, 10)
-            ).validate()
+            replace(bundled_config, sweep_kind="anchor_count", anchor_counts=(4, 10))
 
     def test_errors_raised_before_any_trial(self, bundled_config):
-        bad = replace(bundled_config, mc_trials=-1)
         with pytest.raises(ConfigError):
-            run_sweep(bad)
+            run_sweep(replace(bundled_config, mc_trials=-1))
 
 
 class TestRunSweep:

@@ -13,7 +13,6 @@ from uwloc.gtrs import (
     GtrsSystem,
     build_known_power_system,
     build_system,
-    extract_estimate,
     lambda_interval,
     phi,
     solve,
@@ -251,7 +250,8 @@ class TestKnownPower:
         assert system.constraint_quad.shape == (k + 1, k + 1)
         assert np.array_equal(system.constraint_quad[:k, :k], np.eye(k))
         assert np.array_equal(system.constraint_lin, [0.0, 0.0, 0.0, -0.5])
-        assert not system.estimates_power
+        est = solve(system)
+        assert est.transmit_power_dbm is None and not est.power_valid
 
     def test_exact_recovery_without_absorption(self, zero_absorption_scenario):
         scenario = zero_absorption_scenario
@@ -444,20 +444,13 @@ class TestSolveMany:
             assert z_hat is None or np.array_equal(z_hat, expected[2])
 
 
-class TestExtractEstimate:
+class TestPowerDbm:
     def test_unit_auxiliary_gives_zero_power(self):
-        env = Environment(ple=2.0, frequency_khz=9.0, transmit_power_dbm=0.0)
-        position, power = extract_estimate([1.0, 2.0, 5.0, 1.0], env)
-        assert np.array_equal(position, [1.0, 2.0])
-        assert power == pytest.approx(0.0, abs=1e-15)
+        assert gtrs._power_dbm(1.0, 2.0) == pytest.approx(0.0, abs=1e-15)
 
     def test_ten_gives_ten_dbm(self):
-        env = Environment(ple=2.0, frequency_khz=9.0, transmit_power_dbm=0.0)
-        _, power = extract_estimate([0.0, 0.0, 0.0, 0.0, 10.0], env)
-        assert power == pytest.approx(10.0, rel=1e-12)
+        assert gtrs._power_dbm(10.0, 2.0) == pytest.approx(10.0, rel=1e-12)
 
     def test_negative_auxiliary_flags_power(self):
-        env = Environment(ple=2.0, frequency_khz=9.0, transmit_power_dbm=0.0)
-        position, power = extract_estimate([3.0, 4.0, 25.0, -0.3], env)
-        assert power is None
-        assert np.array_equal(position, [3.0, 4.0])
+        assert gtrs._power_dbm(-0.3, 2.0) is None
+        assert gtrs._power_dbm(0.0, 2.0) is None
