@@ -56,13 +56,15 @@ def _build_parser():
         "--threads",
         type=int,
         default=1,
-        help="accepted for compatibility and has no effect: each sweep point's"
-        " trials are solved as one batch in this process",
+        help="accepted for compatibility and has no effect: sweep points are"
+        " solved in batches in this process",
     )
     sim.add_argument(
         "--timing",
         action="store_true",
-        help="write measured seconds_per_solve into the CSV (breaks byte-identical reruns)",
+        help="write measured seconds_per_solve into the CSV (breaks byte-identical"
+        " reruns); it is the wall time of the batch a point was solved in, building"
+        " included, divided by that batch's trials",
     )
 
     bound = sub.add_parser("crlb", help="print position/power bounds across the sigma grid")
@@ -93,13 +95,15 @@ def _cmd_simulate(args):
         if record.failures:
             causes = "; ".join(
                 f"{name} in {len(trials)}, first trials {', '.join(map(str, trials[:5]))}"
-                for name, trials in record.failures
+                for name, trials, _ in record.failures
             )
             print(
                 f"{record.sweep_coord}: {record.solve_failures} of {record.trials} trials"
                 f" dropped from the averages ({causes})",
                 file=sys.stderr,
             )
+            for name, trials, message in record.failures:
+                print(f"  {name}, first at trial {trials[0]}: {message}", file=sys.stderr)
     mean_solve = float(np.mean([r.seconds_per_solve for r in records]))
     print(
         f"seconds_per_solve={mean_solve:.6f} (measured wall clock; informational)",

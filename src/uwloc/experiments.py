@@ -43,6 +43,11 @@ DEFAULT_BIAS_SCENARIOS = (
     ("ple_10pct_absorption_10pct", 0.10, 0.10),
 )
 
+# Most trials one solve_many call takes: a sweep's coordinates are batched
+# in order while a batch stays within it, so small coordinates share one
+# lockstep solve and a bundled 3000-trial coordinate is solved alone.
+SWEEP_BATCH_TRIALS = 4096
+
 DEFAULT_PLE_GRID = (1.5, 1.75, 2.0, 2.25, 2.5)
 DEFAULT_FREQUENCY_GRID_KHZ = (9.0, 25.0, 50.0)
 
@@ -113,11 +118,13 @@ class ResultRecord:
 
     ``solve_failures`` counts trials whose solve raised (excluded from the
     error averages), and ``failures`` lists them as (exception class name,
-    trial indices) pairs; neither is part of the CSV contract.  They are
-    not always empty: on the bundled sigma sweep, trial 210 at sigma=7 and
-    trials 210, 2255 and 2474 at sigma=9 fail the ``build_system`` rank
-    gate with ``GeometryError``, so those NRMSEs average 2999 and 2997
-    trials.
+    trial indices, message of the first) triples; neither is part of the
+    CSV contract.  They are not always empty: on the bundled sigma sweep,
+    trial 210 at sigma=7 and trials 210, 2255 and 2474 at sigma=9 fail the
+    ``build_system`` rank gate with ``GeometryError``, so those NRMSEs
+    average 2999 and 2997 trials.  ``seconds_per_solve`` is the wall time
+    of the batch the coordinate was solved in (see :func:`run_sweep`),
+    building included, divided by that batch's trials.
     """
 
     sweep_coord: str
@@ -257,49 +264,29 @@ def point_bounds(scenario, sigma, known_power):
     return report.crlb_t_m, report.crlb_p_db
 
 
-def _run_point(setting, config):
-    """One sweep coordinate: build every trial's system, solve them as a batch."""
-    m = config.mc_trials
-    err2 = np.full(m, np.nan)
-    power_err2 = np.full(m, np.nan)
-    power_ok = np.zeros(m, dtype=bool)
-    failed = [None] * m  # exception class name of each dropped trial
+def _record(setting, config, outcomes, seconds_per_solve):
+    """One sweep coordinate's ResultRecord from its trials' outcomes, each
+    an Estimate or the UwlocError that dropped the trial."""
     true_t = setting.scenario.target_m
     true_p = setting.scenario.environment.transmit_power_dbm
-
-    start = time.perf_counter()
-    built, systems = [], []
-    for trial in range(m):
-        try:
-            systems.append(_trial_system(setting, config, trial))
-        except UwlocError as exc:
-            failed[trial] = type(exc).__name__
+    err2, power_err2, failures = [], [], {}
+    for trial, outcome in enumerate(outcomes):
+        if isinstance(outcome, UwlocError):
+            trials, _ = failures.setdefault(type(outcome).__name__, ([], str(outcome)))
+            trials.append(trial)
             continue
-        built.append(trial)
-    for trial, est in zip(built, gtrs.solve_many(systems)):
-        if isinstance(est, UwlocError):
-            failed[trial] = type(est).__name__
-            continue
-        err2[trial] = float(np.sum((est.position_m - true_t) ** 2))
-        if est.power_valid:
-            power_ok[trial] = True
-            power_err2[trial] = (est.transmit_power_dbm - true_p) ** 2
-    elapsed = time.perf_counter() - start
-
-    failures = {}
-    for trial, name in enumerate(failed):
-        if name is not None:
-            failures.setdefault(name, []).append(trial)
-    solved = np.array([name is None for name in failed])
-    n_solved = int(solved.sum())
-    nrmse_t = float(np.sqrt(np.mean(err2[solved]))) if n_solved else float("nan")
+        err2.append(float(np.sum((outcome.position_m - true_t) ** 2)))
+        if outcome.power_valid:
+            power_err2.append((outcome.transmit_power_dbm - true_p) ** 2)
+    m = len(outcomes)
+    n_solved = len(err2)
+    nrmse_t = float(np.sqrt(np.mean(np.array(err2)))) if n_solved else float("nan")
     if config.known_power:
         nrmse_p = None
         power_failures = 0
     else:
-        n_power = int(power_ok.sum())
-        nrmse_p = float(np.sqrt(np.mean(power_err2[power_ok]))) if n_power else None
-        power_failures = n_solved - n_power
+        nrmse_p = float(np.sqrt(np.mean(np.array(power_err2)))) if power_err2 else None
+        power_failures = n_solved - len(power_err2)
     crlb_t, crlb_p = point_bounds(setting.scenario, setting.noise.sigma_db, config.known_power)
     return ResultRecord(
         sweep_coord=setting.label,
@@ -309,21 +296,60 @@ def _run_point(setting, config):
         crlb_p_db=crlb_p,
         power_failures=power_failures,
         trials=m,
-        seconds_per_solve=elapsed / m,
+        seconds_per_solve=seconds_per_solve,
         solve_failures=m - n_solved,
-        failures=tuple((name, tuple(trials)) for name, trials in sorted(failures.items())),
+        failures=tuple(
+            (name, tuple(trials), message)
+            for name, (trials, message) in sorted(failures.items())
+        ),
     )
+
+
+def _run_group(settings, config):
+    """Sweep coordinates solved as one batch.
+
+    Every trial's system is built, coordinate by coordinate, then all are
+    solved by one ``solve_many`` call, and each coordinate's record is
+    aggregated from its own slice.  Each record's ``seconds_per_solve``
+    is the group's wall time divided by its trials.
+    """
+    start = time.perf_counter()
+    outcomes, systems, slots = [], [], []
+    for setting in settings:
+        for trial in range(config.mc_trials):
+            try:
+                systems.append(_trial_system(setting, config, trial))
+            except UwlocError as exc:
+                outcomes.append(exc)
+                continue
+            slots.append(len(outcomes))
+            outcomes.append(None)
+    for slot, outcome in zip(slots, gtrs.solve_many(systems)):
+        outcomes[slot] = outcome
+    seconds = (time.perf_counter() - start) / len(outcomes)
+    m = config.mc_trials
+    return [
+        _record(setting, config, outcomes[j * m : (j + 1) * m], seconds)
+        for j, setting in enumerate(settings)
+    ]
 
 
 def run_sweep(config):
     """All sweep coordinates of ``config``, each over ``mc_trials`` trials.
 
-    Each coordinate's trials are solved as one batch whose estimates are
-    bit-identical to solving the trials one by one, so results depend only
-    on (config, master_seed); only the recorded wall time varies.
+    Coordinates are taken in order into groups of at most
+    SWEEP_BATCH_TRIALS trials (a larger coordinate is a group of its own),
+    and each group's trials are solved as one batch.  The estimates are
+    bit-identical to solving the trials one by one, so results depend
+    only on (config, master_seed); only the recorded wall time varies.
     """
     settings = _sweep_settings(config)
-    return [_run_point(setting, config) for setting in settings]
+    per_group = max(1, SWEEP_BATCH_TRIALS // config.mc_trials)
+    return [
+        record
+        for first in range(0, len(settings), per_group)
+        for record in _run_group(settings[first : first + per_group], config)
+    ]
 
 
 def measure_runtime(config, n_solves=100):

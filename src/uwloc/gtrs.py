@@ -59,12 +59,8 @@ MAX_EXPANSIONS = 120
 # can need over 1000 halvings to collapse its bracket; stop those here.
 MAX_ITER = 200
 
-# Fewest trial multipliers a lockstep round evaluates as one stack.  On the
-# bundled 5x5 systems a stacked round costs 40-90 us of numpy call overhead
-# plus 1-2.5 us per system (about 2 us each in a stack of 200), and one
-# system alone 18-37 us, so one or two unfinished systems (and a batch of
-# one) are cheaper one at a time.
-MIN_STACK_ROWS = 3
+# Phases of a search in the lockstep batch of solve_many.
+_START, _UP, _DOWN, _BISECT, _DONE = range(5)
 
 
 @dataclass(frozen=True)
@@ -290,7 +286,12 @@ class _Equilibrated:
         if lam_star <= 0.0:
             return -np.inf
         edge = -1.0 / lam_star
-        return edge + ENDPOINT_GUARD * (1.0 + abs(edge))
+        guard = ENDPOINT_GUARD * (1.0 + abs(edge))
+        if guard >= 0.5 * abs(edge):
+            # Past lam* ~ 5e11 the guard would reach edge/2, and the root can
+            # lie below that; stay just above the pole, past lam*'s rounding.
+            guard = 1e-6 * abs(edge)
+        return edge + guard
 
 
 def lambda_interval(system):
@@ -331,13 +332,22 @@ def _classify(eq, lam):
     return residual > 0.0, residual, z_hat
 
 
+def _downward_start(eq):
+    """First multiplier and step of the downward search: the guarded pole."""
+    a = eq.multiplier_floor()
+    if not np.isfinite(a):
+        raise InfeasibleProblemError("constraint matrix has no negative pole")
+    return a, 0.1 * (1.0 + abs(a))
+
+
 def _bisect_steps(eq):
     """Root of the constraint residual by classification bisection.
 
-    A generator, so one search can be driven alone or in lockstep with
-    others: it yields each trial multiplier and must be sent back that
-    multiplier's :func:`_classify` triple.  Returns (multiplier, z_hat,
-    iterations).
+    A generator: it yields each trial multiplier and must be sent back
+    that multiplier's :func:`_classify` triple.  Returns (multiplier,
+    z_hat, iterations).  :func:`solve` drives it for one system, and
+    :func:`solve_many` takes the same steps as array state, which the
+    tests pin against it bit for bit.
     """
     _, f0, z0 = yield 0.0
     if z0 is None:
@@ -365,11 +375,8 @@ def _bisect_steps(eq):
         # imprecise endpoint estimate only costs extra expansions.
         b = 0.0
         best = (0.0, abs(f0), z0)
-        a = eq.multiplier_floor()
-        if not np.isfinite(a):
-            raise InfeasibleProblemError("constraint matrix has no negative pole")
+        a, step = _downward_start(eq)
         low, fa, za = yield a
-        step = 0.1 * (1.0 + abs(a))
         n = 0
         while not low and n < MAX_EXPANSIONS:
             b = a
@@ -412,31 +419,62 @@ def _power_dbm(u, ple):
     return 5.0 * ple * np.log10(u) if u > 0.0 else None
 
 
-def _finalize(system, eq, lam, z_hat, iterations):
-    z = z_hat * eq.scale
-    rhs = eq.moment - lam * system.constraint_lin
-    shifted = eq.normal + lam * system.constraint_quad
-    residual = np.linalg.norm(shifted @ z - rhs)
-    scale = np.linalg.norm(shifted) * np.linalg.norm(z) + np.linalg.norm(rhs)
-    stationarity = residual / scale if scale > 0 else residual
-    constraint = float(
-        z @ system.constraint_quad @ z + 2.0 * system.constraint_lin @ z
-    )
-    min_eig = float(np.linalg.eigvalsh(shifted).min())
-    min_eig_ratio = min_eig / float(np.linalg.norm(eq.normal, 2))
-    k = system.dimension
-    power = _power_dbm(z[k + 1], system.ple) if z.shape[0] == k + 2 else None
-    return Estimate(
-        z=z,
-        position_m=z[:k].copy(),
-        transmit_power_dbm=power,
-        power_valid=power is not None,
-        multiplier=float(lam),
-        iterations=iterations,
-        kkt_stationarity=float(stationarity),
-        kkt_constraint=constraint,
-        kkt_min_eig_ratio=min_eig_ratio,
-    )
+def _norms(rows):
+    """np.linalg.norm of each row, through the same dot product."""
+    return np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
+
+
+def _quadratic(z, quad, lin):
+    """z @ quad @ z + 2 lin @ z for each row of ``z``.
+
+    It runs through the vector-matrix and vector-vector matmuls of the
+    one-system expression, so every sum runs in its order (np.sum and
+    einsum do not).
+    """
+    row, col = z[:, None, :], z[:, :, None]
+    return ((row @ quad) @ col + (2.0 * lin)[:, None, :] @ col)[:, 0, 0]
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def _finalize(systems, eqs, lams, z_hats, iterations):
+    """Estimates of finished searches, from one stacked pass.
+
+    Each matrix goes through the arithmetic it would get alone, so an
+    estimate does not depend on the batch it was finalized in.
+    """
+    quad = np.array([system.constraint_quad for system in systems])
+    lin = np.array([system.constraint_lin for system in systems])
+    normal = np.array([eq.normal for eq in eqs])
+    z = z_hats * np.array([eq.scale for eq in eqs])
+    rhs = np.array([eq.moment for eq in eqs]) - lams[:, None] * lin
+    shifted = normal + lams[:, None, None] * quad
+    residual = _norms((shifted @ z[:, :, None])[:, :, 0] - rhs)
+    scale = _norms(shifted.reshape(len(eqs), -1)) * _norms(z) + _norms(rhs)
+    stationarity = np.where(scale > 0, residual / scale, residual)
+    constraint = _quadratic(z, quad, lin)
+    min_eig = np.linalg.eigvalsh(shifted).min(axis=1)
+    min_eig_ratio = min_eig / np.linalg.svd(normal, compute_uv=False).max(axis=1)
+    estimates = []
+    for system, row, lam, count, stat, cons, ratio in zip(
+        systems, z, lams.tolist(), iterations,
+        stationarity.tolist(), constraint.tolist(), min_eig_ratio.tolist(),
+    ):
+        k = system.dimension
+        power = _power_dbm(row[k + 1], system.ple) if row.shape[0] == k + 2 else None
+        estimates.append(
+            Estimate(
+                z=row,
+                position_m=row[:k].copy(),
+                transmit_power_dbm=power,
+                power_valid=power is not None,
+                multiplier=lam,
+                iterations=int(count),
+                kkt_stationarity=stat,
+                kkt_constraint=cons,
+                kkt_min_eig_ratio=ratio,
+            )
+        )
+    return estimates
 
 
 def solve(system):
@@ -458,103 +496,205 @@ def solve(system):
             lam = steps.send(_classify(eq, lam))
     except StopIteration as done:
         lam, z_hat, iterations = done.value
-    return _finalize(system, eq, lam, z_hat, iterations)
+    return _finalize([system], [eq], np.array([lam]), z_hat[None], [iterations])[0]
 
 
 # The known-power system needs no solver of its own; the name stays public.
 solve_known_power = solve
 
 
-class _Stack:
-    """Equilibrated normal equations of equal-size systems, stacked."""
+def _lapack_rows(op, *stacks):
+    """``op`` over stacked matrices, and a mask of the matrices it took.
+
+    numpy rejects a whole stack when one matrix fails (not PD for a
+    Cholesky, singular for a solve), so a rejected stack is halved until
+    each failing matrix stands alone; its output entries are NaN.  Each
+    matrix still goes through the LAPACK call it would get alone.
+    """
+    count = len(stacks[0])
+    try:
+        return op(*stacks), np.ones(count, dtype=bool)
+    except np.linalg.LinAlgError:
+        if count == 1:
+            return np.full_like(stacks[-1], np.nan), np.zeros(1, dtype=bool)
+    parts = [
+        _lapack_rows(op, *(stack[half] for stack in stacks))
+        for half in (slice(None, count // 2), slice(count // 2, None))
+    ]
+    return tuple(np.concatenate(outputs) for outputs in zip(*parts))
+
+
+class _Batch:
+    """Equilibrated normal equations of equal-width systems, stacked."""
 
     def __init__(self, eqs):
-        self.eqs = eqs
-        self.gram = np.stack([eq.gram for eq in eqs])
-        self.quad = np.stack([eq.quad for eq in eqs])
-        self.lin = np.stack([eq.lin for eq in eqs])
-        self.rhs0 = np.stack([eq.rhs0 for eq in eqs])
+        self.gram = np.array([eq.gram for eq in eqs])
+        self.quad = np.array([eq.quad for eq in eqs])
+        self.lin = np.array([eq.lin for eq in eqs])
+        self.rhs0 = np.array([eq.rhs0 for eq in eqs])
 
+    @np.errstate(divide="ignore", invalid="ignore")
     def classify(self, rows, lams):
         """:func:`_classify` of ``eqs[rows[j]]`` at ``lams[j]`` for every j.
 
-        One stacked evaluation whose arithmetic is that of
-        :meth:`_Equilibrated.solve_at` matrix by matrix, so every bit
-        matches.  Fewer than MIN_STACK_ROWS multipliers, or a stack that
-        numpy rejects as a whole (one matrix not PD or singular), are
-        classified one matrix at a time instead.
+        Returns (residual, z_hat, solved) arrays.  Where the shifted matrix
+        is not PD, ``solved`` is False, the residual is inf and the z_hat
+        row is NaN, so ``residual > 0`` is :func:`_classify`'s ``low``.
+        The arithmetic is that of :meth:`_Equilibrated.solve_at` matrix by
+        matrix, so every bit matches.
         """
-        if len(rows) >= MIN_STACK_ROWS:
-            try:
-                return self._classify_stacked(np.array(rows), np.array(lams))
-            except np.linalg.LinAlgError:
-                pass
-        return [_classify(self.eqs[r], lam) for r, lam in zip(rows, lams)]
-
-    def _classify_stacked(self, rows, lams):
-        quad = self.quad[rows]
+        quad, lin = self.quad[rows], self.lin[rows]
         shifted = self.gram[rows] + lams[:, None, None] * quad
         diag = shifted.diagonal(axis1=1, axis2=2)
-        live = np.flatnonzero(~(diag <= 0.0).any(axis=1))
-        s = 1.0 / np.sqrt(diag[live])
-        scaled = shifted[live] * (s[:, :, None] * s[:, None, :])
-        check = lams[live] < 0.0
-        if check.any():
-            factor = np.linalg.cholesky(scaled[check])
-            weak = factor.diagonal(axis1=1, axis2=2).min(axis=1) <= 1e-6
-            definite = np.ones(live.size, dtype=bool)
-            definite[np.flatnonzero(check)[weak]] = False
-            live, s, scaled = live[definite], s[definite], scaled[definite]
-        lin = self.lin[rows[live]]
-        rhs = (self.rhs0[rows[live]] - lams[live, None] * lin) * s
-        z = np.linalg.solve(scaled, rhs[:, :, None])[:, :, 0] * s
-        # z @ quad @ z + 2 lin @ z through the same vector-matrix and
-        # vector-vector matmuls as the scalar residual, so every sum runs
-        # in its order (np.sum and einsum do not).
-        row, col = z[:, None, :], z[:, :, None]
-        residual = ((row @ quad[live]) @ col + (2.0 * lin)[:, None, :] @ col)[:, 0, 0]
-        replies = [(True, np.inf, None)] * rows.size
-        for j, f, z_hat in zip(live, residual.tolist(), z):
-            replies[j] = (f > 0.0, f, z_hat)
-        return replies
+        s = 1.0 / np.sqrt(diag)
+        scaled = shifted * (s[:, :, None] * s[:, None, :])
+        rhs = (self.rhs0[rows] - lams[:, None] * lin) * s
+        # ~(diag <= 0).any(axis=1), cheaper: fmin skips NaN entries as any() does.
+        solved = ~(np.fmin.reduce(diag, axis=1) <= 0.0)
+        check = np.flatnonzero(solved & (lams < 0.0))
+        if check.size:
+            factor, taken = _lapack_rows(np.linalg.cholesky, scaled[check])
+            pivot = factor.diagonal(axis1=1, axis2=2).min(axis=1)
+            solved[check] = taken & ~(pivot <= 1e-6)
+        # A slice in the usual round, where every shifted matrix is PD.
+        live = slice(None) if solved.all() else np.flatnonzero(solved)
+        y, solved[live] = _lapack_rows(np.linalg.solve, scaled[live], rhs[live, :, None])
+        z_hat = np.full(rhs.shape, np.nan)
+        z_hat[live] = y[:, :, 0] * s[live]
+        residual = np.full(rows.size, np.inf)
+        residual[solved] = _quadratic(z_hat[solved], quad[solved], lin[solved])
+        return residual, z_hat, solved
 
 
 def solve_many(systems):
     """:func:`solve` applied to every system, with bit-identical results.
 
     Every system must have the same design width (one power mode of one
-    spatial dimension), as the trials of one sweep point do.  The
-    bisections run in lockstep: each round classifies the trial
-    multipliers of all unfinished systems in one stacked evaluation, and a
-    system leaves the stack when its search ends.  Returns one entry per
-    system, in order: its Estimate, or the UwlocError instance that
-    :func:`solve` would have raised for it alone.
+    spatial dimension), as the trials of one sweep do.  The searches of
+    :func:`_bisect_steps` run in lockstep as array state, one row per
+    system: each round classifies the trial multipliers of all
+    unfinished systems in one stacked evaluation, and masks advance each
+    row by its phase (the step at 0, expansion up, expansion down,
+    bisection).  The finished searches are finalized in one stacked
+    pass.  Returns one entry per system, in order: its Estimate, or the
+    UwlocError instance that :func:`solve` would have raised for it alone.
     """
     results = [None] * len(systems)
-    eqs, searches, trials = [], [], {}  # trials: stack row -> multiplier
+    eqs, index = [], []
     for i, system in enumerate(systems):
         try:
-            eq = _Equilibrated(system)
+            eqs.append(_Equilibrated(system))
         except UwlocError as exc:
             results[i] = exc
             continue
-        search = _bisect_steps(eq)
-        trials[len(eqs)] = next(search)
-        eqs.append(eq)
-        searches.append((i, search))
+        index.append(i)
     if not eqs:
         return results
-    stack = _Stack(eqs)
-    while trials:
-        rows = list(trials)
-        for r, reply in zip(rows, stack.classify(rows, [trials[r] for r in rows])):
-            i, search = searches[r]
-            try:
-                trials[r] = search.send(reply)
-            except StopIteration as done:
-                del trials[r]
-                results[i] = _finalize(systems[i], eqs[r], *done.value)
-            except UwlocError as exc:
-                del trials[r]
-                results[i] = exc
+    batch = _Batch(eqs)
+    n = len(eqs)
+    phase = np.full(n, _START)
+    lam, a, b, step = np.zeros(n), np.zeros(n), np.zeros(n), np.zeros(n)
+    expansions, iterations = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
+    best_lam, best_abs, best_z = np.zeros(n), np.zeros(n), np.empty_like(batch.rhs0)
+    errors = {}  # row -> the UwlocError that ends its search
+
+    def fail(rows, error):
+        for row in rows.tolist():
+            errors[row] = error(row)
+            phase[row] = _DONE
+
+    active = np.arange(n)
+    while active.size:
+        residual, z_hat, solved = batch.classify(active, lam[active])
+        low, size, at = residual > 0.0, np.abs(residual), phase[active]
+
+        def keep(pos):
+            """Record the multipliers classified at ``pos`` as their rows' best."""
+            rows = active[pos]
+            best_lam[rows], best_abs[rows], best_z[rows] = lam[rows], size[pos], z_hat[pos]
+
+        pos = np.flatnonzero(at == _START)
+        if pos.size:  # at 0: stop on a zero residual, else expand toward the root
+            rows, f, ok = active[pos], residual[pos], solved[pos]
+            keep(pos)
+            fail(rows[~ok], lambda r: GeometryError("normal matrix is not positive definite"))
+            phase[rows[ok & (f == 0.0)]] = _DONE
+            up = rows[ok & (f > 0.0)]
+            gram = batch.gram[up].reshape(up.size, batch.gram[0].size)
+            b[up] = lam[up] = np.fmax(1.0, _norms(gram))  # as max(1, norm) in _bisect_steps
+            phase[up] = _UP
+            for row in rows[ok & ~(f == 0.0) & ~(f > 0.0)].tolist():
+                try:
+                    a[row], step[row] = _downward_start(eqs[row])
+                except UwlocError as exc:
+                    fail(np.array([row]), lambda r: exc)
+                else:
+                    lam[row], phase[row] = a[row], _DOWN
+
+        enter = []  # rows whose bracket is set: they take a bisection step
+        pos = np.flatnonzero(at == _UP)
+        if pos.size:  # double b until the residual turns negative
+            rows, lo = active[pos], low[pos]
+            more = lo & (expansions[rows] < MAX_EXPANSIONS)
+            grow = rows[more]
+            a[grow], b[grow] = b[grow], 2.0 * b[grow]
+            lam[grow] = b[grow]
+            expansions[grow] += 1
+            fail(rows[lo & ~more], lambda r: InfeasibleProblemError(
+                f"no constraint-residual sign change up to multiplier {b[r]:.3e}"))
+            keep(pos[~lo])
+            enter.append(rows[~lo])
+
+        pos = np.flatnonzero(at == _DOWN)
+        if pos.size:  # step a down, doubling the step, until it is low
+            rows, lo = active[pos], low[pos]
+            more = ~lo & (expansions[rows] < MAX_EXPANSIONS)
+            grow = rows[more]
+            b[grow] = a[grow]
+            better = more & (size[pos] < best_abs[rows])
+            keep(pos[better])
+            a[grow] -= step[grow]
+            step[grow] *= 2.0
+            lam[grow] = a[grow]
+            expansions[grow] += 1
+            fail(rows[~lo & ~more], lambda r: InfeasibleProblemError(
+                f"no constraint-residual sign change down to multiplier {a[r]:.3e}"))
+            enter.append(rows[lo])
+
+        pos = np.flatnonzero(at == _BISECT)
+        if pos.size:  # keep the best, stop on a zero residual, else halve
+            rows, lo = active[pos], low[pos]
+            iterations[rows] += 1
+            better = solved[pos] & (size[pos] < best_abs[rows])
+            keep(pos[better])
+            zero = solved[pos] & (residual[pos] == 0.0)
+            phase[rows[zero]] = _DONE
+            a[rows[lo]] = lam[rows[lo]]
+            b[rows[~lo]] = lam[rows[~lo]]
+            enter.append(rows[~zero])
+
+        rows = np.concatenate(enter) if enter else active[:0]
+        lower, upper = a[rows], b[rows]
+        bracket = upper > lower
+        over = bracket & (iterations[rows] >= MAX_ITER)
+        fail(rows[over], lambda r: ConvergenceError(
+            f"bisection exceeded {MAX_ITER} iterations (bracket width {b[r] - a[r]:.3e})",
+            bracket=(float(a[r]), float(b[r]))))
+        mid = 0.5 * (lower + upper)
+        go = bracket & ~over & (mid != lower) & (mid != upper)
+        lam[rows[go]] = mid[go]
+        phase[rows[go]] = _BISECT
+        phase[rows[~go & ~over]] = _DONE  # the bracket has collapsed
+        active = np.flatnonzero(phase != _DONE)
+
+    done = [row for row in range(n) if row not in errors]
+    if done:
+        estimates = _finalize(
+            [systems[index[row]] for row in done], [eqs[row] for row in done],
+            best_lam[done], best_z[done], iterations[done],
+        )
+        for row, estimate in zip(done, estimates):
+            results[index[row]] = estimate
+    for row, error in errors.items():
+        results[index[row]] = error
     return results

@@ -353,6 +353,20 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert out.read_text().splitlines()[1].startswith("sigma=3,,,")
 
+    def test_dropped_trials_name_the_first_message(self, tmp_path, config_path, capsys):
+        doc = json.loads(config_path.read_text())
+        doc["transmit_power_dbm"] = 1e308
+        doc["solver"]["known_power"] = True
+        doc["mc_trials"] = 3
+        doc["sigma_grid_db"] = [3.0]
+        path = tmp_path / "huge_power.json"
+        path.write_text(json.dumps(doc))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 0
+        assert capsys.readouterr().err.splitlines()[1] == (
+            "  NumericalError, first at trial 0:"
+            " transmit power 1e+308 dBm overflows u = 10^(P_t/(5*beta))"
+        )
+
     def test_unknown_noise_kind_fails_before_the_sweep(self, tmp_path, config_path, capsys):
         doc = json.loads(config_path.read_text())
         doc["sweep"] = {"kind": "noise_scenarios", "noise_kinds": ["x"]}

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 import uwloc
+from uwloc import experiments, gtrs
 from uwloc.channel import Environment, NoiseModel, Scenario
-from uwloc.errors import ConfigError
+from uwloc.errors import ConfigError, UwlocError
 from uwloc.experiments import (
     CSV_COLUMNS,
+    SWEEP_KINDS,
     ExperimentConfig,
     ResultRecord,
     measure_runtime,
@@ -99,23 +101,53 @@ class TestRunSweep:
         assert all(r.power_failures >= 0 for r in records)
         assert all(r.solve_failures == 0 for r in records)
 
-    def test_batched_nrmse_equals_per_trial_recomputation(self, small_config):
-        config = replace(small_config, sigma_grid_db=(3.0, 5.0))
+    @pytest.mark.parametrize("kind", SWEEP_KINDS)
+    def test_batched_nrmse_equals_per_trial_recomputation(self, small_config, kind):
+        config = replace(small_config, sweep_kind=kind, sigma_grid_db=(3.0, 5.0))
         records = run_sweep(config)
-        true_t = config.scenario.target_m
-        true_p = config.scenario.environment.transmit_power_dbm
-        for record, sigma in zip(records, config.sigma_grid_db):
-            at_sigma = replace(config, noise=replace(config.noise, sigma_db=sigma))
-            err2, power_err2 = [], []
+        settings = experiments._sweep_settings(config)
+        assert [record.sweep_coord for record in records] == [s.label for s in settings]
+        for record, setting in zip(records, settings):
+            true_t = setting.scenario.target_m
+            true_p = setting.scenario.environment.transmit_power_dbm
+            err2, power_err2, dropped = [], [], {}
             for trial in range(config.mc_trials):
-                position, power, _ = run_trial(at_sigma, trial)
-                err2.append(float(np.sum((position - true_t) ** 2)))
-                if power is not None:
-                    power_err2.append((power - true_p) ** 2)
-            assert record.solve_failures == 0
-            assert record.nrmse_t_m == float(np.sqrt(np.mean(np.array(err2))))
-            assert record.nrmse_p_db == float(np.sqrt(np.mean(np.array(power_err2))))
-            assert record.power_failures == config.mc_trials - len(power_err2)
+                try:
+                    estimate = gtrs.solve(experiments._trial_system(setting, config, trial))
+                except UwlocError as exc:
+                    dropped.setdefault(type(exc).__name__, ([], str(exc)))[0].append(trial)
+                    continue
+                err2.append(float(np.sum((estimate.position_m - true_t) ** 2)))
+                if estimate.power_valid:
+                    power_err2.append((estimate.transmit_power_dbm - true_p) ** 2)
+            nrmse_t = float(np.sqrt(np.mean(np.array(err2)))) if err2 else float("nan")
+            nrmse_p = float(np.sqrt(np.mean(np.array(power_err2)))) if power_err2 else None
+            assert repr(record.nrmse_t_m) == repr(nrmse_t)
+            assert record.nrmse_p_db == nrmse_p
+            assert record.power_failures == len(err2) - len(power_err2)
+            assert record.solve_failures == config.mc_trials - len(err2)
+            assert record.failures == tuple(
+                (name, tuple(trials), message)
+                for name, (trials, message) in sorted(dropped.items())
+            )
+
+    @pytest.mark.parametrize("batch_trials", [1, 20, 50])
+    def test_batch_size_leaves_the_csv_unchanged(self, small_config, monkeypatch, batch_trials):
+        def csv_bytes():
+            stream = io.StringIO()
+            write_csv(run_sweep(small_config), stream)
+            return stream.getvalue()
+
+        whole = csv_bytes()
+        sizes = []
+        solve_many = gtrs.solve_many
+        monkeypatch.setattr(
+            gtrs, "solve_many", lambda systems: sizes.append(len(systems)) or solve_many(systems)
+        )
+        monkeypatch.setattr(experiments, "SWEEP_BATCH_TRIALS", batch_trials)
+        assert csv_bytes() == whole
+        # Five points of 20 trials, grouped whole and in order.
+        assert sizes == {1: [20] * 5, 20: [20] * 5, 50: [40, 40, 20]}[batch_trials]
 
     def test_anchor_sweep_drops_last_listed_first(self, small_config):
         config = replace(small_config, sweep_kind="anchor_count", mc_trials=5)

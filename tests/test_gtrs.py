@@ -8,7 +8,7 @@ import uwloc
 from conftest import brute_force_objective, gtrs_objective, random_solver_instance
 from uwloc import experiments, gtrs
 from uwloc.channel import Environment, MeasurementSet, NoiseModel, generate_measurements
-from uwloc.errors import ConvergenceError, GeometryError, UwlocError
+from uwloc.errors import ConvergenceError, GeometryError, InfeasibleProblemError, UwlocError
 from uwloc.gtrs import (
     GtrsSystem,
     build_known_power_system,
@@ -125,6 +125,25 @@ class TestLambdaInterval:
             edge = -1.0 / pencil_max
             expected = edge + 1e-12 * (1.0 + abs(edge))
             assert lower == pytest.approx(expected, rel=1e-6, abs=1e-12 * (1.0 + abs(edge)))
+
+    def test_floor_stays_below_the_root_when_the_pole_is_far(self):
+        # Noiseless 3-D fix with anchors within a few meters of a plane:
+        # lam* is about 2.7e12, where an absolute 1e-12 guard would put the
+        # floor above the root at -3.2e-13, and edge/2 would too.
+        anchors = np.array([
+            [6292.3, 4285.3, 3812.4], [3748.1, 2970.5, 4272.2], [4699.7, 2134.0, 4050.0],
+            [4716.1, 3852.9, 4113.4], [4902.9, 1707.2, 3995.6], [3888.7, 1906.1, 4214.4],
+            [4079.1, 4084.1, 4243.8],
+        ])
+        target = np.array([2280.8, 2696.6, 805.7])
+        env = Environment(ple=2.0, frequency_khz=9.0, transmit_power_dbm=0.0)
+        rss = uwloc.noiseless_rss(target, anchors, env)
+        measurements = MeasurementSet(np.arange(len(anchors)), rss, env)
+        system = build_system(measurements, link_weights(measurements, env), anchors, env)
+        lower, _ = lambda_interval(system)
+        estimate = solve(system)
+        assert lower < estimate.multiplier < 0.0
+        assert phi(lower, system) > 0.0
 
 
 class TestPhi:
@@ -354,11 +373,39 @@ def assert_bit_identical(batch, reference):
             assert getattr(got, field) == getattr(expected, field), field
 
 
-def sigma9_trial_systems(bundled_config, trials):
-    noise = replace(bundled_config.noise, sigma_db=9.0)
+def orthonormal_system(seed):
+    """A k = 2 joint-shaped system whose Gram matrix is the identity."""
+    rng = np.random.default_rng(seed)
+    design, _ = np.linalg.qr(rng.normal(size=(8, 4)))
+    quad = np.zeros((4, 4))
+    quad[:2, :2] = np.eye(2)
+    lin = np.zeros(4)
+    lin[2] = -0.5
+    return GtrsSystem(design, rng.normal(size=8), quad, lin, 2, 2.0)
+
+
+def shifted_scaled(eq, lam):
+    """The matrix whose Cholesky _Equilibrated.solve_at checks at ``lam``."""
+    shifted = eq.gram + lam * eq.quad
+    s = 1.0 / np.sqrt(shifted.diagonal())
+    return shifted * (s[:, None] * s)
+
+
+def classify_replies(batch, rows, lams):
+    """_Batch.classify as the (low, residual, z_hat or None) triples of _classify."""
+    residual, z_hat, solved = batch.classify(np.array(rows), np.array(lams, dtype=float))
+    return [(f > 0.0, f, z if ok else None) for f, z, ok in zip(residual.tolist(), z_hat, solved)]
+
+
+def trial_systems(bundled_config, sigma, trials):
+    noise = replace(bundled_config.noise, sigma_db=sigma)
     env = bundled_config.scenario.environment
-    setting = experiments._TrialSetting("sigma=9", bundled_config.scenario, noise, env)
+    setting = experiments._TrialSetting(f"sigma={sigma:g}", bundled_config.scenario, noise, env)
     return [experiments._trial_system(setting, bundled_config, t) for t in trials]
+
+
+def sigma9_trial_systems(bundled_config, trials):
+    return trial_systems(bundled_config, 9.0, trials)
 
 
 class TestSolveMany:
@@ -407,10 +454,11 @@ class TestSolveMany:
     def test_stack_rejected_by_numpy_is_classified_one_by_one(self, bundled_config):
         eqs = [gtrs._Equilibrated(system) for system in sigma9_trial_systems(bundled_config, range(3))]
         below_pole = 2.0 * eqs[0].multiplier_floor()
-        stack = gtrs._Stack(eqs)
+        batch = gtrs._Batch(eqs)
+        lams = [below_pole, 0.0, 1.0]
         with pytest.raises(np.linalg.LinAlgError):
-            stack._classify_stacked(np.arange(3), np.array([below_pole, 0.0, 1.0]))
-        replies = stack.classify([0, 1, 2], [below_pole, 0.0, 1.0])
+            np.linalg.cholesky(np.stack([shifted_scaled(eq, lam) for eq, lam in zip(eqs, lams)]))
+        replies = classify_replies(batch, [0, 1, 2], lams)
         assert replies[0] == (True, np.inf, None)
         for eq, lam, (low, residual, z_hat) in zip(eqs[1:], [0.0, 1.0], replies[1:]):
             expected = gtrs._classify(eq, lam)
@@ -423,25 +471,76 @@ class TestSolveMany:
         # a stacked round must call such multipliers low as solve_at does.
         systems = sigma9_trial_systems(bundled_config, range(6))
         eqs = [gtrs._Equilibrated(system) for system in systems]
-        stack = gtrs._Stack(eqs)
+        batch = gtrs._Batch(eqs)
         edges = []
-        for row, eq in enumerate(eqs):
+        for eq in eqs:
             fails, works = 2.0 * eq.multiplier_floor(), eq.multiplier_floor()
             while fails < 0.5 * (fails + works) < works:
                 mid = 0.5 * (fails + works)
                 try:
-                    stack._classify_stacked(np.array([row]), np.array([mid]))
+                    np.linalg.cholesky(shifted_scaled(eq, mid))
                     works = mid
                 except np.linalg.LinAlgError:
                     fails = mid
             edges.append(works)
-        replies = stack._classify_stacked(np.arange(len(eqs)), np.array(edges))
+        replies = classify_replies(batch, range(len(eqs)), edges)
         assert any(z_hat is None for _, _, z_hat in replies)
         for eq, lam, (low, residual, z_hat) in zip(eqs, edges, replies):
             expected = gtrs._classify(eq, lam)
             assert (low, residual) == expected[:2]
             assert (z_hat is None) == (expected[2] is None)
             assert z_hat is None or np.array_equal(z_hat, expected[2])
+
+    def test_every_exit_in_one_batch_matches_solve(self, bundled_config, monkeypatch):
+        # At sigma = 1 dB, trial 12 has a negative root and trial 11 takes
+        # the most bisection steps.
+        systems = trial_systems(bundled_config, 1.0, range(13))
+        alone = solve_each(systems)
+        iterations = [estimate.iterations for estimate in alone]
+        assert iterations.count(max(iterations)) == 1
+        slowest = iterations.index(max(iterations))
+        positive = next(i for i, e in enumerate(alone) if e.multiplier > 0.0 and i != slowest)
+        negative = next(i for i, e in enumerate(alone) if e.multiplier < 0.0 and i != slowest)
+        # Readings at q = 1 make the q^2 column the exact negative of the
+        # constant column, so the Gram matrix is singular and the solve at
+        # multiplier 0 fails; only the patched rank gate lets it through.
+        monkeypatch.setattr(gtrs, "_check_rank", lambda *args: None)
+        scenario = bundled_config.scenario
+        env = scenario.environment
+        flat = MeasurementSet(
+            np.arange(scenario.n_anchors), np.full(scenario.n_anchors, env.absorption_db_per_m), env
+        )
+        singular = build_system(flat, equal_weights(scenario.n_anchors), scenario.anchors_m, env)
+        # Without the constraint's quadratic part no pole bounds the
+        # downward search that phi(0) < 0 starts.
+        unbounded = replace(systems[0], constraint_quad=np.zeros((5, 5)))
+        monkeypatch.setattr(gtrs, "MAX_ITER", max(iterations) - 1)
+        batch = [systems[positive], systems[negative], systems[slowest], singular, unbounded]
+        reference = solve_each(batch)
+        assert [type(outcome) for outcome in reference] == [
+            gtrs.Estimate, gtrs.Estimate, ConvergenceError, GeometryError, InfeasibleProblemError,
+        ]
+        assert str(reference[3]) == "normal matrix is not positive definite"
+        assert_bit_identical(solve_many(batch), reference)
+
+
+    @pytest.mark.parametrize("expansions", [gtrs.MAX_EXPANSIONS, 1])
+    def test_expansions_match_solve(self, monkeypatch, expansions):
+        # Orthonormal designs put every pole at -1.  A floor of -1e-3 lies
+        # above the roots near -0.5 of seeds 0 and 6, as an inaccurate pole
+        # estimate can, so their searches step down twice; roots above 2
+        # step up from 2.  With one expansion allowed both directions fail.
+        systems = [orthonormal_system(seed) for seed in range(12)]
+        monkeypatch.setattr(gtrs._Equilibrated, "multiplier_floor", lambda self: -1e-3)
+        monkeypatch.setattr(gtrs, "MAX_EXPANSIONS", expansions)
+        reference = solve_each(systems)
+        failures = [str(outcome) for outcome in reference if isinstance(outcome, UwlocError)]
+        if expansions == 1:
+            assert any("down to multiplier" in message for message in failures)
+            assert any("up to multiplier" in message for message in failures)
+        else:
+            assert failures == []
+        assert_bit_identical(solve_many(systems), reference)
 
 
 class TestPowerDbm:
