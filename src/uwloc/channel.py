@@ -158,16 +158,16 @@ class Scenario:
                 f"need at least k + 2 = {k + 2} anchors for a joint"
                 f" position/power solve, got {n}"
             )
-        d = np.linalg.norm(target - anchors, axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows raise below
+            _, d, c = gradient_directions(target, anchors, self.environment)
+            # Regular only when the rows [c_i^T, ln(10)*d_i^2] span dimension k + 1.
+            rows = np.column_stack([c, LN10 * d**2])
         if np.any(d < REFERENCE_DISTANCE_M):
             i = int(np.argmin(d))
             raise GeometryError(
                 f"anchor {i} lies inside the reference distance"
                 f" (d = {d[i]:.3g} m)"
             )
-        # Regular only when the rows [c_i^T, ln(10)*d_i^2] span dimension k + 1.
-        _, d, c = gradient_directions(target, anchors, self.environment)
-        rows = np.column_stack([c, LN10 * d**2])
         if not np.all(np.isfinite(rows)):
             raise GeometryError(
                 "gradient directions overflow; coordinates or ple are too large"

@@ -59,8 +59,7 @@ MAX_EXPANSIONS = 120
 # can need over 1000 halvings to collapse its bracket; stop those here.
 MAX_ITER = 200
 
-# Phases of a search in the lockstep batch of solve_many.
-_START, _UP, _DOWN, _BISECT, _DONE = range(5)
+_NONPOSITIVE_DIAGONAL = "normal matrix has a nonpositive diagonal entry"
 
 
 @dataclass(frozen=True)
@@ -230,22 +229,42 @@ def build_known_power_system(measurements, weights, anchors_m, env):
 
 
 class _Equilibrated:
-    """Jacobi-scaled normal equations of one system; ``normal`` and
-    ``moment`` keep the unscaled R^T R and R^T v."""
+    """Jacobi-scaled normal equations of a stack of equal-width systems.
 
-    def __init__(self, system):
-        design = system.design
-        self.normal = design.T @ design
-        self.moment = design.T @ system.target
-        diag = np.diag(self.normal)
-        if np.any(diag <= 0.0):
-            raise GeometryError("normal matrix has a nonpositive diagonal entry")
+    Row i of every array belongs to system i: ``normal`` and ``moment``
+    are its unscaled R^T R and R^T v, ``constraint_quad`` and
+    ``constraint_lin`` its unscaled H and h, and ``gram``, ``quad``,
+    ``lin`` and ``rhs0`` their scaled copies.  ``valid`` is False where
+    the normal matrix has a nonpositive diagonal entry; such a row has no
+    scaling and is never searched.  :meth:`classify` takes the stack, and
+    ``eq[i]`` is system i alone, with 2-D arrays, for the one-system
+    methods.
+    """
+
+    @np.errstate(divide="ignore", invalid="ignore")  # rows that are not valid get inf or NaN
+    def __init__(self, systems):
+        # One 2-D product per system: numpy may run a stacked one through
+        # another BLAS routine, with other bits.
+        self.normal = np.array([system.design.T @ system.design for system in systems])
+        self.moment = np.array([system.design.T @ system.target for system in systems])
+        self.constraint_quad = np.array([system.constraint_quad for system in systems])
+        self.constraint_lin = np.array([system.constraint_lin for system in systems])
+        diag = self.normal.diagonal(axis1=1, axis2=2)
+        self.valid = ~(diag <= 0.0).any(axis=1)
         self.scale = 1.0 / np.sqrt(diag)
-        outer = np.outer(self.scale, self.scale)
+        outer = self.scale[:, :, None] * self.scale[:, None, :]
         self.gram = self.normal * outer
-        self.quad = system.constraint_quad * outer
-        self.lin = system.constraint_lin * self.scale
+        self.quad = self.constraint_quad * outer
+        self.lin = self.constraint_lin * self.scale
         self.rhs0 = self.moment * self.scale
+
+    def __getitem__(self, row):
+        """System ``row`` alone; a GeometryError where it is not valid."""
+        if not self.valid[row]:
+            raise GeometryError(_NONPOSITIVE_DIAGONAL)
+        one = object.__new__(_Equilibrated)
+        one.__dict__ = {name: value[row] for name, value in vars(self).items()}
+        return one
 
     def solve_at(self, lam, check_definite):
         """Solution of the shifted system, or None when it is not PD.
@@ -293,6 +312,38 @@ class _Equilibrated:
             guard = 1e-6 * abs(edge)
         return edge + guard
 
+    @np.errstate(divide="ignore", invalid="ignore")
+    def classify(self, rows, lams):
+        """:func:`_classify` of ``self[rows[j]]`` at ``lams[j]`` for every j.
+
+        Returns (residual, z_hat, solved) arrays.  Where the shifted matrix
+        is not PD, ``solved`` is False, the residual is inf and the z_hat
+        row is NaN, so ``residual > 0`` is :func:`_classify`'s ``low``.
+        The arithmetic is that of :meth:`solve_at` matrix by matrix, so
+        every bit matches.
+        """
+        quad, lin = self.quad[rows], self.lin[rows]
+        shifted = self.gram[rows] + lams[:, None, None] * quad
+        diag = shifted.diagonal(axis1=1, axis2=2)
+        s = 1.0 / np.sqrt(diag)
+        scaled = shifted * (s[:, :, None] * s[:, None, :])
+        rhs = (self.rhs0[rows] - lams[:, None] * lin) * s
+        # ~(diag <= 0).any(axis=1), cheaper: fmin skips NaN entries as any() does.
+        solved = ~(np.fmin.reduce(diag, axis=1) <= 0.0)
+        check = np.flatnonzero(solved & (lams < 0.0))
+        if check.size:
+            factor, taken = _lapack_rows(np.linalg.cholesky, scaled[check])
+            pivot = factor.diagonal(axis1=1, axis2=2).min(axis=1)
+            solved[check] = taken & ~(pivot <= 1e-6)
+        # A slice in the usual round, where every shifted matrix is PD.
+        live = slice(None) if solved.all() else np.flatnonzero(solved)
+        y, solved[live] = _lapack_rows(np.linalg.solve, scaled[live], rhs[live, :, None])
+        z_hat = np.full(rhs.shape, np.nan)
+        z_hat[live] = y[:, :, 0] * s[live]
+        residual = np.full(rows.size, np.inf)
+        residual[solved] = _quadratic(z_hat[solved], quad[solved], lin[solved])
+        return residual, z_hat, solved
+
 
 def lambda_interval(system):
     """Search interval (lower, +inf) for the Lagrange multiplier.
@@ -300,7 +351,7 @@ def lambda_interval(system):
     ``lower`` sits a guarded offset above -1/lam*, the point where the
     shifted normal matrix turns singular.
     """
-    return _Equilibrated(system).multiplier_floor(), np.inf
+    return _Equilibrated([system])[0].multiplier_floor(), np.inf
 
 
 def phi(lam, system):
@@ -309,7 +360,7 @@ def phi(lam, system):
     Strictly decreasing on the multiplier interval; its unique root is the
     optimal multiplier.
     """
-    eq = _Equilibrated(system)
+    eq = _Equilibrated([system])[0]
     z_hat = eq.solve_at(float(lam), check_definite=False)
     if z_hat is None or not np.all(np.isfinite(z_hat)):
         raise NumericalError(
@@ -322,7 +373,7 @@ def _classify(eq, lam):
     """(low, residual, z_hat) of one trial multiplier.
 
     ``low`` says the multiplier is below the root: the shifted matrix fails
-    to be PD (below the pole, sent as residual inf and z_hat None) or the
+    to be PD (below the pole, given as residual inf and z_hat None) or the
     residual is positive.
     """
     z_hat = eq.solve_at(lam, check_definite=lam < 0.0)
@@ -340,16 +391,14 @@ def _downward_start(eq):
     return a, 0.1 * (1.0 + abs(a))
 
 
-def _bisect_steps(eq):
-    """Root of the constraint residual by classification bisection.
+def _search(eq):
+    """Root of the constraint residual of one system by classification bisection.
 
-    A generator: it yields each trial multiplier and must be sent back
-    that multiplier's :func:`_classify` triple.  Returns (multiplier,
-    z_hat, iterations).  :func:`solve` drives it for one system, and
-    :func:`solve_many` takes the same steps as array state, which the
-    tests pin against it bit for bit.
+    Returns (multiplier, z_hat, iterations).  :func:`solve_many` takes
+    the same steps over a stack of systems, which the tests pin against
+    this bit for bit.
     """
-    _, f0, z0 = yield 0.0
+    _, f0, z0 = _classify(eq, 0.0)
     if z0 is None:
         raise GeometryError("normal matrix is not positive definite")
     if f0 == 0.0:
@@ -358,11 +407,11 @@ def _bisect_steps(eq):
         # Root is positive: expand upward until the residual turns negative.
         a = 0.0
         b = max(1.0, float(np.linalg.norm(eq.gram)))
-        low, fb, zb = yield b
+        low, fb, zb = _classify(eq, b)
         n = 0
         while low and n < MAX_EXPANSIONS:
             a, b = b, 2.0 * b
-            low, fb, zb = yield b
+            low, fb, zb = _classify(eq, b)
             n += 1
         if low:
             raise InfeasibleProblemError(
@@ -376,7 +425,7 @@ def _bisect_steps(eq):
         b = 0.0
         best = (0.0, abs(f0), z0)
         a, step = _downward_start(eq)
-        low, fa, za = yield a
+        low, fa, za = _classify(eq, a)
         n = 0
         while not low and n < MAX_EXPANSIONS:
             b = a
@@ -384,7 +433,7 @@ def _bisect_steps(eq):
                 best = (a, abs(fa), za)
             a -= step
             step *= 2.0
-            low, fa, za = yield a
+            low, fa, za = _classify(eq, a)
             n += 1
         if not low:
             raise InfeasibleProblemError(
@@ -401,7 +450,7 @@ def _bisect_steps(eq):
         mid = 0.5 * (a + b)
         if mid == a or mid == b:
             break  # bracket has collapsed to adjacent floats
-        low, fm, zm = yield mid
+        low, fm, zm = _classify(eq, mid)
         iterations += 1
         if zm is not None and abs(fm) < best[1]:
             best = (mid, abs(fm), zm)
@@ -436,39 +485,40 @@ def _quadratic(z, quad, lin):
 
 
 @np.errstate(divide="ignore", invalid="ignore")
-def _finalize(systems, eqs, lams, z_hats, iterations):
-    """Estimates of finished searches, from one stacked pass.
+def _finalize(systems, eq, rows, lam, z_hat, iterations):
+    """Estimates of the finished searches at the index array ``rows`` of ``eq``.
 
-    Each matrix goes through the arithmetic it would get alone, so an
-    estimate does not depend on the batch it was finalized in.
+    ``systems``, ``lam``, ``z_hat`` and ``iterations`` hold one entry per
+    row of the stack.  One stacked pass puts each matrix through the
+    arithmetic it would get alone, so an estimate does not depend on the
+    batch it was finalized in.
     """
-    quad = np.array([system.constraint_quad for system in systems])
-    lin = np.array([system.constraint_lin for system in systems])
-    normal = np.array([eq.normal for eq in eqs])
-    z = z_hats * np.array([eq.scale for eq in eqs])
-    rhs = np.array([eq.moment for eq in eqs]) - lams[:, None] * lin
+    quad, lin, normal = eq.constraint_quad[rows], eq.constraint_lin[rows], eq.normal[rows]
+    lams = lam[rows]
+    z = z_hat[rows] * eq.scale[rows]
+    rhs = eq.moment[rows] - lams[:, None] * lin
     shifted = normal + lams[:, None, None] * quad
     residual = _norms((shifted @ z[:, :, None])[:, :, 0] - rhs)
-    scale = _norms(shifted.reshape(len(eqs), -1)) * _norms(z) + _norms(rhs)
+    scale = _norms(shifted.reshape(len(rows), -1)) * _norms(z) + _norms(rhs)
     stationarity = np.where(scale > 0, residual / scale, residual)
     constraint = _quadratic(z, quad, lin)
     min_eig = np.linalg.eigvalsh(shifted).min(axis=1)
     min_eig_ratio = min_eig / np.linalg.svd(normal, compute_uv=False).max(axis=1)
     estimates = []
-    for system, row, lam, count, stat, cons, ratio in zip(
-        systems, z, lams.tolist(), iterations,
-        stationarity.tolist(), constraint.tolist(), min_eig_ratio.tolist(),
+    for row, z_row, multiplier, stat, cons, ratio in zip(
+        rows, z, lams.tolist(), stationarity.tolist(), constraint.tolist(), min_eig_ratio.tolist(),
     ):
+        system = systems[row]
         k = system.dimension
-        power = _power_dbm(row[k + 1], system.ple) if row.shape[0] == k + 2 else None
+        power = _power_dbm(z_row[k + 1], system.ple) if z_row.shape[0] == k + 2 else None
         estimates.append(
             Estimate(
-                z=row,
-                position_m=row[:k].copy(),
+                z=z_row,
+                position_m=z_row[:k].copy(),
                 transmit_power_dbm=power,
                 power_valid=power is not None,
-                multiplier=lam,
-                iterations=int(count),
+                multiplier=multiplier,
+                iterations=int(iterations[row]),
                 kkt_stationarity=stat,
                 kkt_constraint=cons,
                 kkt_min_eig_ratio=ratio,
@@ -488,15 +538,9 @@ def solve(system):
     multiplier with the smallest constraint residual seen; more than
     MAX_ITER steps is a ConvergenceError.
     """
-    eq = _Equilibrated(system)
-    steps = _bisect_steps(eq)
-    try:
-        lam = next(steps)
-        while True:
-            lam = steps.send(_classify(eq, lam))
-    except StopIteration as done:
-        lam, z_hat, iterations = done.value
-    return _finalize([system], [eq], np.array([lam]), z_hat[None], [iterations])[0]
+    eq = _Equilibrated([system])
+    lam, z_hat, iterations = _search(eq[0])
+    return _finalize([system], eq, np.array([0]), np.array([lam]), z_hat[None], [iterations])[0]
 
 
 # The known-power system needs no solver of its own; the name stays public.
@@ -524,177 +568,119 @@ def _lapack_rows(op, *stacks):
     return tuple(np.concatenate(outputs) for outputs in zip(*parts))
 
 
-class _Batch:
-    """Equilibrated normal equations of equal-width systems, stacked."""
-
-    def __init__(self, eqs):
-        self.gram = np.array([eq.gram for eq in eqs])
-        self.quad = np.array([eq.quad for eq in eqs])
-        self.lin = np.array([eq.lin for eq in eqs])
-        self.rhs0 = np.array([eq.rhs0 for eq in eqs])
-
-    @np.errstate(divide="ignore", invalid="ignore")
-    def classify(self, rows, lams):
-        """:func:`_classify` of ``eqs[rows[j]]`` at ``lams[j]`` for every j.
-
-        Returns (residual, z_hat, solved) arrays.  Where the shifted matrix
-        is not PD, ``solved`` is False, the residual is inf and the z_hat
-        row is NaN, so ``residual > 0`` is :func:`_classify`'s ``low``.
-        The arithmetic is that of :meth:`_Equilibrated.solve_at` matrix by
-        matrix, so every bit matches.
-        """
-        quad, lin = self.quad[rows], self.lin[rows]
-        shifted = self.gram[rows] + lams[:, None, None] * quad
-        diag = shifted.diagonal(axis1=1, axis2=2)
-        s = 1.0 / np.sqrt(diag)
-        scaled = shifted * (s[:, :, None] * s[:, None, :])
-        rhs = (self.rhs0[rows] - lams[:, None] * lin) * s
-        # ~(diag <= 0).any(axis=1), cheaper: fmin skips NaN entries as any() does.
-        solved = ~(np.fmin.reduce(diag, axis=1) <= 0.0)
-        check = np.flatnonzero(solved & (lams < 0.0))
-        if check.size:
-            factor, taken = _lapack_rows(np.linalg.cholesky, scaled[check])
-            pivot = factor.diagonal(axis1=1, axis2=2).min(axis=1)
-            solved[check] = taken & ~(pivot <= 1e-6)
-        # A slice in the usual round, where every shifted matrix is PD.
-        live = slice(None) if solved.all() else np.flatnonzero(solved)
-        y, solved[live] = _lapack_rows(np.linalg.solve, scaled[live], rhs[live, :, None])
-        z_hat = np.full(rhs.shape, np.nan)
-        z_hat[live] = y[:, :, 0] * s[live]
-        residual = np.full(rows.size, np.inf)
-        residual[solved] = _quadratic(z_hat[solved], quad[solved], lin[solved])
-        return residual, z_hat, solved
-
-
 def solve_many(systems):
     """:func:`solve` applied to every system, with bit-identical results.
 
     Every system must have the same design width (one power mode of one
-    spatial dimension), as the trials of one sweep do.  The searches of
-    :func:`_bisect_steps` run in lockstep as array state, one row per
-    system: each round classifies the trial multipliers of all
-    unfinished systems in one stacked evaluation, and masks advance each
-    row by its phase (the step at 0, expansion up, expansion down,
-    bisection).  The finished searches are finalized in one stacked
-    pass.  Returns one entry per system, in order: its Estimate, or the
-    UwlocError instance that :func:`solve` would have raised for it alone.
+    spatial dimension), as the trials of one sweep do.  One
+    :class:`_Equilibrated` holds them all, and the stages of
+    :func:`_search` run over it in order, as array state with one row per
+    system: every row is classified at 0, the rows with a positive
+    residual expand upward together, those with a negative one expand
+    downward together, and every bracketed row then bisects.  Each round
+    of a stage classifies its rows in one stacked evaluation, and the
+    finished searches are finalized in one stacked pass.  Returns one
+    entry per system, in order: its Estimate, or the UwlocError instance
+    that :func:`solve` would have raised for it alone.
     """
-    results = [None] * len(systems)
-    eqs, index = [], []
-    for i, system in enumerate(systems):
-        try:
-            eqs.append(_Equilibrated(system))
-        except UwlocError as exc:
-            results[i] = exc
-            continue
-        index.append(i)
-    if not eqs:
-        return results
-    batch = _Batch(eqs)
-    n = len(eqs)
-    phase = np.full(n, _START)
-    lam, a, b, step = np.zeros(n), np.zeros(n), np.zeros(n), np.zeros(n)
-    expansions, iterations = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
-    best_lam, best_abs, best_z = np.zeros(n), np.zeros(n), np.empty_like(batch.rhs0)
+    if not systems:
+        return []
+    eq = _Equilibrated(systems)
+    n = len(systems)
+    a, b, step = np.zeros(n), np.zeros(n), np.zeros(n)
+    best_lam, best_abs, best_z = np.zeros(n), np.zeros(n), np.empty_like(eq.rhs0)
+    iterations = np.zeros(n, dtype=int)
     errors = {}  # row -> the UwlocError that ends its search
 
     def fail(rows, error):
         for row in rows.tolist():
             errors[row] = error(row)
-            phase[row] = _DONE
 
-    active = np.arange(n)
-    while active.size:
-        residual, z_hat, solved = batch.classify(active, lam[active])
-        low, size, at = residual > 0.0, np.abs(residual), phase[active]
+    def keep(rows, lams, residual, z_hat):
+        """Record the multipliers ``lams`` classified at ``rows`` as their best."""
+        best_lam[rows], best_abs[rows], best_z[rows] = lams, np.abs(residual), z_hat
 
-        def keep(pos):
-            """Record the multipliers classified at ``pos`` as their rows' best."""
-            rows = active[pos]
-            best_lam[rows], best_abs[rows], best_z[rows] = lam[rows], size[pos], z_hat[pos]
+    fail(np.flatnonzero(~eq.valid), lambda r: GeometryError(_NONPOSITIVE_DIAGONAL))
+    rows = np.flatnonzero(eq.valid)
+    f, z_hat, solved = eq.classify(rows, np.zeros(rows.size))
+    keep(rows, 0.0, f, z_hat)
+    fail(rows[~solved], lambda r: GeometryError("normal matrix is not positive definite"))
+    up = rows[solved & (f > 0.0)]
+    down = rows[solved & ~(f == 0.0) & ~(f > 0.0)]
+    bracketed = [rows[:0]]
 
-        pos = np.flatnonzero(at == _START)
-        if pos.size:  # at 0: stop on a zero residual, else expand toward the root
-            rows, f, ok = active[pos], residual[pos], solved[pos]
-            keep(pos)
-            fail(rows[~ok], lambda r: GeometryError("normal matrix is not positive definite"))
-            phase[rows[ok & (f == 0.0)]] = _DONE
-            up = rows[ok & (f > 0.0)]
-            gram = batch.gram[up].reshape(up.size, batch.gram[0].size)
-            b[up] = lam[up] = np.fmax(1.0, _norms(gram))  # as max(1, norm) in _bisect_steps
-            phase[up] = _UP
-            for row in rows[ok & ~(f == 0.0) & ~(f > 0.0)].tolist():
-                try:
-                    a[row], step[row] = _downward_start(eqs[row])
-                except UwlocError as exc:
-                    fail(np.array([row]), lambda r: exc)
-                else:
-                    lam[row], phase[row] = a[row], _DOWN
-
-        enter = []  # rows whose bracket is set: they take a bisection step
-        pos = np.flatnonzero(at == _UP)
-        if pos.size:  # double b until the residual turns negative
-            rows, lo = active[pos], low[pos]
-            more = lo & (expansions[rows] < MAX_EXPANSIONS)
-            grow = rows[more]
-            a[grow], b[grow] = b[grow], 2.0 * b[grow]
-            lam[grow] = b[grow]
-            expansions[grow] += 1
-            fail(rows[lo & ~more], lambda r: InfeasibleProblemError(
+    # Upward: double b until the residual turns negative.
+    width = eq.gram.shape[1]
+    b[up] = np.fmax(1.0, _norms(eq.gram[up].reshape(up.size, width * width)))
+    rows, count = up, 0
+    while rows.size:
+        f, z_hat, _ = eq.classify(rows, b[rows])
+        low = f > 0.0
+        keep(rows[~low], b[rows[~low]], f[~low], z_hat[~low])
+        bracketed.append(rows[~low])
+        rows = rows[low]
+        if count >= MAX_EXPANSIONS:
+            fail(rows, lambda r: InfeasibleProblemError(
                 f"no constraint-residual sign change up to multiplier {b[r]:.3e}"))
-            keep(pos[~lo])
-            enter.append(rows[~lo])
+            break
+        a[rows], b[rows] = b[rows], 2.0 * b[rows]
+        count += 1
 
-        pos = np.flatnonzero(at == _DOWN)
-        if pos.size:  # step a down, doubling the step, until it is low
-            rows, lo = active[pos], low[pos]
-            more = ~lo & (expansions[rows] < MAX_EXPANSIONS)
-            grow = rows[more]
-            b[grow] = a[grow]
-            better = more & (size[pos] < best_abs[rows])
-            keep(pos[better])
-            a[grow] -= step[grow]
-            step[grow] *= 2.0
-            lam[grow] = a[grow]
-            expansions[grow] += 1
-            fail(rows[~lo & ~more], lambda r: InfeasibleProblemError(
+    # Downward: step a down from the guarded pole, doubling the step, until it is low.
+    starts = []
+    for row in down.tolist():
+        try:
+            a[row], step[row] = _downward_start(eq[row])
+        except UwlocError as exc:
+            errors[row] = exc
+        else:
+            starts.append(row)
+    rows, count = np.array(starts, dtype=int), 0
+    while rows.size:
+        f, z_hat, _ = eq.classify(rows, a[rows])
+        low = f > 0.0
+        bracketed.append(rows[low])
+        rows, f, z_hat = rows[~low], f[~low], z_hat[~low]
+        if count >= MAX_EXPANSIONS:
+            fail(rows, lambda r: InfeasibleProblemError(
                 f"no constraint-residual sign change down to multiplier {a[r]:.3e}"))
-            enter.append(rows[lo])
+            break
+        b[rows] = a[rows]
+        better = np.abs(f) < best_abs[rows]
+        keep(rows[better], a[rows[better]], f[better], z_hat[better])
+        a[rows] -= step[rows]
+        step[rows] *= 2.0
+        count += 1
 
-        pos = np.flatnonzero(at == _BISECT)
-        if pos.size:  # keep the best, stop on a zero residual, else halve
-            rows, lo = active[pos], low[pos]
-            iterations[rows] += 1
-            better = solved[pos] & (size[pos] < best_abs[rows])
-            keep(pos[better])
-            zero = solved[pos] & (residual[pos] == 0.0)
-            phase[rows[zero]] = _DONE
-            a[rows[lo]] = lam[rows[lo]]
-            b[rows[~lo]] = lam[rows[~lo]]
-            enter.append(rows[~zero])
-
-        rows = np.concatenate(enter) if enter else active[:0]
+    # Bisection: keep the best, stop on a zero residual, else halve.
+    rows, count = np.concatenate(bracketed), 0
+    while True:
         lower, upper = a[rows], b[rows]
-        bracket = upper > lower
-        over = bracket & (iterations[rows] >= MAX_ITER)
-        fail(rows[over], lambda r: ConvergenceError(
-            f"bisection exceeded {MAX_ITER} iterations (bracket width {b[r] - a[r]:.3e})",
-            bracket=(float(a[r]), float(b[r]))))
         mid = 0.5 * (lower + upper)
-        go = bracket & ~over & (mid != lower) & (mid != upper)
-        lam[rows[go]] = mid[go]
-        phase[rows[go]] = _BISECT
-        phase[rows[~go & ~over]] = _DONE  # the bracket has collapsed
-        active = np.flatnonzero(phase != _DONE)
+        go = upper > lower
+        if count >= MAX_ITER:
+            fail(rows[go], lambda r: ConvergenceError(
+                f"bisection exceeded {MAX_ITER} iterations (bracket width {b[r] - a[r]:.3e})",
+                bracket=(float(a[r]), float(b[r]))))
+            go[:] = False
+        go &= (mid != lower) & (mid != upper)
+        iterations[rows[~go]] = count  # collapsed brackets end here
+        rows, mid = rows[go], mid[go]
+        if not rows.size:
+            break
+        f, z_hat, solved = eq.classify(rows, mid)
+        count += 1
+        better = solved & (np.abs(f) < best_abs[rows])
+        keep(rows[better], mid[better], f[better], z_hat[better])
+        low = f > 0.0
+        a[rows[low]], b[rows[~low]] = mid[low], mid[~low]
+        zero = solved & (f == 0.0)
+        iterations[rows[zero]] = count
+        rows = rows[~zero]
 
     done = [row for row in range(n) if row not in errors]
+    results = dict(errors)
     if done:
-        estimates = _finalize(
-            [systems[index[row]] for row in done], [eqs[row] for row in done],
-            best_lam[done], best_z[done], iterations[done],
-        )
-        for row, estimate in zip(done, estimates):
-            results[index[row]] = estimate
-    for row, error in errors.items():
-        results[index[row]] = error
-    return results
+        rows = np.array(done)
+        results.update(zip(done, _finalize(systems, eq, rows, best_lam, best_z, iterations)))
+    return [results[row] for row in range(n)]

@@ -287,6 +287,7 @@ class TestExitCodes:
         assert main(["crlb", "--config", str(path)]) == 1
         assert capsys.readouterr().err.startswith(f"configuration error: {path}: ")
 
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_coordinates_are_a_geometry_error(self, tmp_path, config_path, capsys):
         doc = json.loads(config_path.read_text())
         doc["anchors_m"][0][0] = 1e300

@@ -392,7 +392,7 @@ def shifted_scaled(eq, lam):
 
 
 def classify_replies(batch, rows, lams):
-    """_Batch.classify as the (low, residual, z_hat or None) triples of _classify."""
+    """_Equilibrated.classify as the (low, residual, z_hat or None) triples of _classify."""
     residual, z_hat, solved = batch.classify(np.array(rows), np.array(lams, dtype=float))
     return [(f > 0.0, f, z if ok else None) for f, z, ok in zip(residual.tolist(), z_hat, solved)]
 
@@ -452,9 +452,9 @@ class TestSolveMany:
         assert isinstance(batch[failed[0]], ConvergenceError)
 
     def test_stack_rejected_by_numpy_is_classified_one_by_one(self, bundled_config):
-        eqs = [gtrs._Equilibrated(system) for system in sigma9_trial_systems(bundled_config, range(3))]
+        batch = gtrs._Equilibrated(sigma9_trial_systems(bundled_config, range(3)))
+        eqs = [batch[row] for row in range(3)]
         below_pole = 2.0 * eqs[0].multiplier_floor()
-        batch = gtrs._Batch(eqs)
         lams = [below_pole, 0.0, 1.0]
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(np.stack([shifted_scaled(eq, lam) for eq, lam in zip(eqs, lams)]))
@@ -470,8 +470,8 @@ class TestSolveMany:
         # starts to fail, it succeeds with a pivot under the 1e-6 floor;
         # a stacked round must call such multipliers low as solve_at does.
         systems = sigma9_trial_systems(bundled_config, range(6))
-        eqs = [gtrs._Equilibrated(system) for system in systems]
-        batch = gtrs._Batch(eqs)
+        batch = gtrs._Equilibrated(systems)
+        eqs = [batch[row] for row in range(len(systems))]
         edges = []
         for eq in eqs:
             fails, works = 2.0 * eq.multiplier_floor(), eq.multiplier_floor()
@@ -523,6 +523,21 @@ class TestSolveMany:
         assert str(reference[3]) == "normal matrix is not positive definite"
         assert_bit_identical(solve_many(batch), reference)
 
+
+    def test_zero_design_column_fails_alone(self):
+        # A zero column gives the normal matrix a zero diagonal entry, which
+        # the Jacobi scaling cannot invert; past the rank gate only a
+        # directly built system has one.
+        systems = [orthonormal_system(seed) for seed in range(6)]
+        design = systems[2].design.copy()
+        design[:, 1] = 0.0
+        systems[2] = replace(systems[2], design=design)
+        reference = solve_each(systems)
+        assert isinstance(reference[2], GeometryError)
+        assert str(reference[2]) == "normal matrix has a nonpositive diagonal entry"
+        assert sum(isinstance(outcome, gtrs.Estimate) for outcome in reference) == 5
+        assert_bit_identical(solve_many(systems), reference)
+        assert_bit_identical(solve_many(systems[2:3]), reference[2:3])
 
     @pytest.mark.parametrize("expansions", [gtrs.MAX_EXPANSIONS, 1])
     def test_expansions_match_solve(self, monkeypatch, expansions):
