@@ -352,22 +352,21 @@ def run_sweep(config):
     ]
 
 
-def measure_runtime(config, n_solves=100):
-    """Average wall-clock seconds per full pipeline solve, single-threaded.
+def measure_runtime(config):
+    """Average wall-clock seconds per full pipeline solve, over 100 fixes.
 
     Covers weighting, system assembly, the bisection, and extraction;
     measurement generation is excluded.
     """
-    n_solves = max(int(n_solves), 100)
     scenario = config.scenario
     batches = [
         generate_measurements(scenario, config.noise, trial_rng(config.master_seed, i))
-        for i in range(n_solves)
+        for i in range(100)
     ]
     start = time.perf_counter()
     for measurements in batches:
         locate(config, measurements, scenario.anchors_m, scenario.environment)
-    return (time.perf_counter() - start) / n_solves
+    return (time.perf_counter() - start) / len(batches)
 
 
 CSV_COLUMNS = (

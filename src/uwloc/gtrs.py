@@ -16,8 +16,9 @@ whose exact solution is characterized by a Lagrange multiplier lam with
     R^T R + lam*H  positive semidefinite,
 
 and the constraint residual phi(lam) is strictly decreasing on the interval
-(-1/lam*, inf), lam* being the largest eigenvalue of
-(R^T R)^{-1/2} H (R^T R)^{-1/2}.  The unique root is found by bisection.
+(-1/lam*, inf), lam* > 0 being the largest eigenvalue of
+(R^T R)^{-1/2} H (R^T R)^{-1/2}, where the lifting fixes H = diag(I_k, 0)
+and h = -e_k/2.  The unique root is found by bisection.
 
 Numerical notes: the normal matrix mixes meter, meter^2, and dimensionless
 columns, so all internal solves run on a Jacobi-equilibrated copy (a pure
@@ -28,6 +29,7 @@ lying below the root, so the bisection never depends on a high-accuracy
 estimate of lam*.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,18 +66,17 @@ _NONPOSITIVE_DIAGONAL = "normal matrix has a nonpositive diagonal entry"
 
 @dataclass(frozen=True)
 class GtrsSystem:
-    """Weighted design matrix, target vector, and constraint matrices.
+    """Weighted design matrix and target vector of the lifted system.
 
     ``design`` has k + 2 columns for a joint position/power system and
     k + 1 columns when the transmit power is known; ``dimension`` is always
-    the spatial dimension k.  ``ple`` is kept so the power read-out
+    the spatial dimension k, which with the width fixes the constraint
+    H = diag(I_k, 0), h = -e_k/2.  ``ple`` is kept so the power read-out
     5*ple*log10(u) needs no extra context.
     """
 
     design: np.ndarray
     target: np.ndarray
-    constraint_quad: np.ndarray
-    constraint_lin: np.ndarray
     dimension: int
     ple: float
 
@@ -194,11 +195,7 @@ def _build(measurements, weights, anchors_m, env, estimates_power):
             "the weighted system overflows: readings or anchor coordinates are too large"
         )
     _check_rank(design, q2, k)
-    quad = np.zeros((m, m))
-    quad[:k, :k] = np.eye(k)
-    lin = np.zeros(m)
-    lin[k] = -0.5
-    return GtrsSystem(design, target, quad, lin, k, beta)
+    return GtrsSystem(design, target, k, beta)
 
 
 def build_system(measurements, weights, anchors_m, env):
@@ -228,17 +225,25 @@ def build_known_power_system(measurements, weights, anchors_m, env):
     return _build(measurements, weights, anchors_m, env, estimates_power=False)
 
 
+@functools.cache
+def _lifting(width, k):
+    """The lifting constraint H = diag(I_k, 0), h = -e_k/2 of a ``width``-column system."""
+    column = np.arange(width)
+    return np.diag((column < k) * 1.0), np.where(column == k, -0.5, 0.0)
+
+
 class _Equilibrated:
     """Jacobi-scaled normal equations of a stack of equal-width systems.
 
     Row i of every array belongs to system i: ``normal`` and ``moment``
     are its unscaled R^T R and R^T v, ``constraint_quad`` and
-    ``constraint_lin`` its unscaled H and h, and ``gram``, ``quad``,
-    ``lin`` and ``rhs0`` their scaled copies.  ``valid`` is False where
-    the normal matrix has a nonpositive diagonal entry; such a row has no
-    scaling and is never searched.  :meth:`classify` takes the stack, and
-    ``eq[i]`` is system i alone, with 2-D arrays, for the one-system
-    methods.
+    ``constraint_lin`` its unscaled H = diag(I_k, 0) and h = -e_k/2,
+    derived from its ``dimension`` k and the width, and ``gram``, ``quad``,
+    ``lin`` and ``rhs0`` their scaled copies; ``ple`` is its path-loss
+    exponent.  ``valid`` is False where the normal matrix has a
+    nonpositive diagonal entry; such a row has no scaling and is never
+    searched.  :meth:`classify` takes the stack, and ``eq[i]`` is system i
+    alone, with 2-D arrays, for the one-system methods.
     """
 
     @np.errstate(divide="ignore", invalid="ignore")  # rows that are not valid get inf or NaN
@@ -247,8 +252,10 @@ class _Equilibrated:
         # another BLAS routine, with other bits.
         self.normal = np.array([system.design.T @ system.design for system in systems])
         self.moment = np.array([system.design.T @ system.target for system in systems])
-        self.constraint_quad = np.array([system.constraint_quad for system in systems])
-        self.constraint_lin = np.array([system.constraint_lin for system in systems])
+        self.dimension = np.array([system.dimension for system in systems])
+        self.ple = np.array([system.ple for system in systems])
+        lifts = [_lifting(system.design.shape[1], system.dimension) for system in systems]
+        self.constraint_quad, self.constraint_lin = (np.array(part) for part in zip(*lifts))
         diag = self.normal.diagonal(axis1=1, axis2=2)
         self.valid = ~(diag <= 0.0).any(axis=1)
         self.scale = 1.0 / np.sqrt(diag)
@@ -302,8 +309,6 @@ class _Equilibrated:
             raise GeometryError(f"normal matrix is singular: {exc}") from exc
         pencil = inv_sqrt @ self.quad @ inv_sqrt
         lam_star = float(numerics.sym_eig(pencil)[0][-1])
-        if lam_star <= 0.0:
-            return -np.inf
         edge = -1.0 / lam_star
         guard = ENDPOINT_GUARD * (1.0 + abs(edge))
         if guard >= 0.5 * abs(edge):
@@ -348,8 +353,8 @@ class _Equilibrated:
 def lambda_interval(system):
     """Search interval (lower, +inf) for the Lagrange multiplier.
 
-    ``lower`` sits a guarded offset above -1/lam*, the point where the
-    shifted normal matrix turns singular.
+    ``lower``, finite and negative, sits a guarded offset above -1/lam*,
+    the point where the shifted normal matrix turns singular.
     """
     return _Equilibrated([system])[0].multiplier_floor(), np.inf
 
@@ -383,14 +388,6 @@ def _classify(eq, lam):
     return residual > 0.0, residual, z_hat
 
 
-def _downward_start(eq):
-    """First multiplier and step of the downward search: the guarded pole."""
-    a = eq.multiplier_floor()
-    if not np.isfinite(a):
-        raise InfeasibleProblemError("constraint matrix has no negative pole")
-    return a, 0.1 * (1.0 + abs(a))
-
-
 def _search(eq):
     """Root of the constraint residual of one system by classification bisection.
 
@@ -406,7 +403,7 @@ def _search(eq):
     if f0 > 0.0:
         # Root is positive: expand upward until the residual turns negative.
         a = 0.0
-        b = max(1.0, float(np.linalg.norm(eq.gram)))
+        b = float(np.linalg.norm(eq.gram))
         low, fb, zb = _classify(eq, b)
         n = 0
         while low and n < MAX_EXPANSIONS:
@@ -424,7 +421,8 @@ def _search(eq):
         # imprecise endpoint estimate only costs extra expansions.
         b = 0.0
         best = (0.0, abs(f0), z0)
-        a, step = _downward_start(eq)
+        a = eq.multiplier_floor()
+        step = 0.1 * (1.0 + abs(a))
         low, fa, za = _classify(eq, a)
         n = 0
         while not low and n < MAX_EXPANSIONS:
@@ -485,11 +483,11 @@ def _quadratic(z, quad, lin):
 
 
 @np.errstate(divide="ignore", invalid="ignore")
-def _finalize(systems, eq, rows, lam, z_hat, iterations):
+def _finalize(eq, rows, lam, z_hat, iterations):
     """Estimates of the finished searches at the index array ``rows`` of ``eq``.
 
-    ``systems``, ``lam``, ``z_hat`` and ``iterations`` hold one entry per
-    row of the stack.  One stacked pass puts each matrix through the
+    ``lam``, ``z_hat`` and ``iterations`` hold one entry per row of the
+    stack.  One stacked pass puts each matrix through the
     arithmetic it would get alone, so an estimate does not depend on the
     batch it was finalized in.
     """
@@ -505,12 +503,11 @@ def _finalize(systems, eq, rows, lam, z_hat, iterations):
     min_eig = np.linalg.eigvalsh(shifted).min(axis=1)
     min_eig_ratio = min_eig / np.linalg.svd(normal, compute_uv=False).max(axis=1)
     estimates = []
-    for row, z_row, multiplier, stat, cons, ratio in zip(
-        rows, z, lams.tolist(), stationarity.tolist(), constraint.tolist(), min_eig_ratio.tolist(),
+    for row, k, ple, z_row, multiplier, stat, cons, ratio in zip(
+        rows, eq.dimension[rows].tolist(), eq.ple[rows].tolist(), z, lams.tolist(),
+        stationarity.tolist(), constraint.tolist(), min_eig_ratio.tolist(),
     ):
-        system = systems[row]
-        k = system.dimension
-        power = _power_dbm(z_row[k + 1], system.ple) if z_row.shape[0] == k + 2 else None
+        power = _power_dbm(z_row[k + 1], ple) if z_row.shape[0] == k + 2 else None
         estimates.append(
             Estimate(
                 z=z_row,
@@ -540,7 +537,7 @@ def solve(system):
     """
     eq = _Equilibrated([system])
     lam, z_hat, iterations = _search(eq[0])
-    return _finalize([system], eq, np.array([0]), np.array([lam]), z_hat[None], [iterations])[0]
+    return _finalize(eq, np.array([0]), np.array([lam]), z_hat[None], [iterations])[0]
 
 
 # The known-power system needs no solver of its own; the name stays public.
@@ -611,7 +608,7 @@ def solve_many(systems):
 
     # Upward: double b until the residual turns negative.
     width = eq.gram.shape[1]
-    b[up] = np.fmax(1.0, _norms(eq.gram[up].reshape(up.size, width * width)))
+    b[up] = _norms(eq.gram[up].reshape(up.size, width * width))
     rows, count = up, 0
     while rows.size:
         f, z_hat, _ = eq.classify(rows, b[rows])
@@ -630,12 +627,13 @@ def solve_many(systems):
     starts = []
     for row in down.tolist():
         try:
-            a[row], step[row] = _downward_start(eq[row])
+            a[row] = eq[row].multiplier_floor()
         except UwlocError as exc:
             errors[row] = exc
         else:
             starts.append(row)
     rows, count = np.array(starts, dtype=int), 0
+    step[rows] = 0.1 * (1.0 + np.abs(a[rows]))
     while rows.size:
         f, z_hat, _ = eq.classify(rows, a[rows])
         low = f > 0.0
@@ -682,5 +680,5 @@ def solve_many(systems):
     results = dict(errors)
     if done:
         rows = np.array(done)
-        results.update(zip(done, _finalize(systems, eq, rows, best_lam, best_z, iterations)))
+        results.update(zip(done, _finalize(eq, rows, best_lam, best_z, iterations)))
     return [results[row] for row in range(n)]

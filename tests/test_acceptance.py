@@ -364,7 +364,7 @@ def test_c13_simulate_determinism(tmp_path):
 
 def test_c14_runtime_report(bundled):
     with criterion(14, "runtime measured and reported"):
-        seconds = measure_runtime(replace(bundled, mc_trials=100), n_solves=100)
+        seconds = measure_runtime(replace(bundled, mc_trials=100))
         assert seconds > 0.0
         print(
             f"  single-solve wall time: {seconds:.4f} s"

@@ -203,16 +203,10 @@ class TestRunSweep:
 
 class TestRuntime:
     def test_positive_and_reasonably_stable(self, small_config):
-        first = measure_runtime(small_config, n_solves=100)
-        second = measure_runtime(small_config, n_solves=100)
+        first = measure_runtime(small_config)
+        second = measure_runtime(small_config)
         assert first > 0 and second > 0
         assert abs(first - second) <= 0.5 * (first + second) / 2.0
-
-    def test_total_time_scales_with_solve_count(self, small_config):
-        per_100 = measure_runtime(small_config, n_solves=100)
-        per_200 = measure_runtime(small_config, n_solves=200)
-        ratio = (200.0 * per_200) / (100.0 * per_100)
-        assert 1.6 <= ratio <= 2.4
 
 
 class TestCsv:

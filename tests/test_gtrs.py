@@ -8,7 +8,7 @@ import uwloc
 from conftest import brute_force_objective, gtrs_objective, random_solver_instance
 from uwloc import experiments, gtrs
 from uwloc.channel import Environment, MeasurementSet, NoiseModel, generate_measurements
-from uwloc.errors import ConvergenceError, GeometryError, InfeasibleProblemError, UwlocError
+from uwloc.errors import ConvergenceError, GeometryError, UwlocError
 from uwloc.gtrs import (
     GtrsSystem,
     build_known_power_system,
@@ -41,6 +41,16 @@ def true_solution_vector(scenario):
     return np.concatenate([t, [t @ t, u]])
 
 
+def lifting_constraint(system):
+    """The paper's H = diag(I_k, 0) and h = -e_k/2, from the system's shape."""
+    width, k = system.design.shape[1], system.dimension
+    quad = np.zeros((width, width))
+    quad[:k, :k] = np.eye(k)
+    lin = np.zeros(width)
+    lin[k] = -0.5
+    return quad, lin
+
+
 class TestBuildSystem:
     def test_shapes_and_constraint_structure(self, reference_scenario):
         meas = noiseless_measurements(reference_scenario)
@@ -49,11 +59,7 @@ class TestBuildSystem:
         )
         assert system.design.shape == (10, 5)
         assert system.target.shape == (10,)
-        assert system.constraint_quad.shape == (5, 5)
-        assert np.array_equal(system.constraint_quad[:3, :3], np.eye(3))
-        assert np.all(system.constraint_quad[3:, :] == 0.0)
-        assert np.all(system.constraint_quad[:, 3:] == 0.0)
-        assert np.array_equal(system.constraint_lin, [0.0, 0.0, 0.0, -0.5, 0.0])
+        assert system.dimension == 3
 
     def test_true_vector_has_zero_residual_without_absorption(self, zero_absorption_scenario):
         meas = noiseless_measurements(zero_absorption_scenario)
@@ -93,24 +99,12 @@ class TestLambdaInterval:
     def test_orthonormal_design_gives_minus_one(self):
         rng = np.random.default_rng(0)
         design, _ = np.linalg.qr(rng.normal(size=(8, 4)))
-        k = 2
-        quad = np.zeros((4, 4))
-        quad[:k, :k] = np.eye(k)
-        lin = np.zeros(4)
-        lin[k] = -0.5
-        system = GtrsSystem(design, rng.normal(size=8), quad, lin, k, 2.0)
+        system = GtrsSystem(design, rng.normal(size=8), 2, 2.0)
         lower, upper = lambda_interval(system)
         assert upper == np.inf
-        # Gram is the identity, so the pole sits at -1 / max eig(quad) = -1
+        # Gram is the identity, so the pole sits at -1 / max eig(H) = -1
         assert lower == pytest.approx(-1.0, abs=1e-9)
         assert lower > -1.0
-
-    def test_zero_constraint_matrix_gives_unbounded_interval(self):
-        rng = np.random.default_rng(1)
-        design = rng.normal(size=(8, 4))
-        system = GtrsSystem(design, rng.normal(size=8), np.zeros((4, 4)), np.zeros(4), 2, 2.0)
-        lower, upper = lambda_interval(system)
-        assert lower == -np.inf and upper == np.inf
 
     def test_matches_generalized_eigenvalue(self):
         rng = np.random.default_rng(2)
@@ -119,9 +113,8 @@ class TestLambdaInterval:
             system = inst["system"]
             lower, _ = lambda_interval(system)
             gram = system.design.T @ system.design
-            pencil_max = scipy.linalg.eigh(
-                system.constraint_quad, gram, eigvals_only=True
-            ).max()
+            quad, _ = lifting_constraint(system)
+            pencil_max = scipy.linalg.eigh(quad, gram, eigvals_only=True).max()
             edge = -1.0 / pencil_max
             expected = edge + 1e-12 * (1.0 + abs(edge))
             assert lower == pytest.approx(expected, rel=1e-6, abs=1e-12 * (1.0 + abs(edge)))
@@ -147,12 +140,19 @@ class TestLambdaInterval:
 
 
 class TestPhi:
-    def test_at_zero_matches_unconstrained_least_squares(self):
+    @pytest.mark.parametrize(
+        "build", [build_system, build_known_power_system], ids=["joint", "known"]
+    )
+    def test_at_zero_matches_unconstrained_least_squares(self, build):
         rng = np.random.default_rng(3)
         inst = random_solver_instance(rng)
-        system = inst["system"]
+        scenario = inst["scenario"]
+        system = build(
+            inst["measurements"], inst["weights"], scenario.anchors_m, scenario.environment
+        )
         z_ls, *_ = np.linalg.lstsq(system.design, system.target, rcond=None)
-        expected = z_ls @ system.constraint_quad @ z_ls + 2.0 * system.constraint_lin @ z_ls
+        quad, lin = lifting_constraint(system)
+        expected = z_ls @ quad @ z_ls + 2.0 * lin @ z_ls
         assert phi(0.0, system) == pytest.approx(expected, rel=1e-6, abs=1e-9 * (1 + abs(expected)))
 
     def test_strictly_decreasing_on_grids(self):
@@ -203,11 +203,7 @@ class TestSolve:
         t = rng.normal(size=k)
         z_star = np.concatenate([t, [t @ t, 1.7]])
         target = design @ z_star
-        quad = np.zeros((k + 2, k + 2))
-        quad[:k, :k] = np.eye(k)
-        lin = np.zeros(k + 2)
-        lin[k] = -0.5
-        system = GtrsSystem(design, target, quad, lin, k, 2.0)
+        system = GtrsSystem(design, target, k, 2.0)
         assert phi(0.0, system) == 0.0
         est = solve(system)
         assert est.multiplier == 0.0 and est.iterations == 0
@@ -266,9 +262,7 @@ class TestKnownPower:
         )
         k = reference_scenario.dimension
         assert system.design.shape == (10, k + 1)
-        assert system.constraint_quad.shape == (k + 1, k + 1)
-        assert np.array_equal(system.constraint_quad[:k, :k], np.eye(k))
-        assert np.array_equal(system.constraint_lin, [0.0, 0.0, 0.0, -0.5])
+        assert system.dimension == k
         est = solve(system)
         assert est.transmit_power_dbm is None and not est.power_valid
 
@@ -377,11 +371,7 @@ def orthonormal_system(seed):
     """A k = 2 joint-shaped system whose Gram matrix is the identity."""
     rng = np.random.default_rng(seed)
     design, _ = np.linalg.qr(rng.normal(size=(8, 4)))
-    quad = np.zeros((4, 4))
-    quad[:2, :2] = np.eye(2)
-    lin = np.zeros(4)
-    lin[2] = -0.5
-    return GtrsSystem(design, rng.normal(size=8), quad, lin, 2, 2.0)
+    return GtrsSystem(design, rng.normal(size=8), 2, 2.0)
 
 
 def shifted_scaled(eq, lam):
@@ -511,14 +501,11 @@ class TestSolveMany:
             np.arange(scenario.n_anchors), np.full(scenario.n_anchors, env.absorption_db_per_m), env
         )
         singular = build_system(flat, equal_weights(scenario.n_anchors), scenario.anchors_m, env)
-        # Without the constraint's quadratic part no pole bounds the
-        # downward search that phi(0) < 0 starts.
-        unbounded = replace(systems[0], constraint_quad=np.zeros((5, 5)))
         monkeypatch.setattr(gtrs, "MAX_ITER", max(iterations) - 1)
-        batch = [systems[positive], systems[negative], systems[slowest], singular, unbounded]
+        batch = [systems[positive], systems[negative], systems[slowest], singular]
         reference = solve_each(batch)
         assert [type(outcome) for outcome in reference] == [
-            gtrs.Estimate, gtrs.Estimate, ConvergenceError, GeometryError, InfeasibleProblemError,
+            gtrs.Estimate, gtrs.Estimate, ConvergenceError, GeometryError,
         ]
         assert str(reference[3]) == "normal matrix is not positive definite"
         assert_bit_identical(solve_many(batch), reference)

@@ -6,7 +6,9 @@ at nearly one range from the target.  Each built system must either end in
 a named UwlocError or give an estimate that meets the invariants of the
 acceptance criteria c03 (KKT), c04 (monotone constraint residual) and, in
 2-D, c05 (brute-force oracle); ``solve_many`` must match ``solve`` bit for
-bit either way.  ``derandomize=True`` keeps the drawn examples fixed.
+bit either way.  Every built system's multiplier interval must have a
+finite negative floor, which the solver's downward search relies on.
+``derandomize=True`` keeps the drawn examples fixed.
 """
 
 import numpy as np
@@ -131,6 +133,16 @@ def test_kkt_monotone_residual_and_batch_equality(batch):
                 continue
             assert_kkt(system, outcome)
             assert_phi_decreasing(system)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(batch=fix_batches())
+def test_multiplier_interval_has_a_finite_negative_floor(batch):
+    """The lifting's H = diag(I_k, 0) gives every built system a pole."""
+    for build in BUILDS:
+        for system in built_systems(batch, build):
+            lower, _ = lambda_interval(system)
+            assert np.isfinite(lower) and lower < 0.0
 
 
 @settings(derandomize=True, deadline=None, max_examples=10)
