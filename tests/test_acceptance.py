@@ -5,10 +5,12 @@ lines are visible.  The Monte Carlo criteria share module-scoped sweep
 fixtures; the full module takes several minutes.
 """
 
+import io
 import json
 import time
 from contextlib import contextmanager
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,10 +22,11 @@ from uwloc.channel import LN10, MeasurementSet, NoiseModel
 from uwloc.cli import main as cli_main
 from uwloc.config import bundled_scenario_path
 from uwloc.errors import NumericalError
-from uwloc.experiments import measure_runtime, run_sweep
+from uwloc.experiments import measure_runtime, run_sweep, write_csv
 from uwloc.gtrs import build_system, lambda_interval, phi, solve
 from uwloc.weighting import link_weights
 
+GOLDEN_DIR = Path(__file__).parent / "golden"
 SLACK = 1.02  # relative slack band for fixed-seed Monte Carlo orderings
 RANGE_SPREAD_MAX = 0.2  # small-error regime of c08's half-bound floor; see its docstring
 
@@ -81,6 +84,11 @@ def sigma_sweep_weighted(bundled):
 @pytest.fixture(scope="module")
 def sigma_sweep_unweighted(bundled):
     return run_sweep(replace(bundled, weighted=False))
+
+
+@pytest.fixture(scope="module")
+def sigma_sweep_known(bundled):
+    return run_sweep(replace(bundled, known_power=True))
 
 
 @pytest.fixture(scope="module")
@@ -370,3 +378,45 @@ def test_c14_runtime_report(bundled):
             f"  single-solve wall time: {seconds:.4f} s"
             " (comparison point: 0.09 s on reference hardware; informational only)"
         )
+
+
+# ---------------------------------------------------------------------------
+# full-size pins
+
+
+FULL_SWEEPS = (
+    "sigma_sweep_weighted",
+    "sigma_sweep_unweighted",
+    "sigma_sweep_known",
+    "noise_scenario_sweep",
+    "sensitivity_sweep",
+    "anchor_sweep",
+)
+
+
+def sweep_pins(records):
+    """(CSV text, dropped trials) of a sweep, as its two pinned files hold them.
+
+    The dropped trials are one [sweep_coord, failures] pair per record,
+    each failure a [class name, trial indices, first message] triple.
+    """
+    stream = io.StringIO()
+    write_csv(records, stream)
+    failures = [
+        [r.sweep_coord, [[name, list(trials), message] for name, trials, message in r.failures]]
+        for r in records
+    ]
+    return stream.getvalue(), failures
+
+
+@pytest.mark.parametrize("sweep", FULL_SWEEPS)
+def test_full_size_sweep_is_pinned(request, sweep):
+    """The module's 3000-trial sweeps, byte for byte, rank-gate drops included.
+
+    ``tests/golden/simulate_*.csv`` run 10 trials per point, which holds
+    no rank-gate drop; these pins hold the bundled sigma = 7 and 9 dB
+    drops and every trial near the gate.
+    """
+    csv_text, failures = sweep_pins(request.getfixturevalue(sweep))
+    assert csv_text.encode() == (GOLDEN_DIR / f"full_{sweep}.csv").read_bytes()
+    assert failures == json.loads((GOLDEN_DIR / f"full_{sweep}_failures.json").read_text())
