@@ -30,7 +30,7 @@ class ConvergenceError(UwlocError, RuntimeError):
 
 
 class InfeasibleProblemError(UwlocError, RuntimeError):
-    """No multiplier sign change found; the constrained problem has no root."""
+    """The downward multiplier walk found no sign change; the upward one always does."""
 
 
 class NumericalError(UwlocError, RuntimeError):

@@ -20,6 +20,13 @@ and the constraint residual phi(lam) is strictly decreasing on the interval
 (R^T R)^{-1/2} H (R^T R)^{-1/2}, where the lifting fixes H = diag(I_k, 0)
 and h = -e_k/2.  The unique root is found by bisection.
 
+The upward search always ends.  Split z = [t; w] with w_1 = z_k, R^T R into
+PD blocks A, B, C by t and w, and R^T v into m_t, m_w.  For lam > 0, with PD
+S = A - B C^{-1} B^T, t = (S + lam*I)^{-1} (m_t - B C^{-1} (m_w + (lam/2) e_1))
+stays bounded, as ||(S + lam*I)^{-1}|| <= 1/lam, while z_k = e_1^T C^{-1} (m_w
+- B^T t) + (lam/2) (C^{-1})_11 grows like lam/2.  So phi(lam) = ||t||^2 - z_k
+-> -inf, and doubling from ||G||_F >= sqrt(2) turns phi negative in finitely many steps.
+
 Numerical notes: the normal matrix mixes meter, meter^2, and dimensionless
 columns, so all internal solves run on a Jacobi-equilibrated copy (a pure
 reparameterization: the multiplier, the constraint residual, and the
@@ -54,7 +61,7 @@ RANK_TOL = 1e-10
 # Guarded offset from the singular endpoint of the multiplier interval.
 ENDPOINT_GUARD = 1e-12
 
-# Cap on geometric bracket expansions in either direction.
+# Cap on the downward walk's steps below the multiplier floor.
 MAX_EXPANSIONS = 120
 
 # Cap on bisection steps.  Searches take 60-130, but a root just above 0
@@ -79,6 +86,11 @@ class GtrsSystem:
     target: np.ndarray
     dimension: int
     ple: float
+
+    @functools.cached_property
+    def normal(self):
+        """R^T R as one 2-D product: numpy may run a stacked one through another BLAS routine."""
+        return self.design.T @ self.design
 
 
 @dataclass(frozen=True)
@@ -108,27 +120,29 @@ def _q_squared(measurements, env):
     return (10.0 ** ((measurements.rss_dbm - env.absorption_db_per_m) / (10.0 * env.ple))) ** 2
 
 
-def _gram_floor(columns):
-    """Smallest eigenvalue of the column-normalized Gram matrix."""
-    normalized = columns / np.linalg.norm(columns, axis=0)
-    return np.linalg.eigvalsh(normalized.T @ normalized).min()
+def _gram_floor(normal):
+    """Smallest eigenvalue of ``normal`` scaled to a unit diagonal, as _Equilibrated.gram."""
+    s = 1.0 / np.sqrt(normal.diagonal())
+    return np.linalg.eigvalsh(normal * (s[:, None] * s)).min()
 
 
-def _rank_loss_cause(design, q2, k):
+def _rank_loss_cause(system, q2):
     """Why a design failed the rank gate, for the GeometryError message.
 
     Columns k and k + 1 of a joint design are q^2 and the constant; a
     known-power design has no constant column, so its slice from k on is
     one column and never singular.
     """
-    if _gram_floor(design[:, k:]) <= RANK_TOL:
+    design, k = system.design, system.dimension
+    if _gram_floor(system.normal[k:, k:]) <= RANK_TOL:
         return (
             "every reading implies the same range, so the q^2 column is parallel"
             " to the constant column; place anchors at different ranges or give"
             " the transmit power"
         )
     top = np.argmax(q2)
-    if _gram_floor(np.delete(design, top, axis=0)) > RANK_TOL:
+    rest = np.delete(design, top, axis=0)
+    if _gram_floor(rest.T @ rest) > RANK_TOL:
         ratio = q2[top] / np.delete(q2, top).max()
         return (
             f"one reading dominates: its q^2 is {ratio:.2g} times the next"
@@ -137,16 +151,16 @@ def _rank_loss_cause(design, q2, k):
     return "the anchors lie close to one line or plane; add anchors or move them off it"
 
 
-def _check_rank(design, q2, k):
-    if np.any(np.linalg.norm(design, axis=0) == 0.0):
+def _check_rank(system, q2):
+    if (system.normal.diagonal() == 0.0).any():
         raise GeometryError(
             "design matrix has a zero column; add anchors or spread them out"
         )
-    smallest = _gram_floor(design)
+    smallest = _gram_floor(system.normal)
     if smallest <= RANK_TOL:
         raise GeometryError(
             "design matrix is rank deficient (normalized Gram eigenvalue"
-            f" {smallest:.2e}): {_rank_loss_cause(design, q2, k)}"
+            f" {smallest:.2e}): {_rank_loss_cause(system, q2)}"
         )
 
 
@@ -194,8 +208,9 @@ def _build(measurements, weights, anchors_m, env, estimates_power):
         raise NumericalError(
             "the weighted system overflows: readings or anchor coordinates are too large"
         )
-    _check_rank(design, q2, k)
-    return GtrsSystem(design, target, k, beta)
+    system = GtrsSystem(design, target, k, beta)
+    _check_rank(system, q2)
+    return system
 
 
 def build_system(measurements, weights, anchors_m, env):
@@ -248,9 +263,7 @@ class _Equilibrated:
 
     @np.errstate(divide="ignore", invalid="ignore")  # rows that are not valid get inf or NaN
     def __init__(self, systems):
-        # One 2-D product per system: numpy may run a stacked one through
-        # another BLAS routine, with other bits.
-        self.normal = np.array([system.design.T @ system.design for system in systems])
+        self.normal = np.array([system.normal for system in systems])
         self.moment = np.array([system.design.T @ system.target for system in systems])
         self.dimension = np.array([system.dimension for system in systems])
         self.ple = np.array([system.ple for system in systems])
@@ -401,42 +414,33 @@ def _search(eq):
     if f0 == 0.0:
         return 0.0, z0, 0
     if f0 > 0.0:
-        # Root is positive: expand upward until the residual turns negative.
-        a = 0.0
-        b = float(np.linalg.norm(eq.gram))
+        # Root is positive: double b until phi(b) < 0, as it must (module docstring).
+        a, b = 0.0, float(np.linalg.norm(eq.gram))
         low, fb, zb = _classify(eq, b)
-        n = 0
-        while low and n < MAX_EXPANSIONS:
+        while low:
             a, b = b, 2.0 * b
             low, fb, zb = _classify(eq, b)
-            n += 1
-        if low:
-            raise InfeasibleProblemError(
-                f"no constraint-residual sign change up to multiplier {b:.3e}"
-            )
-        best = (b, abs(fb), zb)
     else:
         # Root is negative: walk down from the guarded endpoint estimate.
         # Points below the pole classify as "low" via the PD check, so an
         # imprecise endpoint estimate only costs extra expansions.
-        b = 0.0
-        best = (0.0, abs(f0), z0)
+        b, fb, zb = 0.0, f0, z0
         a = eq.multiplier_floor()
         step = 0.1 * (1.0 + abs(a))
         low, fa, za = _classify(eq, a)
-        n = 0
-        while not low and n < MAX_EXPANSIONS:
-            b = a
-            if abs(fa) < best[1]:
-                best = (a, abs(fa), za)
+        for _ in range(MAX_EXPANSIONS):
+            if low:
+                break
+            b, fb, zb = a, fa, za
             a -= step
             step *= 2.0
             low, fa, za = _classify(eq, a)
-            n += 1
         if not low:
             raise InfeasibleProblemError(
                 f"no constraint-residual sign change down to multiplier {a:.3e}"
             )
+    # phi decreases, so b, the last point that is not low, is the best so far.
+    best = (b, abs(fb), zb)
     iterations = 0
     while b > a:
         if iterations >= MAX_ITER:
@@ -450,9 +454,9 @@ def _search(eq):
             break  # bracket has collapsed to adjacent floats
         low, fm, zm = _classify(eq, mid)
         iterations += 1
-        if zm is not None and abs(fm) < best[1]:
+        if abs(fm) < best[1]:  # fm is inf where zm is None
             best = (mid, abs(fm), zm)
-        if zm is not None and fm == 0.0:
+        if fm == 0.0:
             break
         if low:
             a = mid
@@ -606,22 +610,18 @@ def solve_many(systems):
     down = rows[solved & ~(f == 0.0) & ~(f > 0.0)]
     bracketed = [rows[:0]]
 
-    # Upward: double b until the residual turns negative.
+    # Upward: double b until the residual turns negative, which it does
+    # (module docstring).  Each stage keeps its rows' last b as their best.
     width = eq.gram.shape[1]
     b[up] = _norms(eq.gram[up].reshape(up.size, width * width))
-    rows, count = up, 0
+    rows = up
     while rows.size:
         f, z_hat, _ = eq.classify(rows, b[rows])
         low = f > 0.0
         keep(rows[~low], b[rows[~low]], f[~low], z_hat[~low])
         bracketed.append(rows[~low])
         rows = rows[low]
-        if count >= MAX_EXPANSIONS:
-            fail(rows, lambda r: InfeasibleProblemError(
-                f"no constraint-residual sign change up to multiplier {b[r]:.3e}"))
-            break
         a[rows], b[rows] = b[rows], 2.0 * b[rows]
-        count += 1
 
     # Downward: step a down from the guarded pole, doubling the step, until it is low.
     starts = []
@@ -644,8 +644,7 @@ def solve_many(systems):
                 f"no constraint-residual sign change down to multiplier {a[r]:.3e}"))
             break
         b[rows] = a[rows]
-        better = np.abs(f) < best_abs[rows]
-        keep(rows[better], a[rows[better]], f[better], z_hat[better])
+        keep(rows, b[rows], f, z_hat)
         a[rows] -= step[rows]
         step[rows] *= 2.0
         count += 1
@@ -666,13 +665,13 @@ def solve_many(systems):
         rows, mid = rows[go], mid[go]
         if not rows.size:
             break
-        f, z_hat, solved = eq.classify(rows, mid)
+        f, z_hat, _ = eq.classify(rows, mid)
         count += 1
-        better = solved & (np.abs(f) < best_abs[rows])
+        better = np.abs(f) < best_abs[rows]  # f is inf where not solved
         keep(rows[better], mid[better], f[better], z_hat[better])
         low = f > 0.0
         a[rows[low]], b[rows[~low]] = mid[low], mid[~low]
-        zero = solved & (f == 0.0)
+        zero = f == 0.0
         iterations[rows[zero]] = count
         rows = rows[~zero]
 

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from itertools import takewhile
 
 import numpy as np
 import pytest
@@ -531,7 +532,8 @@ class TestSolveMany:
         # Orthonormal designs put every pole at -1.  A floor of -1e-3 lies
         # above the roots near -0.5 of seeds 0 and 6, as an inaccurate pole
         # estimate can, so their searches step down twice; roots above 2
-        # step up from 2.  With one expansion allowed both directions fail.
+        # step up from 2, which needs no cap.  With one downward step
+        # allowed the downward walks fail.
         systems = [orthonormal_system(seed) for seed in range(12)]
         monkeypatch.setattr(gtrs._Equilibrated, "multiplier_floor", lambda self: -1e-3)
         monkeypatch.setattr(gtrs, "MAX_EXPANSIONS", expansions)
@@ -539,10 +541,55 @@ class TestSolveMany:
         failures = [str(outcome) for outcome in reference if isinstance(outcome, UwlocError)]
         if expansions == 1:
             assert any("down to multiplier" in message for message in failures)
-            assert any("up to multiplier" in message for message in failures)
         else:
             assert failures == []
         assert_bit_identical(solve_many(systems), reference)
+
+    @pytest.mark.parametrize(
+        "width, k, root, t0, aux", [(9, 7, 3.0, 8.0, 2.5), (4, 2, -0.75, 3.0, 144.375)],
+        ids=["up", "down"],
+    )
+    def test_root_on_the_last_expansion_point_is_the_estimate(
+        self, monkeypatch, width, k, root, t0, aux
+    ):
+        # An identity Gram matrix and R^T v = t0 e_0 + aux e_k give
+        # phi(lam) = t0^2 / (1 + lam)^2 - aux - lam/2, which is exactly 0 at
+        # the first upward probe ||G||_F = 3 of width 9, and at a floor
+        # patched to -0.75; every scaling there is a power of two.  No
+        # bisection point beats a zero residual, so the estimate is the
+        # expansion's last point, which both drivers keep without comparing.
+        target = np.zeros(width + 3)
+        target[0], target[k] = t0, aux
+        system = GtrsSystem(np.eye(width + 3, width), target, k, 2.0)
+        monkeypatch.setattr(gtrs._Equilibrated, "multiplier_floor", lambda self: -0.75)
+        reference = solve_each([system])
+        assert reference[0].multiplier == root
+        assert_bit_identical(solve_many([system]), reference)
+
+    def test_downward_walk_ends_at_its_best_point(self, monkeypatch):
+        # phi decreases, so |phi| falls strictly along the points of the
+        # downward walk that are not low, from 0 on; both drivers therefore
+        # take the walk's last such point as the best without comparing.
+        # The floor is patched as in test_expansions_match_solve.
+        monkeypatch.setattr(gtrs._Equilibrated, "multiplier_floor", lambda self: -1e-3)
+        replies = []
+        classify = gtrs._classify
+
+        def record(eq, lam):
+            replies.append(classify(eq, lam))
+            return replies[-1]
+
+        monkeypatch.setattr(gtrs, "_classify", record)
+        walks = []
+        for seed in range(12):
+            replies.clear()
+            solve(orthonormal_system(seed))
+            if replies[0][1] > 0.0:
+                continue  # the root is positive
+            walk = [abs(residual) for _, residual, _ in takewhile(lambda r: not r[0], replies)]
+            assert all(later < earlier for earlier, later in zip(walk, walk[1:]))
+            walks.append(len(walk))
+        assert max(walks) >= 4  # 0, the floor and two steps down
 
 
 class TestPowerDbm:

@@ -7,7 +7,9 @@ a named UwlocError or give an estimate that meets the invariants of the
 acceptance criteria c03 (KKT), c04 (monotone constraint residual) and, in
 2-D, c05 (brute-force oracle); ``solve_many`` must match ``solve`` bit for
 bit either way.  Every built system's multiplier interval must have a
-finite negative floor, which the solver's downward search relies on.
+finite negative floor, which the solver's downward search relies on, and
+where the root is positive the upward doubling must reach a negative
+residual, which its uncapped loop relies on.
 ``derandomize=True`` keeps the drawn examples fixed.
 """
 
@@ -18,6 +20,7 @@ from hypothesis import strategies as st
 import uwloc
 from conftest import brute_force_objective, gtrs_objective, normalized_gram_floor
 from test_gtrs import assert_bit_identical, solve_each
+from uwloc import gtrs
 from uwloc.errors import NumericalError, UwlocError
 from uwloc.gtrs import build_known_power_system, build_system, lambda_interval, phi, solve_many
 
@@ -143,6 +146,22 @@ def test_multiplier_interval_has_a_finite_negative_floor(batch):
         for system in built_systems(batch, build):
             lower, _ = lambda_interval(system)
             assert np.isfinite(lower) and lower < 0.0
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(batch=fix_batches())
+def test_upward_doubling_turns_the_residual_negative(batch):
+    """Where the root is positive, phi at ||G||_F * 2^j is negative for some j <= 60.
+
+    The upward search doubles from ||G||_F with no cap; the module
+    docstring of ``uwloc.gtrs`` proves that phi tends to -inf.
+    """
+    for build in BUILDS:
+        for system in built_systems(batch, build):
+            if not phi(0.0, system) > 0.0:
+                continue
+            first = float(np.linalg.norm(gtrs._Equilibrated([system]).gram[0]))
+            assert any(phi(first * 2.0**j, system) < 0.0 for j in range(61))
 
 
 @settings(derandomize=True, deadline=None, max_examples=10)
