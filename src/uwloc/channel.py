@@ -197,7 +197,11 @@ class Scenario:
 
 @dataclass(frozen=True)
 class MeasurementSet:
-    """Per-anchor RSS values in dBm plus the environment used to generate them."""
+    """Per-anchor RSS values in dBm plus the environment used to generate them.
+
+    ``rss_dbm`` may stack fixes taken at the same anchors, one row each;
+    ``len`` counts the readings of one fix.
+    """
 
     anchor_index: np.ndarray
     rss_dbm: np.ndarray
@@ -208,13 +212,13 @@ class MeasurementSet:
         rss = np.asarray(self.rss_dbm, dtype=float)
         object.__setattr__(self, "anchor_index", idx)
         object.__setattr__(self, "rss_dbm", rss)
-        if idx.shape != rss.shape or idx.ndim != 1:
+        if idx.shape != rss.shape[-1:] or idx.ndim != 1 or rss.ndim > 2:
             raise ValueError("anchor_index and rss_dbm must be matching 1-d arrays")
         if not np.all(np.isfinite(rss)):
             raise ValueError("RSS values must be finite")
 
     def __len__(self):
-        return self.rss_dbm.shape[0]
+        return self.rss_dbm.shape[-1]
 
 
 def noiseless_rss(target_m, anchor_m, env):

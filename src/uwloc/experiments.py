@@ -21,13 +21,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import crlb, gtrs, weighting
-from .channel import (
-    NOISE_KINDS,
-    Environment,
-    NoiseModel,
-    Scenario,
-    generate_measurements,
-)
+from .channel import NOISE_KINDS, Environment, MeasurementSet, NoiseModel, Scenario
+from .channel import generate_measurements, noiseless_rss, sample_noise
 from .errors import ConfigError, UwlocError
 
 SWEEP_KINDS = ("sigma", "anchor_count", "ple", "frequency", "noise_scenarios", "sensitivity")
@@ -121,7 +116,7 @@ class ResultRecord:
     trial indices, message of the first) triples; neither is part of the
     CSV contract.  They are not always empty: on the bundled sigma sweep,
     trial 210 at sigma=7 and trials 210, 2255 and 2474 at sigma=9 fail the
-    ``build_system`` rank gate with ``GeometryError``, so those NRMSEs
+    build's rank gate with ``GeometryError``, so those NRMSEs
     average 2999 and 2997 trials.  ``seconds_per_solve`` is the wall time
     of the batch the coordinate was solved in (see :func:`run_sweep`),
     building included, divided by that batch's trials.
@@ -154,14 +149,14 @@ def trial_rng(master_seed, trial_index):
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(trial_index,)))
 
 
-def _system(config, measurements, anchors_m, env):
-    """The weighted GTRS of one fix, built with the options of ``config``."""
+def _systems(config, measurements, anchors_m, env):
+    """Per fix in ``measurements`` (one, or a stack), the weighted GTRS built with
+    the options of ``config``, or the UwlocError that drops it (``gtrs._build``)."""
     if config.weighted:
         w = weighting.link_weights(measurements, env)
     else:
-        w = np.full(len(measurements), 1.0 / len(measurements))
-    build = gtrs.build_known_power_system if config.known_power else gtrs.build_system
-    return build(measurements, w, anchors_m, env)
+        w = np.full(measurements.rss_dbm.shape, 1.0 / len(measurements))
+    return gtrs._build(measurements, w, anchors_m, env, not config.known_power)
 
 
 def locate(config, measurements, anchors_m, env):
@@ -171,14 +166,21 @@ def locate(config, measurements, anchors_m, env):
     sweep biases away from the one the measurements were drawn in.
     Returns the solver's Estimate.
     """
-    system = _system(config, measurements, anchors_m, env)
-    return gtrs.solve(system)
+    return gtrs.solve(gtrs._only(_systems(config, measurements, anchors_m, env)))
+
+
+def _point_systems(setting, config, trials):
+    """:func:`_systems` of ``trials`` at one sweep point, built as one stack: the clean
+    RSS once, plus each trial's noise from its own generator, as ``generate_measurements``."""
+    scenario, seed, n = setting.scenario, config.master_seed, setting.scenario.n_anchors
+    clean = noiseless_rss(scenario.target_m, scenario.anchors_m, scenario.environment)
+    noise = np.array([sample_noise(setting.noise, trial_rng(seed, trial), n) for trial in trials])
+    measurements = MeasurementSet(np.arange(n), clean + noise, scenario.environment)
+    return _systems(config, measurements, scenario.anchors_m, setting.solve_env)
 
 
 def _trial_system(setting, config, trial_index):
-    rng = trial_rng(config.master_seed, trial_index)
-    measurements = generate_measurements(setting.scenario, setting.noise, rng)
-    return _system(config, measurements, setting.scenario.anchors_m, setting.solve_env)
+    return gtrs._only(_point_systems(setting, config, [trial_index]))
 
 
 def run_trial(config, trial_index):
@@ -188,8 +190,7 @@ def run_trial(config, trial_index):
     """
     scenario = config.scenario
     setting = _TrialSetting("base", scenario, config.noise, scenario.environment)
-    system = _trial_system(setting, config, trial_index)
-    estimate = gtrs.solve(system)
+    estimate = gtrs.solve(_trial_system(setting, config, trial_index))
     return estimate.position_m, estimate.transmit_power_dbm, estimate
 
 
@@ -308,23 +309,20 @@ def _record(setting, config, outcomes, seconds_per_solve):
 def _run_group(settings, config):
     """Sweep coordinates solved as one batch.
 
-    Every trial's system is built, coordinate by coordinate, then all are
-    solved by one ``solve_many`` call, and each coordinate's record is
-    aggregated from its own slice.  Each record's ``seconds_per_solve``
-    is the group's wall time divided by its trials.
+    Each coordinate's trials are built as one stack, then every system
+    that passed its checks is solved by one ``solve_many`` call, and each
+    coordinate's record is aggregated from its own slice.  Each record's
+    ``seconds_per_solve`` is the group's wall time divided by its trials.
     """
     start = time.perf_counter()
-    outcomes, systems, slots = [], [], []
+    outcomes = []
     for setting in settings:
-        for trial in range(config.mc_trials):
-            try:
-                systems.append(_trial_system(setting, config, trial))
-            except UwlocError as exc:
-                outcomes.append(exc)
-                continue
-            slots.append(len(outcomes))
-            outcomes.append(None)
-    for slot, outcome in zip(slots, gtrs.solve_many(systems)):
+        try:
+            outcomes += _point_systems(setting, config, range(config.mc_trials))
+        except UwlocError as exc:  # every trial of the point fails the same check
+            outcomes += [exc] * config.mc_trials
+    slots = [slot for slot, outcome in enumerate(outcomes) if isinstance(outcome, gtrs.GtrsSystem)]
+    for slot, outcome in zip(slots, gtrs.solve_many([outcomes[slot] for slot in slots])):
         outcomes[slot] = outcome
     seconds = (time.perf_counter() - start) / len(outcomes)
     m = config.mc_trials

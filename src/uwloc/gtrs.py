@@ -43,15 +43,8 @@ import numpy as np
 
 from . import numerics
 from .channel import LN10
-from .errors import (
-    ConfigError,
-    ConvergenceError,
-    GeometryError,
-    InfeasibleProblemError,
-    NumericalError,
-    SingularMatrixError,
-    UwlocError,
-)
+from .errors import ConfigError, ConvergenceError, GeometryError, InfeasibleProblemError
+from .errors import NumericalError, SingularMatrixError, UwlocError
 
 # Column-rank tolerance on the column-normalized design matrix.  The raw
 # design mixes units spanning ~12 orders of magnitude at kilometer scales,
@@ -89,7 +82,8 @@ class GtrsSystem:
 
     @functools.cached_property
     def normal(self):
-        """R^T R as one 2-D product: numpy may run a stacked one through another BLAS routine."""
+        """R^T R; :func:`_build` stores its stacked product's row here, which has
+        this 2-D product's bits on numpy 2.4.6 (guarded by the stacked-build tests)."""
         return self.design.T @ self.design
 
 
@@ -116,14 +110,10 @@ class Estimate:
     kkt_min_eig_ratio: float
 
 
-def _q_squared(measurements, env):
-    return (10.0 ** ((measurements.rss_dbm - env.absorption_db_per_m) / (10.0 * env.ple))) ** 2
-
-
 def _gram_floor(normal):
-    """Smallest eigenvalue of ``normal`` scaled to a unit diagonal, as _Equilibrated.gram."""
-    s = 1.0 / np.sqrt(normal.diagonal())
-    return np.linalg.eigvalsh(normal * (s[:, None] * s)).min()
+    """Smallest eigenvalue of each ``normal`` scaled to a unit diagonal, as _Equilibrated.gram."""
+    s = 1.0 / np.sqrt(normal.diagonal(axis1=-2, axis2=-1))
+    return np.linalg.eigvalsh(normal * (s[..., :, None] * s[..., None, :])).min(axis=-1)
 
 
 def _rank_loss_cause(system, q2):
@@ -164,9 +154,15 @@ def _check_rank(system, q2):
         )
 
 
-@np.errstate(over="ignore", invalid="ignore")  # overflow raises NumericalError below
+@np.errstate(over="ignore", invalid="ignore")  # overflow is a NumericalError below
 def _build(measurements, weights, anchors_m, env, estimates_power):
-    """The joint (k + 2 columns) or known-power (k + 1) system of one fix."""
+    """The joint (k + 2 columns) or known-power (k + 1) system of each fix.
+
+    ``measurements`` and ``weights`` hold one fix or a stack at the same
+    anchors, and each row gets a one-row build's bits.  A check on what the
+    rows share raises; per row, the list returned holds its GtrsSystem or
+    the UwlocError (overflow, rank gate) that drops it.
+    """
     anchors = np.atleast_2d(np.asarray(anchors_m, dtype=float))
     weights = np.asarray(weights, dtype=float)
     n, k = anchors.shape
@@ -177,22 +173,23 @@ def _build(measurements, weights, anchors_m, env, estimates_power):
     if outside.size:
         raise ConfigError(f"anchor_index {outside[0]} is outside [0, {n - 1}]")
     anchors = anchors[index]
-    if weights.shape != (n,):
+    if weights.shape != measurements.rss_dbm.shape:
         raise ValueError(f"weights shape {weights.shape} does not match {n} anchors")
     if n < k + 2:
         raise GeometryError(f"need at least k + 2 = {k + 2} anchors, got {n}")
     beta = env.ple
-    q2 = _q_squared(measurements, env)
+    rss = measurements.rss_dbm.reshape(-1, n)
+    q2 = (10.0 ** ((rss - env.absorption_db_per_m) / (10.0 * beta))) ** 2
     c_pos = 10.0 * beta / LN10
     c_aux = 5.0 * beta / LN10
     m = k + 2 if estimates_power else k + 1
-    design = np.empty((n, m))
-    design[:, :k] = -c_pos * q2[:, None] * anchors
-    design[:, k] = c_aux * q2
-    scale = np.sqrt(weights)
+    design = np.empty((len(q2), n, m))
+    design[:, :, :k] = -c_pos * q2[:, :, None] * anchors
+    design[:, :, k] = c_aux * q2
+    scale = np.sqrt(weights.reshape(-1, n))
     target = -c_aux * q2 * np.sum(anchors**2, axis=1) * scale
     if estimates_power:
-        design[:, k + 1] = -c_aux
+        design[:, :, k + 1] = -c_aux
     else:  # the known u moves the weighted column -c_aux*u into the target
         try:
             u = 10.0 ** (env.transmit_power_dbm / (5.0 * beta))
@@ -202,15 +199,36 @@ def _build(measurements, weights, anchors_m, env, estimates_power):
                 " u = 10^(P_t/(5*beta))"
             ) from None
         target = target + (c_aux * scale) * u
-    design = design * scale[:, None]
+    design = design * scale[:, :, None]
     # ||[R v]||_F^2 bounds every entry of R^T R and R^T v.
-    if not np.isfinite(np.vdot(design, design) + target @ target):
-        raise NumericalError(
-            "the weighted system overflows: readings or anchor coordinates are too large"
-        )
-    system = GtrsSystem(design, target, k, beta)
-    _check_rank(system, q2)
-    return system
+    flat = np.concatenate([design.reshape(len(design), -1), target], axis=1)
+    finite = np.isfinite((flat[:, None, :] @ flat[:, :, None])[:, 0, 0])
+    normal = np.swapaxes(design, 1, 2) @ design
+    passed = finite & (normal.diagonal(axis1=1, axis2=2) > 0.0).all(axis=1)
+    rows = slice(None) if passed.all() else passed  # no copy in the usual case
+    passed[rows] = _gram_floor(normal[rows]) > RANK_TOL
+    outcomes = []
+    for row in range(len(design)):
+        outcomes.append(GtrsSystem(design[row], target[row], k, beta))
+        vars(outcomes[-1])["normal"] = normal[row]
+        try:
+            if not finite[row]:
+                raise NumericalError(
+                    "the weighted system overflows: readings or anchor coordinates are too large"
+                )
+            if not passed[row]:
+                _check_rank(outcomes[-1], q2[row])
+        except UwlocError as exc:
+            outcomes[-1] = exc
+    return outcomes
+
+
+def _only(outcomes):
+    """The system of a one-row :func:`_build`; raises the error that dropped it."""
+    (outcome,) = outcomes
+    if isinstance(outcome, UwlocError):
+        raise outcome
+    return outcome
 
 
 def build_system(measurements, weights, anchors_m, env):
@@ -226,7 +244,7 @@ def build_system(measurements, weights, anchors_m, env):
     ConfigError.  A design that is rank deficient after column
     normalization is a GeometryError.
     """
-    return _build(measurements, weights, anchors_m, env, estimates_power=True)
+    return _only(_build(measurements, weights, anchors_m, env, estimates_power=True))
 
 
 def build_known_power_system(measurements, weights, anchors_m, env):
@@ -237,7 +255,7 @@ def build_known_power_system(measurements, weights, anchors_m, env):
     checked, so anchors equidistant from the target, whose joint design
     is singular, are fine.
     """
-    return _build(measurements, weights, anchors_m, env, estimates_power=False)
+    return _only(_build(measurements, weights, anchors_m, env, estimates_power=False))
 
 
 @functools.cache

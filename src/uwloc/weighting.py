@@ -36,19 +36,19 @@ def deviation_diagnostic(distance_m, transmit_power_dbm, delta_db, env):
 
 
 def link_weights(measurements, env):
-    """Normalized per-link weights from a measurement set.
+    """Normalized per-link weights from a measurement set, one row per fix of a stack.
 
     The common factor 10^(alpha/(10*beta)) and any shared RSS offset cancel
-    in the normalization, so the exponents are shifted by their maximum
-    before exponentiation to avoid overflow.
+    in the normalization, so each row's exponents are shifted by their
+    maximum before exponentiation to avoid overflow.
     """
     p = measurements.rss_dbm
-    n = len(p)
+    n = len(measurements)
     if n < 2:
         raise ValueError(f"need at least 2 links to weight, got {n}")
     expo = (-p + env.absorption_db_per_m) / (10.0 * env.ple)
     if not np.all(np.isfinite(expo)):
         raise ValueError("non-finite weighting exponent")
-    x = 10.0 ** (expo - expo.max())
-    total = x.sum()
+    x = 10.0 ** (expo - expo.max(axis=-1, keepdims=True))
+    total = x.sum(axis=-1, keepdims=True)
     return (total - x) / ((n - 1) * total)

@@ -7,8 +7,8 @@ import pytest
 
 import uwloc
 from uwloc import experiments, gtrs
-from uwloc.channel import Environment, NoiseModel, Scenario
-from uwloc.errors import ConfigError, UwlocError
+from uwloc.channel import Environment, NoiseModel, Scenario, generate_measurements
+from uwloc.errors import ConfigError, GeometryError, UwlocError
 from uwloc.experiments import (
     CSV_COLUMNS,
     SWEEP_KINDS,
@@ -199,6 +199,70 @@ class TestRunSweep:
         )
         bound = uwloc.fim_unknown_power(scenario50, 2.0)
         assert records[1].crlb_t_m == pytest.approx(bound.crlb_t_m, rel=1e-12)
+
+
+def build_alone(setting, config, trial):
+    """Trial ``trial`` of ``setting`` built by itself through the one-fix public functions."""
+    rng = trial_rng(config.master_seed, trial)
+    measurements = generate_measurements(setting.scenario, setting.noise, rng)
+    env = setting.solve_env
+    if config.weighted:
+        weights = uwloc.link_weights(measurements, env)
+    else:
+        weights = np.full(len(measurements), 1.0 / len(measurements))
+    build = gtrs.build_known_power_system if config.known_power else gtrs.build_system
+    try:
+        return build(measurements, weights, setting.scenario.anchors_m, env)
+    except UwlocError as exc:
+        return exc
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_same_builds(stacked, alone):
+    """Each stacked outcome has the bits, or the error class and message, of its lone build."""
+    assert len(stacked) == len(alone)
+    for got, expected in zip(stacked, alone):
+        assert type(got) is type(expected)
+        if isinstance(expected, UwlocError):
+            assert str(got) == str(expected)
+            continue
+        assert same_bits(got.design, expected.design)
+        assert same_bits(got.target, expected.target)
+        assert same_bits(got.normal, expected.design.T @ expected.design)
+        assert (got.dimension, got.ple) == (expected.dimension, expected.ple)
+
+
+class TestStackedBuild:
+    @pytest.mark.parametrize("weighted", [True, False], ids=["weighted", "unweighted"])
+    @pytest.mark.parametrize("known_power", [False, True], ids=["joint", "known"])
+    @pytest.mark.parametrize("kind", SWEEP_KINDS)
+    def test_point_stack_equals_one_row_builds(self, bundled_config, kind, known_power, weighted):
+        config = replace(
+            bundled_config, sweep_kind=kind, known_power=known_power, weighted=weighted,
+            mc_trials=8, sigma_grid_db=(3.0, 9.0),
+        )
+        for setting in experiments._sweep_settings(config):
+            trials = range(config.mc_trials)
+            assert_same_builds(
+                experiments._point_systems(setting, config, trials),
+                [build_alone(setting, config, trial) for trial in trials],
+            )
+
+    def test_rank_gate_drops_only_its_trial(self, bundled_config):
+        # On the bundled sigma = 9 dB point, trial 210 alone fails the rank gate.
+        config = replace(bundled_config, sigma_grid_db=(9.0,), mc_trials=211)
+        (setting,) = experiments._sweep_settings(config)
+        stacked = experiments._point_systems(setting, config, range(211))
+        assert_same_builds(stacked, [build_alone(setting, config, trial) for trial in range(211)])
+        assert [i for i, outcome in enumerate(stacked) if isinstance(outcome, UwlocError)] == [210]
+        assert isinstance(stacked[210], GeometryError)
+        (record,) = run_sweep(config)
+        assert (record.trials, record.solve_failures) == (211, 1)
+        assert record.failures == (("GeometryError", (210,), str(stacked[210])),)
+        assert np.isfinite(record.nrmse_t_m)
 
 
 class TestRuntime:

@@ -95,6 +95,40 @@ class TestBuildSystem:
                 reference_scenario.environment,
             )
 
+    @pytest.mark.parametrize("estimates_power", [True, False], ids=["joint", "known"])
+    def test_stacked_rows_match_one_row_builds(self, bundled_config, estimates_power):
+        # Rows: noiseless; the sigma = 9 dB trial 210 that fails the rank
+        # gate; all readings underflowing q^2 to 0 (zero columns); readings
+        # near 1e308 dBm (overflow); a noisy trial that builds.
+        scenario = bundled_config.scenario
+        env = scenario.environment
+        seed = bundled_config.master_seed
+        drawn = [
+            generate_measurements(scenario, replace(bundled_config.noise, sigma_db=sigma), rng).rss_dbm
+            for sigma, rng in ((9.0, experiments.trial_rng(seed, 210)), (3.0, np.random.default_rng(4)))
+        ]
+        clean = uwloc.noiseless_rss(scenario.target_m, scenario.anchors_m, env)
+        rows = np.array([clean, drawn[0], np.full(10, -1e5), np.full(10, 1e308), drawn[1]])
+        stacked = MeasurementSet(np.arange(10), rows, env)
+        weights = link_weights(stacked, env)
+        outcomes = gtrs._build(stacked, weights, scenario.anchors_m, env, estimates_power)
+        build = build_system if estimates_power else build_known_power_system
+        messages = ["design matrix is rank deficient", "design matrix has a zero column",
+                    "the weighted system overflows"]
+        for row, outcome in enumerate(outcomes):
+            alone = MeasurementSet(np.arange(10), rows[row], env)
+            if row in (1, 2, 3):
+                assert str(outcome).startswith(messages[row - 1])
+                with pytest.raises(type(outcome)) as raised:
+                    build(alone, weights[row], scenario.anchors_m, env)
+                assert str(raised.value) == str(outcome)
+                continue
+            system = build(alone, weights[row], scenario.anchors_m, env)
+            assert np.array_equal(weights[row], link_weights(alone, env))
+            for got, expected in ((outcome.design, system.design), (outcome.target, system.target),
+                                  (outcome.normal, system.design.T @ system.design)):
+                assert got.tobytes() == expected.tobytes()
+
 
 class TestLambdaInterval:
     def test_orthonormal_design_gives_minus_one(self):
