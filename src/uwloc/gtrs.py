@@ -40,6 +40,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from . import numerics
 from .channel import LN10
@@ -62,6 +63,14 @@ MAX_EXPANSIONS = 120
 MAX_ITER = 200
 
 _NONPOSITIVE_DIAGONAL = "normal matrix has a nonpositive diagonal entry"
+
+
+def _lapack_failed(err, flag):
+    raise LinAlgError("LAPACK factorization failed")
+
+
+# numpy.linalg's error state for its LAPACK gufuncs, entered once per search, not per call.
+_lapack_errors = np.errstate(call=_lapack_failed, all="ignore", invalid="call")
 
 
 @dataclass(frozen=True)
@@ -148,9 +157,9 @@ def _check_rank(system, q2):
         )
     smallest = _gram_floor(system.normal)
     if smallest <= RANK_TOL:
-        raise GeometryError(
+        raise GeometryError(  # an exactly singular Gram matrix can read -1e-17
             "design matrix is rank deficient (normalized Gram eigenvalue"
-            f" {smallest:.2e}): {_rank_loss_cause(system, q2)}"
+            f" {max(smallest, 0.0):.2e}): {_rank_loss_cause(system, q2)}"
         )
 
 
@@ -225,10 +234,11 @@ def _build(measurements, weights, anchors_m, env, estimates_power):
 
 def _only(outcomes):
     """The system of a one-row :func:`_build`; raises the error that dropped it."""
-    (outcome,) = outcomes
-    if isinstance(outcome, UwlocError):
-        raise outcome
-    return outcome
+    if len(outcomes) != 1:
+        raise ConfigError(f"measurements stack {len(outcomes)} fixes; this function takes one fix")
+    if isinstance(outcomes[0], UwlocError):
+        raise outcomes[0]
+    return outcomes[0]
 
 
 def build_system(measurements, weights, anchors_m, env):
@@ -294,6 +304,7 @@ class _Equilibrated:
         self.gram = self.normal * outer
         self.quad = self.constraint_quad * outer
         self.lin = self.constraint_lin * self.scale
+        self.lin2 = 2.0 * self.lin  # constraint_residual's, formed once
         self.rhs0 = self.moment * self.scale
 
     def __getitem__(self, row):
@@ -308,29 +319,31 @@ class _Equilibrated:
         """Solution of the shifted system, or None when it is not PD.
 
         ``check_definite`` may be skipped for lam >= 0, where the shifted
-        matrix is PD whenever the Gram matrix is.
+        matrix is PD whenever the Gram matrix is.  Callers hold :data:`_lapack_errors`,
+        which turns the invalid flag of a failed LAPACK solve or Cholesky into
+        LinAlgError; for a valid row and finite ``lam`` nothing else here sets it.
         """
         shifted = self.gram + lam * self.quad
         diag = shifted.diagonal()
-        if (diag <= 0.0).any():
+        if np.fmin.reduce(diag) <= 0.0:  # (diag <= 0.0).any(), cheaper, as in classify
             return None
         s = 1.0 / np.sqrt(diag)
         scaled = shifted * (s[:, None] * s)
         if check_definite:
             try:
-                factor = np.linalg.cholesky(scaled)
-            except np.linalg.LinAlgError:
+                factor = _umath_linalg.cholesky_lo(scaled, signature="d->d")
+            except LinAlgError:
                 return None
             if factor.diagonal().min() <= 1e-6:
                 return None
         try:
-            y = np.linalg.solve(scaled, (self.rhs0 - lam * self.lin) * s)
-        except np.linalg.LinAlgError:
+            y = _umath_linalg.solve1(scaled, (self.rhs0 - lam * self.lin) * s, signature="dd->d")
+        except LinAlgError:
             return None
         return y * s
 
     def constraint_residual(self, z_hat):
-        return float(z_hat @ self.quad @ z_hat + 2.0 * self.lin @ z_hat)
+        return float(z_hat @ self.quad @ z_hat + self.lin2 @ z_hat)
 
     def multiplier_floor(self):
         """Guarded lower endpoint -1/lam* + eps of the multiplier interval."""
@@ -390,6 +403,7 @@ def lambda_interval(system):
     return _Equilibrated([system])[0].multiplier_floor(), np.inf
 
 
+@_lapack_errors
 def phi(lam, system):
     """Constraint residual of the shifted solution at multiplier ``lam``.
 
@@ -419,6 +433,7 @@ def _classify(eq, lam):
     return residual > 0.0, residual, z_hat
 
 
+@_lapack_errors
 def _search(eq):
     """Root of the constraint residual of one system by classification bisection.
 
@@ -577,7 +592,7 @@ def _lapack_rows(op, *stacks):
     count = len(stacks[0])
     try:
         return op(*stacks), np.ones(count, dtype=bool)
-    except np.linalg.LinAlgError:
+    except LinAlgError:
         if count == 1:
             return np.full_like(stacks[-1], np.nan), np.zeros(1, dtype=bool)
     parts = [

@@ -7,7 +7,7 @@ import pytest
 
 import uwloc
 from uwloc import experiments, gtrs
-from uwloc.channel import Environment, NoiseModel, Scenario, generate_measurements
+from uwloc.channel import Environment, MeasurementSet, NoiseModel, Scenario, generate_measurements
 from uwloc.errors import ConfigError, GeometryError, UwlocError
 from uwloc.experiments import (
     CSV_COLUMNS,
@@ -57,6 +57,17 @@ class TestRunTrial:
         c = trial_rng(99, 5).normal(size=5)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    @pytest.mark.parametrize("weighted", [True, False], ids=["weighted", "unweighted"])
+    @pytest.mark.parametrize("known_power", [False, True], ids=["joint", "known"])
+    def test_locate_takes_one_fix(self, bundled_config, known_power, weighted):
+        config = replace(bundled_config, known_power=known_power, weighted=weighted)
+        scenario = config.scenario
+        env = scenario.environment
+        rss = uwloc.noiseless_rss(scenario.target_m, scenario.anchors_m, env)
+        stacked = MeasurementSet(np.arange(scenario.n_anchors), np.stack([rss, rss]), env)
+        with pytest.raises(ConfigError, match="measurements stack 2 fixes; this function takes one fix"):
+            experiments.locate(config, stacked, scenario.anchors_m, env)
 
 
 class TestValidation:

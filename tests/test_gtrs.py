@@ -1,15 +1,18 @@
+import re
+import warnings
 from dataclasses import replace
 from itertools import takewhile
 
 import numpy as np
 import pytest
 import scipy.linalg
+from numpy.linalg import _umath_linalg
 
 import uwloc
 from conftest import brute_force_objective, gtrs_objective, random_solver_instance
 from uwloc import experiments, gtrs
 from uwloc.channel import Environment, MeasurementSet, NoiseModel, generate_measurements
-from uwloc.errors import ConvergenceError, GeometryError, UwlocError
+from uwloc.errors import ConfigError, ConvergenceError, GeometryError, NumericalError, UwlocError
 from uwloc.gtrs import (
     GtrsSystem,
     build_known_power_system,
@@ -94,6 +97,14 @@ class TestBuildSystem:
                 meas, equal_weights(9), reference_scenario.anchors_m,
                 reference_scenario.environment,
             )
+
+    @pytest.mark.parametrize("build", [build_system, build_known_power_system], ids=["joint", "known"])
+    def test_stacked_fix_is_a_config_error(self, reference_scenario, build):
+        meas = noiseless_measurements(reference_scenario)
+        stacked = MeasurementSet(meas.anchor_index, np.stack([meas.rss_dbm] * 3), meas.environment)
+        weights = np.stack([equal_weights(10)] * 3)
+        with pytest.raises(ConfigError, match="measurements stack 3 fixes; this function takes one fix"):
+            build(stacked, weights, reference_scenario.anchors_m, reference_scenario.environment)
 
     @pytest.mark.parametrize("estimates_power", [True, False], ids=["joint", "known"])
     def test_stacked_rows_match_one_row_builds(self, bundled_config, estimates_power):
@@ -213,6 +224,78 @@ class TestPhi:
         est = solve(system)
         assert abs(est.kkt_constraint) <= 1e-6
         assert np.linalg.norm(est.position_m - zero_absorption_scenario.target_m) <= 1e-5
+
+
+def singular_shift_system():
+    """A k = 1 joint-shaped system whose shifted matrix is exactly singular at -3.
+
+    Its normal matrix [[4, 2, 0], [2, 4, 0], [0, 0, 1]] scales to the Gram
+    matrix [[1, .5, 0], [.5, 1, 0], [0, 0, 1]] and H to diag(1/4, 0, 0), all
+    exactly; at -3 the shifted matrix scales to [[1, 1, 0], [1, 1, 0], [0, 0, 1]].
+    """
+    design = np.zeros((5, 3))
+    design[:4, 0] = 1.0
+    design[:4, 1] = [1.0, 1.0, 1.0, -1.0]
+    design[4, 2] = 1.0
+    return GtrsSystem(design, np.arange(5.0), 1, 2.0)
+
+
+@gtrs._lapack_errors
+def direct_lapack(spd, matrices, rhs):
+    """solve_at's Cholesky of ``spd`` and its solves of ``matrices`` with ``rhs``."""
+    solved = [_umath_linalg.solve1(a, rhs, signature="dd->d") for a in matrices]
+    return _umath_linalg.cholesky_lo(spd, signature="d->d"), solved
+
+
+class TestDirectLapack:
+    """_Equilibrated.solve_at calls numpy.linalg's LAPACK gufuncs without its wrapper."""
+
+    def test_numpy_exposes_the_gufuncs(self):
+        # numpy.linalg._umath_linalg is private; a numpy that renames it fails here first.
+        assert _umath_linalg.solve1.signature == "(m,m),(m)->(m)"
+        assert _umath_linalg.cholesky_lo.signature == "(m,m)->(m,m)"
+        assert "dd->d" in _umath_linalg.solve1.types
+        assert "d->d" in _umath_linalg.cholesky_lo.types
+
+    @pytest.mark.parametrize("width", [3, 4, 5])
+    def test_gufuncs_give_numpy_linalg_bits(self, width):
+        rng = np.random.default_rng(width)
+        for _ in range(200):
+            root = rng.normal(size=(width + 2, width))
+            spd = root.T @ root
+            s = 1.0 / np.sqrt(spd.diagonal())
+            unit = spd * (s[:, None] * s)  # unit diagonal, as solve_at scales
+            general = unit + rng.uniform(-0.5, 0.5, (width, width))
+            np.fill_diagonal(general, 1.0)
+            rhs = rng.normal(size=width)
+            factor, solved = direct_lapack(unit, (unit, general), rhs)
+            assert factor.tobytes() == np.linalg.cholesky(unit).tobytes()
+            for a, y in zip((unit, general), solved):
+                assert y.tobytes() == np.linalg.solve(a, rhs).tobytes()
+
+    def test_singular_or_indefinite_shift_gives_none(self):
+        eq = gtrs._Equilibrated([singular_shift_system()])[0]
+        solve_at = gtrs._lapack_errors(eq.solve_at)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(shifted_scaled(eq, -3.0), eq.rhs0)
+        assert solve_at(-3.0, check_definite=False) is None  # singular: the solve fails
+        assert solve_at(-3.0, check_definite=True) is None  # PSD only: the Cholesky fails
+        assert solve_at(-4.0, check_definite=True) is None  # a zero diagonal entry
+        # At -3.5 the shifted matrix is indefinite but not singular.
+        assert solve_at(-3.5, check_definite=True) is None
+        assert np.all(np.isfinite(solve_at(-3.5, check_definite=False)))
+        assert np.all(np.isfinite(solve_at(-2.5, check_definite=True)))
+
+    def test_phi_at_a_singular_shift_is_a_named_error_without_a_warning(self):
+        system = singular_shift_system()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="could not be solved at multiplier -3.0"):
+                phi(-3.0, system)
+        # Outside the error state the gufunc warns and returns NaN instead.
+        eq = gtrs._Equilibrated([system])[0]
+        with pytest.warns(RuntimeWarning, match="invalid value"):
+            assert np.isnan(eq.solve_at(-3.0, check_definite=False)).all()
 
 
 class TestSolve:
@@ -372,6 +455,25 @@ class TestRankGate:
         meas = MeasurementSet(np.arange(6), rss, env)
         with pytest.raises(GeometryError, match="the anchors lie close to one line or plane"):
             build(meas, equal_weights(6), anchors, env)
+
+    @pytest.mark.parametrize("build", [build_system, build_known_power_system])
+    def test_exactly_singular_design_prints_no_negative_eigenvalue(self, build, monkeypatch):
+        # Coplanar anchors and equal readings make the design exactly singular;
+        # its computed Gram floor is rounding noise below zero.
+        env = Environment(ple=2.0, frequency_khz=9.0, transmit_power_dbm=0.0)
+        anchors = np.array([
+            [0.0, 0.0, 500.0], [1000.0, 0.0, 500.0], [0.0, 1000.0, 500.0],
+            [1000.0, 1000.0, 500.0], [500.0, 200.0, 500.0], [300.0, 800.0, 500.0],
+        ])
+        meas = MeasurementSet(np.arange(6), np.full(6, -60.0), env)
+        with monkeypatch.context() as patched:
+            patched.setattr(gtrs, "_check_rank", lambda *args: None)
+            system = build(meas, equal_weights(6), anchors, env)
+        assert gtrs._gram_floor(system.normal) < 0.0
+        with pytest.raises(GeometryError) as raised:
+            build(meas, equal_weights(6), anchors, env)
+        (eigenvalue,) = re.findall(r"normalized Gram eigenvalue (\S+)\)", str(raised.value))
+        assert eigenvalue == "0.00e+00"
 
 
 def solve_each(systems):
