@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GeometryError
+from .errors import ConfigError, GeometryError
 
 LN10 = float(np.log(10.0))
 
@@ -33,18 +33,22 @@ def absorption_coefficient(frequency_khz):
     """Absorption coefficient in dB/m for a center frequency in kHz.
 
     Empirical seawater attenuation curve; the constant floor term keeps the
-    value positive as the frequency approaches zero.
+    value positive as the frequency approaches zero.  A frequency that is
+    negative or not finite, or one whose square overflows, is a ValueError.
     """
     f = float(frequency_khz)
-    if f < 0:
-        raise ValueError(f"frequency must be nonnegative, got {f}")
+    if not 0.0 <= f < np.inf:
+        raise ValueError(f"frequency must be finite and nonnegative, got {f}")
     f2 = f * f
-    return (
+    alpha = (
         0.11 * f2 / (1.0 + f2)
         + 44.0 * f2 / (4100.0 + f2)
         + 2.75 * f2 / 1e4
         + 0.003
     ) * 1e-3
+    if not alpha < np.inf:  # f^2 overflows above ~1e154 kHz, and inf/inf is nan
+        raise ValueError(f"absorption at {f:g} kHz is not finite")
+    return alpha
 
 
 @dataclass(frozen=True)
@@ -70,7 +74,7 @@ class Environment:
             object.__setattr__(
                 self, "absorption_db_per_m", absorption_coefficient(self.frequency_khz)
             )
-        if not 0.0 <= self.absorption_db_per_m < np.inf:  # nan above ~1e154 kHz
+        if not 0.0 <= self.absorption_db_per_m < np.inf:
             raise ValueError(
                 f"absorption must be finite and nonnegative, got {self.absorption_db_per_m}"
             )
@@ -219,6 +223,18 @@ class MeasurementSet:
 
     def __len__(self):
         return self.rss_dbm.shape[-1]
+
+    def anchor_rows(self, anchors_m):
+        """The row of ``anchors_m`` each reading was taken at; a ConfigError for a
+        reading count other than the anchor count or an index outside the list."""
+        anchors = np.atleast_2d(np.asarray(anchors_m, dtype=float))
+        n = len(anchors)
+        if len(self) != n:
+            raise ConfigError(f"{len(self)} measurements for {n} anchors")
+        outside = self.anchor_index[(self.anchor_index < 0) | (self.anchor_index >= n)]
+        if outside.size:
+            raise ConfigError(f"anchor_index {outside[0]} is outside [0, {n - 1}]")
+        return anchors[self.anchor_index]
 
 
 def noiseless_rss(target_m, anchor_m, env):

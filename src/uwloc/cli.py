@@ -142,15 +142,20 @@ def _cmd_locate(args):
 
 
 def _cmd_weights(args):
-    config = parse_scenario(args.config)
-    measurements = load_measurements(args.measurements, config.scenario.environment)
-    for value in weighting.link_weights(measurements, config.scenario.environment):
+    scenario = parse_scenario(args.config).scenario
+    measurements = load_measurements(args.measurements, scenario.environment)
+    measurements.anchor_rows(scenario.anchors_m)  # the reading check of locate
+    for value in weighting.link_weights(measurements, scenario.environment):
         print(f"{value:.9g}")
     return 0
 
 
 def _cmd_absorption(args):
-    print(f"{absorption_coefficient(args.freq_khz):.6e}")
+    try:
+        alpha = absorption_coefficient(args.freq_khz)
+    except ValueError as exc:
+        raise ConfigError(f"--freq-khz: {exc}") from exc
+    print(f"{alpha:.6e}")
     return 0
 
 

@@ -152,6 +152,7 @@ def trial_rng(master_seed, trial_index):
 def _systems(config, measurements, anchors_m, env):
     """Per fix in ``measurements`` (one, or a stack), the weighted GTRS built with
     the options of ``config``, or the UwlocError that drops it (``gtrs._build``)."""
+    measurements.anchor_rows(anchors_m)  # checked before link_weights sees the readings
     if config.weighted:
         w = weighting.link_weights(measurements, env)
     else:

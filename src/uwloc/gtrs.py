@@ -37,10 +37,11 @@ estimate of lam*.
 """
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.linalg import LinAlgError, _umath_linalg
+from numpy.linalg import _umath_linalg
 
 from . import numerics
 from .channel import LN10
@@ -65,12 +66,10 @@ MAX_ITER = 200
 _NONPOSITIVE_DIAGONAL = "normal matrix has a nonpositive diagonal entry"
 
 
-def _lapack_failed(err, flag):
-    raise LinAlgError("LAPACK factorization failed")
-
-
-# numpy.linalg's error state for its LAPACK gufuncs, entered once per search, not per call.
-_lapack_errors = np.errstate(call=_lapack_failed, all="ignore", invalid="call")
+# A LAPACK gufunc fills the output of a matrix it cannot factor or solve with
+# NaN and raises the invalid flag; this state keeps that quiet.  It is entered
+# once per search, not per call.
+_lapack_errors = np.errstate(all="ignore")
 
 
 @dataclass(frozen=True)
@@ -172,16 +171,9 @@ def _build(measurements, weights, anchors_m, env, estimates_power):
     rows share raises; per row, the list returned holds its GtrsSystem or
     the UwlocError (overflow, rank gate) that drops it.
     """
-    anchors = np.atleast_2d(np.asarray(anchors_m, dtype=float))
+    anchors = measurements.anchor_rows(anchors_m)
     weights = np.asarray(weights, dtype=float)
     n, k = anchors.shape
-    if len(measurements) != n:
-        raise ConfigError(f"{len(measurements)} measurements for {n} anchors")
-    index = measurements.anchor_index
-    outside = index[(index < 0) | (index >= n)]
-    if outside.size:
-        raise ConfigError(f"anchor_index {outside[0]} is outside [0, {n - 1}]")
-    anchors = anchors[index]
     if weights.shape != measurements.rss_dbm.shape:
         raise ValueError(f"weights shape {weights.shape} does not match {n} anchors")
     if n < k + 2:
@@ -316,12 +308,12 @@ class _Equilibrated:
         return one
 
     def solve_at(self, lam, check_definite):
-        """Solution of the shifted system, or None when it is not PD.
+        """Solution of the shifted system, or None when it is not PD or not solved.
 
         ``check_definite`` may be skipped for lam >= 0, where the shifted
-        matrix is PD whenever the Gram matrix is.  Callers hold :data:`_lapack_errors`,
-        which turns the invalid flag of a failed LAPACK solve or Cholesky into
-        LinAlgError; for a valid row and finite ``lam`` nothing else here sets it.
+        matrix is PD whenever the Gram matrix is.  A Cholesky or solve that
+        LAPACK cannot complete comes back as NaN, read here as a failure;
+        callers hold :data:`_lapack_errors`, so the invalid flag it raises is quiet.
         """
         shifted = self.gram + lam * self.quad
         diag = shifted.diagonal()
@@ -330,17 +322,12 @@ class _Equilibrated:
         s = 1.0 / np.sqrt(diag)
         scaled = shifted * (s[:, None] * s)
         if check_definite:
-            try:
-                factor = _umath_linalg.cholesky_lo(scaled, signature="d->d")
-            except LinAlgError:
+            factor = _umath_linalg.cholesky_lo(scaled, signature="d->d")
+            if not factor.diagonal().min() > 1e-6:  # NaN where the Cholesky failed
                 return None
-            if factor.diagonal().min() <= 1e-6:
-                return None
-        try:
-            y = _umath_linalg.solve1(scaled, (self.rhs0 - lam * self.lin) * s, signature="dd->d")
-        except LinAlgError:
-            return None
-        return y * s
+        y = _umath_linalg.solve1(scaled, (self.rhs0 - lam * self.lin) * s, signature="dd->d")
+        # math.isnan: np.isnan on a scalar costs about ten times as much.
+        return None if math.isnan(y[-1]) else y * s
 
     def constraint_residual(self, z_hat):
         return float(z_hat @ self.quad @ z_hat + self.lin2 @ z_hat)
@@ -361,15 +348,15 @@ class _Equilibrated:
             guard = 1e-6 * abs(edge)
         return edge + guard
 
-    @np.errstate(divide="ignore", invalid="ignore")
+    @np.errstate(divide="ignore", invalid="ignore")  # NaN marks a failed LAPACK call
     def classify(self, rows, lams):
         """:func:`_classify` of ``self[rows[j]]`` at ``lams[j]`` for every j.
 
         Returns (residual, z_hat, solved) arrays.  Where the shifted matrix
-        is not PD, ``solved`` is False, the residual is inf and the z_hat
-        row is NaN, so ``residual > 0`` is :func:`_classify`'s ``low``.
-        The arithmetic is that of :meth:`solve_at` matrix by matrix, so
-        every bit matches.
+        is not PD or its solve fails, ``solved`` is False, the residual is
+        inf and the z_hat row is not a solution, so ``residual > 0`` is
+        :func:`_classify`'s ``low``.  The arithmetic is that of
+        :meth:`solve_at` matrix by matrix, so every bit matches.
         """
         quad, lin = self.quad[rows], self.lin[rows]
         shifted = self.gram[rows] + lams[:, None, None] * quad
@@ -381,14 +368,10 @@ class _Equilibrated:
         solved = ~(np.fmin.reduce(diag, axis=1) <= 0.0)
         check = np.flatnonzero(solved & (lams < 0.0))
         if check.size:
-            factor, taken = _lapack_rows(np.linalg.cholesky, scaled[check])
-            pivot = factor.diagonal(axis1=1, axis2=2).min(axis=1)
-            solved[check] = taken & ~(pivot <= 1e-6)
-        # A slice in the usual round, where every shifted matrix is PD.
-        live = slice(None) if solved.all() else np.flatnonzero(solved)
-        y, solved[live] = _lapack_rows(np.linalg.solve, scaled[live], rhs[live, :, None])
-        z_hat = np.full(rhs.shape, np.nan)
-        z_hat[live] = y[:, :, 0] * s[live]
+            factor = _umath_linalg.cholesky_lo(scaled[check], signature="d->d")
+            solved[check] = factor.diagonal(axis1=1, axis2=2).min(axis=1) > 1e-6
+        z_hat = _umath_linalg.solve1(scaled, rhs, signature="dd->d") * s
+        solved &= ~np.isnan(z_hat[:, -1])
         residual = np.full(rows.size, np.inf)
         residual[solved] = _quadratic(z_hat[solved], quad[solved], lin[solved])
         return residual, z_hat, solved
@@ -413,10 +396,12 @@ def phi(lam, system):
     eq = _Equilibrated([system])[0]
     z_hat = eq.solve_at(float(lam), check_definite=False)
     if z_hat is None or not np.all(np.isfinite(z_hat)):
-        raise NumericalError(
-            f"shifted system could not be solved at multiplier {lam}", multiplier=lam
-        )
+        raise _unsolved(lam)
     return eq.constraint_residual(z_hat)
+
+
+def _unsolved(lam):
+    return NumericalError(f"shifted system could not be solved at multiplier {lam}", multiplier=lam)
 
 
 def _classify(eq, lam):
@@ -451,6 +436,8 @@ def _search(eq):
         a, b = 0.0, float(np.linalg.norm(eq.gram))
         low, fb, zb = _classify(eq, b)
         while low:
+            if zb is None:  # above 0 only a failed solve, which b = inf always gives
+                raise _unsolved(b)
             a, b = b, 2.0 * b
             low, fb, zb = _classify(eq, b)
     else:
@@ -581,27 +568,6 @@ def solve(system):
 solve_known_power = solve
 
 
-def _lapack_rows(op, *stacks):
-    """``op`` over stacked matrices, and a mask of the matrices it took.
-
-    numpy rejects a whole stack when one matrix fails (not PD for a
-    Cholesky, singular for a solve), so a rejected stack is halved until
-    each failing matrix stands alone; its output entries are NaN.  Each
-    matrix still goes through the LAPACK call it would get alone.
-    """
-    count = len(stacks[0])
-    try:
-        return op(*stacks), np.ones(count, dtype=bool)
-    except LinAlgError:
-        if count == 1:
-            return np.full_like(stacks[-1], np.nan), np.zeros(1, dtype=bool)
-    parts = [
-        _lapack_rows(op, *(stack[half] for stack in stacks))
-        for half in (slice(None, count // 2), slice(count // 2, None))
-    ]
-    return tuple(np.concatenate(outputs) for outputs in zip(*parts))
-
-
 def solve_many(systems):
     """:func:`solve` applied to every system, with bit-identical results.
 
@@ -643,17 +609,18 @@ def solve_many(systems):
     down = rows[solved & ~(f == 0.0) & ~(f > 0.0)]
     bracketed = [rows[:0]]
 
-    # Upward: double b until the residual turns negative, which it does
-    # (module docstring).  Each stage keeps its rows' last b as their best.
+    # Upward: double b until the residual turns negative, which it does (module
+    # docstring), or its solve fails.  Each stage keeps its rows' last b as their best.
     width = eq.gram.shape[1]
     b[up] = _norms(eq.gram[up].reshape(up.size, width * width))
     rows = up
     while rows.size:
-        f, z_hat, _ = eq.classify(rows, b[rows])
+        f, z_hat, solved = eq.classify(rows, b[rows])
+        fail(rows[~solved], lambda r: _unsolved(float(b[r])))
         low = f > 0.0
         keep(rows[~low], b[rows[~low]], f[~low], z_hat[~low])
         bracketed.append(rows[~low])
-        rows = rows[low]
+        rows = rows[low & solved]
         a[rows], b[rows] = b[rows], 2.0 * b[rows]
 
     # Downward: step a down from the guarded pole, doubling the step, until it is low.

@@ -147,6 +147,12 @@ class TestAbsorptionCommand:
         printed = float(capsys.readouterr().out.strip())
         assert printed == pytest.approx(9.86e-4, rel=5e-4)
 
+    @pytest.mark.parametrize("freq", ["-1", "nan", "inf", "1e200"])  # 1e200: f^2 overflows
+    def test_bad_frequency_is_a_config_error(self, capsys, freq):
+        assert main(["absorption", f"--freq-khz={freq}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("configuration error: --freq-khz: ")
+
 
 class TestSimulateCommand:
     def test_byte_identical_across_thread_counts(self, small_config_path, tmp_path, capsys):
@@ -240,6 +246,24 @@ class TestWeightsCommand:
         values = [float(line) for line in capsys.readouterr().out.split()]
         assert len(values) == 10
         assert sum(values) == pytest.approx(1.0, abs=1e-8)
+
+    @pytest.mark.parametrize(
+        "index, message",
+        [
+            ([0, 1, 2], "3 measurements for 10 anchors"),
+            (list(range(9)) + [99], "anchor_index 99 is outside [0, 9]"),
+            ([0], "1 measurements for 10 anchors"),  # one reading cannot be weighted
+        ],
+    )
+    @pytest.mark.parametrize("command", ["weights", "locate"])
+    def test_readings_that_do_not_match_the_anchors_exit_one(
+        self, config_path, tmp_path, capsys, command, index, message
+    ):
+        meas = tmp_path / "measurements.json"
+        meas.write_text(json.dumps({"anchor_index": index, "rss_dbm": [-70.0] * len(index)}))
+        assert main([command, "--config", str(config_path), "--measurements", str(meas)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"configuration error: {message}\n"
 
 
 class TestExitCodes:

@@ -278,8 +278,9 @@ class TestStackedBuild:
 
 class TestRuntime:
     def test_positive_and_reasonably_stable(self, small_config):
-        first = measure_runtime(small_config)
-        second = measure_runtime(small_config)
+        # The fastest of three readings each: load from other processes only slows a reading.
+        first = min(measure_runtime(small_config) for _ in range(3))
+        second = min(measure_runtime(small_config) for _ in range(3))
         assert first > 0 and second > 0
         assert abs(first - second) <= 0.5 * (first + second) / 2.0
 

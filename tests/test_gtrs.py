@@ -292,10 +292,26 @@ class TestDirectLapack:
             warnings.simplefilter("error")
             with pytest.raises(NumericalError, match="could not be solved at multiplier -3.0"):
                 phi(-3.0, system)
-        # Outside the error state the gufunc warns and returns NaN instead.
+        # Outside the error state the gufunc warns; solve_at still reads its NaN as a failure.
         eq = gtrs._Equilibrated([system])[0]
         with pytest.warns(RuntimeWarning, match="invalid value"):
-            assert np.isnan(eq.solve_at(-3.0, check_definite=False)).all()
+            assert eq.solve_at(-3.0, check_definite=False) is None
+
+    def test_a_failed_matrix_is_a_nan_row_of_its_stack(self):
+        # solve_at and classify rely on this: the other matrices of the
+        # stack keep numpy.linalg's bits, and the failed one is all NaN.
+        eq = gtrs._Equilibrated([singular_shift_system()])[0]
+        good, singular, indefinite = (shifted_scaled(eq, lam) for lam in (-2.5, -3.0, -3.5))
+        rhs = np.random.default_rng(0).normal(size=(3, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            factor, (solved,) = direct_lapack(
+                np.stack([good, indefinite]), [np.stack([good, singular, indefinite])], rhs
+            )
+        assert np.isnan(solved[1]).all() and np.isnan(factor[1]).all()
+        for y, a, b in [(solved[0], good, rhs[0]), (solved[2], indefinite, rhs[2])]:
+            assert y.tobytes() == np.linalg.solve(a, b).tobytes()
+        assert factor[0].tobytes() == np.linalg.cholesky(good).tobytes()
 
 
 class TestSolve:
@@ -647,6 +663,27 @@ class TestSolveMany:
         assert str(reference[3]) == "normal matrix is not positive definite"
         assert_bit_identical(solve_many(batch), reference)
 
+    def test_an_infinite_multiplier_is_unsolved_and_ends_the_upward_walk(self, monkeypatch):
+        # The upward doubling never reaches inf (module docstring), but solve
+        # and solve_many both read a multiplier there as unsolved, and an
+        # unsolved point above 0 ends the upward walk with a NumericalError.
+        systems = [orthonormal_system(seed) for seed in range(6)]
+        batch = gtrs._Equilibrated(systems)
+        residual, _, solved = batch.classify(np.arange(6), np.full(6, np.inf))
+        assert residual.tolist() == [np.inf] * 6 and not solved.any()
+        classify_alone = gtrs._lapack_errors(gtrs._classify)
+        assert all(classify_alone(batch[row], np.inf) == (True, np.inf, None) for row in range(6))
+        # Evaluate every positive multiplier at inf instead.
+        classify, solve_at = gtrs._Equilibrated.classify, gtrs._Equilibrated.solve_at
+        monkeypatch.setattr(gtrs._Equilibrated, "classify", lambda self, rows, lams: classify(
+            self, rows, np.where(lams > 0.0, np.inf, lams)))
+        monkeypatch.setattr(gtrs._Equilibrated, "solve_at", lambda self, lam, check_definite: (
+            solve_at(self, np.inf if lam > 0.0 else lam, check_definite)))
+        reference = solve_each(systems)
+        failed = [outcome for outcome in reference if isinstance(outcome, UwlocError)]
+        assert failed and all(isinstance(outcome, NumericalError) for outcome in failed)
+        assert all("could not be solved at multiplier" in str(outcome) for outcome in failed)
+        assert_bit_identical(solve_many(systems), reference)
 
     def test_zero_design_column_fails_alone(self):
         # A zero column gives the normal matrix a zero diagonal entry, which
