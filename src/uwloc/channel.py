@@ -212,7 +212,11 @@ class MeasurementSet:
     environment: Environment
 
     def __post_init__(self):
-        idx = np.asarray(self.anchor_index, dtype=int)
+        raw = np.asarray(self.anchor_index)
+        with np.errstate(invalid="ignore"):  # NaN and out-of-range entries cast to garbage
+            idx = raw.astype(int, copy=False)
+        if not np.array_equal(idx, raw):  # the cast would truncate 0.7 to anchor 0
+            raise ValueError(f"anchor_index entry {raw[idx != raw][0].item()!r} is not an integer")
         rss = np.asarray(self.rss_dbm, dtype=float)
         object.__setattr__(self, "anchor_index", idx)
         object.__setattr__(self, "rss_dbm", rss)

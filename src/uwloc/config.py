@@ -88,6 +88,15 @@ def _optional(doc, key, kind, context, default):
     return _require(doc, key, kind, context)
 
 
+def _construct(cls, context, **fields):
+    """``cls(**fields)``, turning the ValueError or OverflowError (an int past
+    int64) of its checks into a ConfigError that names ``context``."""
+    try:
+        return cls(**fields)
+    except (OverflowError, ValueError) as exc:
+        raise ConfigError(f"{context}: {exc}") from exc
+
+
 def _numbers(doc, key, kind, context):
     """Required list field whose entries are finite numbers of ``kind``."""
     entries = _require(doc, key, list, context)
@@ -128,31 +137,25 @@ def parse_scenario(path):
     doc = _known_keys(_load_json(path), SCENARIO_KEYS, ctx)
     anchors = _positions(doc, "anchors_m", ctx, 2)
     target = _positions(doc, "target_m", ctx, 1)
-    try:
-        env = Environment(
-            ple=_require(doc, "ple", float, ctx),
-            frequency_khz=_require(doc, "frequency_khz", float, ctx),
-            transmit_power_dbm=_require(doc, "transmit_power_dbm", float, ctx),
-            absorption_db_per_m=_optional(doc, "absorption_db_per_m", float, ctx, None),
-        )
-    except ConfigError:
-        raise  # already names its field with this context
-    except ValueError as exc:
-        raise ConfigError(f"{ctx}: {exc}") from exc
+    env = _construct(
+        Environment,
+        ctx,
+        ple=_require(doc, "ple", float, ctx),
+        frequency_khz=_require(doc, "frequency_khz", float, ctx),
+        transmit_power_dbm=_require(doc, "transmit_power_dbm", float, ctx),
+        absorption_db_per_m=_optional(doc, "absorption_db_per_m", float, ctx, None),
+    )
     scenario = Scenario(anchors, target, env)
 
     noise_ctx = f"{ctx}: noise"
     noise_doc = _known_keys(_optional(doc, "noise", dict, ctx, {}), NOISE_KEYS, noise_ctx)
-    try:
-        noise = NoiseModel(
-            kind=_optional(noise_doc, "kind", str, noise_ctx, "zero_mean_gaussian"),
-            sigma_db=_optional(noise_doc, "sigma_db", float, noise_ctx, 3.0),
-            mean_db=_optional(noise_doc, "mean_db", float, noise_ctx, None),
-        )
-    except ConfigError:
-        raise  # already names its field with this context
-    except ValueError as exc:
-        raise ConfigError(f"{noise_ctx}: {exc}") from exc
+    noise = _construct(
+        NoiseModel,
+        noise_ctx,
+        kind=_optional(noise_doc, "kind", str, noise_ctx, "zero_mean_gaussian"),
+        sigma_db=_optional(noise_doc, "sigma_db", float, noise_ctx, 3.0),
+        mean_db=_optional(noise_doc, "mean_db", float, noise_ctx, None),
+    )
 
     solver_ctx = f"{ctx}: solver"
     solver_doc = _known_keys(_optional(doc, "solver", dict, ctx, {}), SOLVER_KEYS, solver_ctx)
@@ -199,10 +202,7 @@ def parse_scenario(path):
         ),
         bias_scenarios=tuple(bias_scenarios) if bias_scenarios is not None else default.bias_scenarios,
     )
-    try:
-        return ExperimentConfig(**fields)
-    except ConfigError as exc:
-        raise ConfigError(f"{ctx}: {exc}") from exc
+    return _construct(ExperimentConfig, ctx, **fields)
 
 
 def load_measurements(path, env):
@@ -211,7 +211,4 @@ def load_measurements(path, env):
     doc = _known_keys(_load_json(path), MEASUREMENT_KEYS, ctx)
     index = _numbers(doc, "anchor_index", int, ctx)
     rss = _numbers(doc, "rss_dbm", float, ctx)
-    try:
-        return MeasurementSet(anchor_index=index, rss_dbm=rss, environment=env)
-    except (OverflowError, ValueError) as exc:  # OverflowError: an index past int64
-        raise ConfigError(f"{ctx}: {exc}") from exc
+    return _construct(MeasurementSet, ctx, anchor_index=index, rss_dbm=rss, environment=env)

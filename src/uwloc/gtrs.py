@@ -419,6 +419,33 @@ def _classify(eq, lam):
 
 
 @_lapack_errors
+def _walk_down(eq, f0, z0):
+    """Bracket (a, b, phi(b), z_hat(b)) of the negative root of one system.
+
+    ``f0`` < 0 and ``z0`` are phi(0) and z_hat(0).  a steps down from the
+    guarded endpoint estimate, doubling its step, until it is low; points
+    below the pole classify as low via the PD check, so an imprecise
+    endpoint estimate only costs extra expansions.
+    """
+    b, fb, zb = 0.0, f0, z0
+    a = eq.multiplier_floor()
+    step = 0.1 * (1.0 + abs(a))
+    low, fa, za = _classify(eq, a)
+    for _ in range(MAX_EXPANSIONS):
+        if low:
+            break
+        b, fb, zb = a, fa, za
+        a -= step
+        step *= 2.0
+        low, fa, za = _classify(eq, a)
+    if not low:
+        raise InfeasibleProblemError(
+            f"no constraint-residual sign change down to multiplier {a:.3e}"
+        )
+    return a, b, fb, zb
+
+
+@_lapack_errors
 def _search(eq):
     """Root of the constraint residual of one system by classification bisection.
 
@@ -441,24 +468,7 @@ def _search(eq):
             a, b = b, 2.0 * b
             low, fb, zb = _classify(eq, b)
     else:
-        # Root is negative: walk down from the guarded endpoint estimate.
-        # Points below the pole classify as "low" via the PD check, so an
-        # imprecise endpoint estimate only costs extra expansions.
-        b, fb, zb = 0.0, f0, z0
-        a = eq.multiplier_floor()
-        step = 0.1 * (1.0 + abs(a))
-        low, fa, za = _classify(eq, a)
-        for _ in range(MAX_EXPANSIONS):
-            if low:
-                break
-            b, fb, zb = a, fa, za
-            a -= step
-            step *= 2.0
-            low, fa, za = _classify(eq, a)
-        if not low:
-            raise InfeasibleProblemError(
-                f"no constraint-residual sign change down to multiplier {a:.3e}"
-            )
+        a, b, fb, zb = _walk_down(eq, f0, z0)
     # phi decreases, so b, the last point that is not low, is the best so far.
     best = (b, abs(fb), zb)
     iterations = 0
@@ -571,14 +581,13 @@ solve_known_power = solve
 def solve_many(systems):
     """:func:`solve` applied to every system, with bit-identical results.
 
-    Every system must have the same design width (one power mode of one
-    spatial dimension), as the trials of one sweep do.  One
-    :class:`_Equilibrated` holds them all, and the stages of
-    :func:`_search` run over it in order, as array state with one row per
-    system: every row is classified at 0, the rows with a positive
-    residual expand upward together, those with a negative one expand
-    downward together, and every bracketed row then bisects.  Each round
-    of a stage classifies its rows in one stacked evaluation, and the
+    Every system must have the same design width, as the trials of one
+    sweep do.  One :class:`_Equilibrated` holds them all, and the stages
+    of :func:`_search` run over it in order, as array state with one row
+    per system: every row is classified at 0, the few rows with a negative
+    residual take :func:`_walk_down` one by one, those with a positive one
+    expand upward together, and every bracketed row then bisects.  Each
+    round of a stacked stage classifies its rows in one evaluation, and the
     finished searches are finalized in one stacked pass.  Returns one
     entry per system, in order: its Estimate, or the UwlocError instance
     that :func:`solve` would have raised for it alone.
@@ -587,7 +596,7 @@ def solve_many(systems):
         return []
     eq = _Equilibrated(systems)
     n = len(systems)
-    a, b, step = np.zeros(n), np.zeros(n), np.zeros(n)
+    a, b = np.zeros(n), np.zeros(n)
     best_lam, best_abs, best_z = np.zeros(n), np.zeros(n), np.empty_like(eq.rhs0)
     iterations = np.zeros(n, dtype=int)
     errors = {}  # row -> the UwlocError that ends its search
@@ -605,15 +614,24 @@ def solve_many(systems):
     f, z_hat, solved = eq.classify(rows, np.zeros(rows.size))
     keep(rows, 0.0, f, z_hat)
     fail(rows[~solved], lambda r: GeometryError("normal matrix is not positive definite"))
-    up = rows[solved & (f > 0.0)]
-    down = rows[solved & ~(f == 0.0) & ~(f > 0.0)]
     bracketed = [rows[:0]]
 
+    # Downward, one system at a time: few rows have a negative root.
+    down = solved & ~(f >= 0.0)
+    for row, f0, z0 in zip(rows[down].tolist(), f[down], z_hat[down]):
+        try:
+            a[row], b[row], fb, zb = _walk_down(eq[row], f0, z0)
+        except UwlocError as exc:
+            errors[row] = exc
+        else:
+            keep(row, b[row], fb, zb)
+            bracketed.append(np.array([row]))
+
     # Upward: double b until the residual turns negative, which it does (module
-    # docstring), or its solve fails.  Each stage keeps its rows' last b as their best.
+    # docstring), or its solve fails.  Each row keeps its last b as its best.
     width = eq.gram.shape[1]
-    b[up] = _norms(eq.gram[up].reshape(up.size, width * width))
-    rows = up
+    rows = rows[solved & (f > 0.0)]
+    b[rows] = _norms(eq.gram[rows].reshape(rows.size, width * width))
     while rows.size:
         f, z_hat, solved = eq.classify(rows, b[rows])
         fail(rows[~solved], lambda r: _unsolved(float(b[r])))
@@ -622,32 +640,6 @@ def solve_many(systems):
         bracketed.append(rows[~low])
         rows = rows[low & solved]
         a[rows], b[rows] = b[rows], 2.0 * b[rows]
-
-    # Downward: step a down from the guarded pole, doubling the step, until it is low.
-    starts = []
-    for row in down.tolist():
-        try:
-            a[row] = eq[row].multiplier_floor()
-        except UwlocError as exc:
-            errors[row] = exc
-        else:
-            starts.append(row)
-    rows, count = np.array(starts, dtype=int), 0
-    step[rows] = 0.1 * (1.0 + np.abs(a[rows]))
-    while rows.size:
-        f, z_hat, _ = eq.classify(rows, a[rows])
-        low = f > 0.0
-        bracketed.append(rows[low])
-        rows, f, z_hat = rows[~low], f[~low], z_hat[~low]
-        if count >= MAX_EXPANSIONS:
-            fail(rows, lambda r: InfeasibleProblemError(
-                f"no constraint-residual sign change down to multiplier {a[r]:.3e}"))
-            break
-        b[rows] = a[rows]
-        keep(rows, b[rows], f, z_hat)
-        a[rows] -= step[rows]
-        step[rows] *= 2.0
-        count += 1
 
     # Bisection: keep the best, stop on a zero residual, else halve.
     rows, count = np.concatenate(bracketed), 0

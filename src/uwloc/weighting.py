@@ -16,6 +16,8 @@ so the weights sum to one and each lies in (0, 1/(N-1)).
 
 import numpy as np
 
+from .errors import NumericalError
+
 
 def deviation_diagnostic(distance_m, transmit_power_dbm, delta_db, env):
     """Distance-domain deviation caused by a fixed RSS error of ``delta_db``.
@@ -40,15 +42,19 @@ def link_weights(measurements, env):
 
     The common factor 10^(alpha/(10*beta)) and any shared RSS offset cancel
     in the normalization, so each row's exponents are shifted by their
-    maximum before exponentiation to avoid overflow.
+    maximum before exponentiation to avoid overflow.  An exponent that
+    overflows is a NumericalError; a shift that overflows to -inf gives
+    the x_i = 0 it stands for.
     """
     p = measurements.rss_dbm
     n = len(measurements)
     if n < 2:
         raise ValueError(f"need at least 2 links to weight, got {n}")
-    expo = (-p + env.absorption_db_per_m) / (10.0 * env.ple)
+    with np.errstate(over="ignore", invalid="ignore"):
+        expo = (-p + env.absorption_db_per_m) / (10.0 * env.ple)
+        shifted = expo - expo.max(axis=-1, keepdims=True)
     if not np.all(np.isfinite(expo)):
-        raise ValueError("non-finite weighting exponent")
-    x = 10.0 ** (expo - expo.max(axis=-1, keepdims=True))
+        raise NumericalError("the link weighting exponent overflows: readings are too large")
+    x = 10.0 ** shifted
     total = x.sum(axis=-1, keepdims=True)
     return (total - x) / ((n - 1) * total)

@@ -12,7 +12,7 @@ from uwloc.channel import (
     noiseless_rss,
     sample_noise,
 )
-from uwloc.errors import GeometryError
+from uwloc.errors import ConfigError, GeometryError
 
 
 def make_env(ple=2.0, freq=9.0, power=0.0, absorption=None):
@@ -175,6 +175,17 @@ class TestGenerateMeasurements:
         env = make_env()
         with pytest.raises(ValueError):
             MeasurementSet(np.arange(2), np.array([1.0, np.inf]), env)
+
+    def test_measurement_set_takes_integer_anchor_indices_only(self):
+        env = make_env()
+        for index in ([0.7, 1.2, 2.9], [0, np.nan, 2], [0, 1e300, 2]):
+            with pytest.raises(ValueError, match="is not an integer"):
+                MeasurementSet(index, np.zeros(3), env)
+        for index in ([2, 0, 1], np.arange(3), np.array([2, 0, 1], dtype=np.int32)):
+            kept = MeasurementSet(index, np.zeros(3), env).anchor_index
+            assert kept.dtype == int and kept.tolist() == list(index)
+        with pytest.raises(ConfigError, match="0 measurements for 3 anchors"):
+            MeasurementSet([], np.zeros(0), env).anchor_rows(np.zeros((3, 3)))
 
 
 class TestEnvironment:

@@ -239,6 +239,13 @@ class TestLocateCommand:
         assert f"anchor_index {bad_index}" in capsys.readouterr().err
 
 
+SHIFT_WEIGHTS = "0.111111111\n0\n" + "0.111111111\n" * 8
+WEIGHTING_OVERFLOW = "error: the link weighting exponent overflows: readings are too large\n"
+BUILD_OVERFLOW = (
+    "error: the weighted system overflows: readings or anchor coordinates are too large\n"
+)
+
+
 class TestWeightsCommand:
     def test_prints_normalized_vector(self, zero_absorption_paths, capsys):
         cfg, meas, _ = zero_absorption_paths
@@ -264,6 +271,31 @@ class TestWeightsCommand:
         assert main([command, "--config", str(config_path), "--measurements", str(meas)]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == f"configuration error: {message}\n"
+
+    @pytest.mark.filterwarnings("error")  # no RuntimeWarning from the overflow
+    @pytest.mark.parametrize(
+        "command, rss, code, out, err",
+        [
+            # At ple 0.05 the weighting exponent 2*(alpha - P_i) of 1e308 overflows.
+            ("weights", [1e308] * 10, 2, "", WEIGHTING_OVERFLOW),
+            ("locate", [1e308] * 10, 2, "", WEIGHTING_OVERFLOW),
+            # Finite exponents whose shift by the largest one overflows to -inf: x = 0.
+            ("weights", [8e307, -8e307] + [0.0] * 8, 0, SHIFT_WEIGHTS, ""),
+            ("locate", [8e307, -8e307] + [0.0] * 8, 2, "", BUILD_OVERFLOW),
+        ],
+        ids=["weights-exponent", "locate-exponent", "weights-shift", "locate-shift"],
+    )
+    def test_overflowing_readings_are_named_errors(
+        self, config_path, tmp_path, capsys, command, rss, code, out, err
+    ):
+        doc = json.loads(config_path.read_text())
+        doc["ple"] = 0.05
+        cfg = tmp_path / "low_ple.json"
+        cfg.write_text(json.dumps(doc))
+        meas = tmp_path / "measurements.json"
+        meas.write_text(json.dumps({"anchor_index": list(range(10)), "rss_dbm": rss}))
+        assert main([command, "--config", str(cfg), "--measurements", str(meas)]) == code
+        assert tuple(capsys.readouterr()) == (out, err)
 
 
 class TestExitCodes:
@@ -356,14 +388,25 @@ class TestExitCodes:
         )
 
     @pytest.mark.filterwarnings("error")  # no RuntimeWarning from the overflow
-    @pytest.mark.parametrize("known_power", [False, True], ids=["joint", "known"])
+    @pytest.mark.parametrize(
+        "ple, solver",
+        [
+            (2.0, {"known_power": False}),
+            (2.0, {"known_power": True}),
+            # At ple 0.05 the weighting exponent overflows first; unweighted, the build does.
+            (0.05, {"weighted": True}),
+            (0.05, {"weighted": False}),
+        ],
+        ids=["joint", "known", "weighted-low-ple", "unweighted-low-ple"],
+    )
     def test_overflowing_transmit_power_simulate(
-        self, tmp_path, config_path, capsys, known_power
+        self, tmp_path, config_path, capsys, ple, solver
     ):
         # Readings near 1e308 dBm overflow q^2 in every trial's build.
         doc = json.loads(config_path.read_text())
         doc["transmit_power_dbm"] = 1e308
-        doc["solver"]["known_power"] = known_power
+        doc["ple"] = ple
+        doc["solver"].update(solver)
         doc["mc_trials"] = 3
         doc["sigma_grid_db"] = [3.0]
         path = tmp_path / "huge_power.json"

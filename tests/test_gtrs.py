@@ -571,8 +571,13 @@ class TestSolveMany:
             stack = [system for system in systems if system.design.shape[1] == width]
             assert_bit_identical(solve_many(stack), solve_each(stack))
 
-    def test_matches_solve_on_bundled_sigma9_trials(self, bundled_config, monkeypatch):
+    # Trials 0-299 at sigma = 1 dB hold 12 negative roots (trials 12, 45, 66,
+    # 107, 123, 158, 183, 191, 223, 241, 256 and 294), each walked down alone
+    # between the stacked rows.
+    @pytest.mark.parametrize("extra", [[], range(300)], ids=["sigma9", "sigma9+sigma1"])
+    def test_matches_solve_on_bundled_sigma9_trials(self, bundled_config, monkeypatch, extra):
         systems = sigma9_trial_systems(bundled_config, range(12))
+        systems += trial_systems(bundled_config, 1.0, extra)
         # Trial 210 fails the build_system rank gate; built past the gate,
         # its system solves in the stack exactly as it does alone.
         with pytest.raises(GeometryError):
@@ -594,7 +599,7 @@ class TestSolveMany:
         assert failed == [iterations.index(max(iterations))]
         assert isinstance(batch[failed[0]], ConvergenceError)
 
-    def test_stack_rejected_by_numpy_is_classified_one_by_one(self, bundled_config):
+    def test_a_row_below_its_pole_fails_alone_in_its_stack(self, bundled_config):
         batch = gtrs._Equilibrated(sigma9_trial_systems(bundled_config, range(3)))
         eqs = [batch[row] for row in range(3)]
         below_pole = 2.0 * eqs[0].multiplier_floor()
