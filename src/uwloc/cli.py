@@ -8,6 +8,7 @@ unless --timing is given, and measured timing goes to stderr instead).
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -38,6 +39,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache  # one argparse tree per process; parse_args keeps no state in it
 def _build_parser():
     parser = _Parser(
         prog="uwloc",

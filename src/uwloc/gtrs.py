@@ -63,12 +63,17 @@ MAX_EXPANSIONS = 120
 # can need over 1000 halvings to collapse its bracket; stop those here.
 MAX_ITER = 200
 
+# Bisection steps one round of the one-system search evaluates ahead: one
+# stacked classify of the 2**DEPTH - 1 midpoints those steps can reach.
+DEPTH = 3
+
 _NONPOSITIVE_DIAGONAL = "normal matrix has a nonpositive diagonal entry"
 
 
 # A LAPACK gufunc fills the output of a matrix it cannot factor or solve with
-# NaN and raises the invalid flag; this state keeps that quiet.  It is entered
-# once per search, not per call.
+# NaN and raises the invalid flag; this state keeps that quiet.  Each search
+# driver holds it as a decorator, so the solves and classify calls inside
+# do not enter it again (an np.errstate can be entered only once as a with).
 _lapack_errors = np.errstate(all="ignore")
 
 
@@ -277,8 +282,9 @@ class _Equilibrated:
     ``lin`` and ``rhs0`` their scaled copies; ``ple`` is its path-loss
     exponent.  ``valid`` is False where the normal matrix has a
     nonpositive diagonal entry; such a row has no scaling and is never
-    searched.  :meth:`classify` takes the stack, and ``eq[i]`` is system i
-    alone, with 2-D arrays, for the one-system methods.
+    searched.  :meth:`classify` takes the stack, ``take(rows)`` a compact
+    stack of some rows, and ``eq[i]`` is system i alone, with 2-D arrays,
+    for the one-system methods.
     """
 
     @np.errstate(divide="ignore", invalid="ignore")  # rows that are not valid get inf or NaN
@@ -296,16 +302,20 @@ class _Equilibrated:
         self.gram = self.normal * outer
         self.quad = self.constraint_quad * outer
         self.lin = self.constraint_lin * self.scale
-        self.lin2 = 2.0 * self.lin  # constraint_residual's, formed once
+        self.lin2 = 2.0 * self.lin  # the residual's 2h, formed once
         self.rhs0 = self.moment * self.scale
+
+    def take(self, rows):
+        """The systems at the index array ``rows`` as a stack, or at an int as one system."""
+        sub = object.__new__(_Equilibrated)
+        sub.__dict__ = {name: value[rows] for name, value in vars(self).items()}
+        return sub
 
     def __getitem__(self, row):
         """System ``row`` alone; a GeometryError where it is not valid."""
         if not self.valid[row]:
             raise GeometryError(_NONPOSITIVE_DIAGONAL)
-        one = object.__new__(_Equilibrated)
-        one.__dict__ = {name: value[row] for name, value in vars(self).items()}
-        return one
+        return self.take(row)
 
     def solve_at(self, lam, check_definite):
         """Solution of the shifted system, or None when it is not PD or not solved.
@@ -317,7 +327,7 @@ class _Equilibrated:
         """
         shifted = self.gram + lam * self.quad
         diag = shifted.diagonal()
-        if np.fmin.reduce(diag) <= 0.0:  # (diag <= 0.0).any(), cheaper, as in classify
+        if np.fmin.reduce(diag) <= 0.0:  # (diag <= 0.0).any(), cheaper
             return None
         s = 1.0 / np.sqrt(diag)
         scaled = shifted * (s[:, None] * s)
@@ -348,33 +358,30 @@ class _Equilibrated:
             guard = 1e-6 * abs(edge)
         return edge + guard
 
-    @np.errstate(divide="ignore", invalid="ignore")  # NaN marks a failed LAPACK call
-    def classify(self, rows, lams):
-        """:func:`_classify` of ``self[rows[j]]`` at ``lams[j]`` for every j.
+    def classify(self, lams):
+        """:func:`_classify` at every multiplier of ``lams`` at once.
 
-        Returns (residual, z_hat, solved) arrays.  Where the shifted matrix
-        is not PD or its solve fails, ``solved`` is False, the residual is
-        inf and the z_hat row is not a solution, so ``residual > 0`` is
-        :func:`_classify`'s ``low``.  The arithmetic is that of
-        :meth:`solve_at` matrix by matrix, so every bit matches.
+        A stack holds one system per multiplier; one system (2-D arrays)
+        broadcasts over them all.  Returns (residual, z_hat, solved) arrays.
+        Where the shifted matrix is not PD or its solve fails, ``solved`` is
+        False, the residual is inf and the z_hat row is not a solution, so
+        ``residual > 0`` is :func:`_classify`'s ``low``.  The arithmetic is
+        that of :meth:`solve_at` matrix by matrix, so every bit matches;
+        callers hold :data:`_lapack_errors`.
         """
-        quad, lin = self.quad[rows], self.lin[rows]
-        shifted = self.gram[rows] + lams[:, None, None] * quad
-        diag = shifted.diagonal(axis1=1, axis2=2)
-        s = 1.0 / np.sqrt(diag)
+        shifted = self.gram + lams[:, None, None] * self.quad
+        s = 1.0 / np.sqrt(shifted.diagonal(axis1=1, axis2=2))
         scaled = shifted * (s[:, :, None] * s[:, None, :])
-        rhs = (self.rhs0[rows] - lams[:, None] * lin) * s
-        # ~(diag <= 0).any(axis=1), cheaper: fmin skips NaN entries as any() does.
-        solved = ~(np.fmin.reduce(diag, axis=1) <= 0.0)
-        check = np.flatnonzero(solved & (lams < 0.0))
-        if check.size:
-            factor = _umath_linalg.cholesky_lo(scaled[check], signature="d->d")
-            solved[check] = factor.diagonal(axis1=1, axis2=2).min(axis=1) > 1e-6
+        rhs = (self.rhs0 - lams[:, None] * self.lin) * s
         z_hat = _umath_linalg.solve1(scaled, rhs, signature="dd->d") * s
-        solved &= ~np.isnan(z_hat[:, -1])
-        residual = np.full(rows.size, np.inf)
-        residual[solved] = _quadratic(z_hat[solved], quad[solved], lin[solved])
-        return residual, z_hat, solved
+        solved = ~np.isnan(z_hat[:, -1])
+        # At lam >= 0 the diagonal is positive; below 0 a nonpositive entry
+        # makes s NaN or inf, so the Cholesky fails as solve_at's check would.
+        negative = lams < 0.0
+        if negative.any():
+            factor = _umath_linalg.cholesky_lo(scaled[negative], signature="d->d")
+            solved[negative] &= factor.diagonal(axis1=1, axis2=2).min(axis=1) > 1e-6
+        return np.where(solved, _quadratic(z_hat, self.quad, self.lin2), np.inf), z_hat, solved
 
 
 def lambda_interval(system):
@@ -445,13 +452,36 @@ def _walk_down(eq, f0, z0):
     return a, b, fb, zb
 
 
+def _no_convergence(a, b):
+    message = f"bisection exceeded {MAX_ITER} iterations (bracket width {b - a:.3e})"
+    return ConvergenceError(message, bracket=(a, b))
+
+
+def _midpoints(a, b):
+    """Midpoints of the next DEPTH bisection steps from the bracket (a, b).
+
+    Node 0 is 0.5 * (a + b); node j's children are 2j + 1, the step after a
+    low midpoint (a moves up to it), and 2j + 2, the step after a high one.
+    """
+    lows, highs, mids = [a], [b], []
+    for j in range(2**DEPTH - 1):
+        mid = 0.5 * (lows[j] + highs[j])
+        mids.append(mid)
+        lows += mid, lows[j]
+        highs += highs[j], mid
+    return mids
+
+
 @_lapack_errors
 def _search(eq):
     """Root of the constraint residual of one system by classification bisection.
 
-    Returns (multiplier, z_hat, iterations).  :func:`solve_many` takes
-    the same steps over a stack of systems, which the tests pin against
-    this bit for bit.
+    Returns (multiplier, z_hat, iterations).  Each round classifies, in one
+    stacked call, the midpoints the next DEPTH steps can reach, then takes
+    those steps one by one along the tree, so the steps, their order and
+    every exit are those of a bisection that classifies one midpoint per
+    step.  :func:`solve_many` takes the same steps over a stack of systems,
+    which the tests pin against this bit for bit.
     """
     _, f0, z0 = _classify(eq, 0.0)
     if z0 is None:
@@ -471,27 +501,28 @@ def _search(eq):
         a, b, fb, zb = _walk_down(eq, f0, z0)
     # phi decreases, so b, the last point that is not low, is the best so far.
     best = (b, abs(fb), zb)
-    iterations = 0
+    iterations, node, mids = 0, 0, []
     while b > a:
         if iterations >= MAX_ITER:
-            raise ConvergenceError(
-                f"bisection exceeded {MAX_ITER} iterations"
-                f" (bracket width {b - a:.3e})",
-                bracket=(a, b),
-            )
-        mid = 0.5 * (a + b)
+            raise _no_convergence(a, b)
+        if node >= len(mids):  # a new round from the bracket (a, b)
+            node, mids, f = 0, _midpoints(a, b), None
+        mid = mids[node]
         if mid == a or mid == b:
             break  # bracket has collapsed to adjacent floats
-        low, fm, zm = _classify(eq, mid)
+        if f is None:  # classified only once a step needs it
+            f, z_hat, _ = eq.classify(np.array(mids))
+            f = f.tolist()
+        fm = f[node]
         iterations += 1
-        if abs(fm) < best[1]:  # fm is inf where zm is None
-            best = (mid, abs(fm), zm)
+        if abs(fm) < best[1]:  # fm is inf where the shifted matrix is not PD
+            best = (mid, abs(fm), z_hat[node])
         if fm == 0.0:
             break
-        if low:
-            a = mid
+        if fm > 0.0:
+            a, node = mid, 2 * node + 1
         else:
-            b = mid
+            b, node = mid, 2 * node + 2
     return best[0], best[2], iterations
 
 
@@ -505,15 +536,15 @@ def _norms(rows):
     return np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
 
 
-def _quadratic(z, quad, lin):
-    """z @ quad @ z + 2 lin @ z for each row of ``z``.
+def _quadratic(z, quad, lin2):
+    """z @ quad @ z + lin2 @ z for each row of ``z``.
 
     It runs through the vector-matrix and vector-vector matmuls of the
     one-system expression, so every sum runs in its order (np.sum and
     einsum do not).
     """
     row, col = z[:, None, :], z[:, :, None]
-    return ((row @ quad) @ col + (2.0 * lin)[:, None, :] @ col)[:, 0, 0]
+    return ((row @ quad) @ col + lin2[..., None, :] @ col)[:, 0, 0]
 
 
 @np.errstate(divide="ignore", invalid="ignore")
@@ -533,7 +564,7 @@ def _finalize(eq, rows, lam, z_hat, iterations):
     residual = _norms((shifted @ z[:, :, None])[:, :, 0] - rhs)
     scale = _norms(shifted.reshape(len(rows), -1)) * _norms(z) + _norms(rhs)
     stationarity = np.where(scale > 0, residual / scale, residual)
-    constraint = _quadratic(z, quad, lin)
+    constraint = _quadratic(z, quad, 2.0 * lin)
     min_eig = np.linalg.eigvalsh(shifted).min(axis=1)
     min_eig_ratio = min_eig / np.linalg.svd(normal, compute_uv=False).max(axis=1)
     estimates = []
@@ -578,6 +609,7 @@ def solve(system):
 solve_known_power = solve
 
 
+@_lapack_errors
 def solve_many(systems):
     """:func:`solve` applied to every system, with bit-identical results.
 
@@ -586,11 +618,13 @@ def solve_many(systems):
     of :func:`_search` run over it in order, as array state with one row
     per system: every row is classified at 0, the few rows with a negative
     residual take :func:`_walk_down` one by one, those with a positive one
-    expand upward together, and every bracketed row then bisects.  Each
-    round of a stacked stage classifies its rows in one evaluation, and the
-    finished searches are finalized in one stacked pass.  Returns one
-    entry per system, in order: its Estimate, or the UwlocError instance
-    that :func:`solve` would have raised for it alone.
+    expand upward together, and every bracketed row then bisects, one step
+    per round.  Each round of a stacked stage classifies a compact stack of
+    its unfinished rows in one :meth:`_Equilibrated.classify` call: the
+    upward rounds take their rows anew, the bisection only after a round in
+    which a row finished.  The finished searches are finalized in one
+    stacked pass.  Returns one entry per system, in order: its Estimate, or
+    the UwlocError instance that :func:`solve` would have raised for it alone.
     """
     if not systems:
         return []
@@ -611,7 +645,7 @@ def solve_many(systems):
 
     fail(np.flatnonzero(~eq.valid), lambda r: GeometryError(_NONPOSITIVE_DIAGONAL))
     rows = np.flatnonzero(eq.valid)
-    f, z_hat, solved = eq.classify(rows, np.zeros(rows.size))
+    f, z_hat, solved = eq.take(rows).classify(np.zeros(rows.size))
     keep(rows, 0.0, f, z_hat)
     fail(rows[~solved], lambda r: GeometryError("normal matrix is not positive definite"))
     bracketed = [rows[:0]]
@@ -633,7 +667,7 @@ def solve_many(systems):
     rows = rows[solved & (f > 0.0)]
     b[rows] = _norms(eq.gram[rows].reshape(rows.size, width * width))
     while rows.size:
-        f, z_hat, solved = eq.classify(rows, b[rows])
+        f, z_hat, solved = eq.take(rows).classify(b[rows])
         fail(rows[~solved], lambda r: _unsolved(float(b[r])))
         low = f > 0.0
         keep(rows[~low], b[rows[~low]], f[~low], z_hat[~low])
@@ -641,31 +675,34 @@ def solve_many(systems):
         rows = rows[low & solved]
         a[rows], b[rows] = b[rows], 2.0 * b[rows]
 
-    # Bisection: keep the best, stop on a zero residual, else halve.
-    rows, count = np.concatenate(bracketed), 0
+    # Bisection: keep the best, stop on a zero residual, else halve.  The live
+    # rows' brackets and best points are compact arrays, written back as rows finish.
+    rows = np.concatenate(bracketed)
+    lower, upper, lam, least, z = a[rows], b[rows], best_lam[rows], best_abs[rows], best_z[rows]
+    live, zero, count = None, np.zeros(rows.size, dtype=bool), 0
     while True:
-        lower, upper = a[rows], b[rows]
         mid = 0.5 * (lower + upper)
-        go = upper > lower
+        go = (upper > lower) & ~zero
         if count >= MAX_ITER:
-            fail(rows[go], lambda r: ConvergenceError(
-                f"bisection exceeded {MAX_ITER} iterations (bracket width {b[r] - a[r]:.3e})",
-                bracket=(float(a[r]), float(b[r]))))
+            for row, lo, hi in zip(rows[go].tolist(), lower[go].tolist(), upper[go].tolist()):
+                errors[row] = _no_convergence(lo, hi)
             go[:] = False
         go &= (mid != lower) & (mid != upper)
-        iterations[rows[~go]] = count  # collapsed brackets end here
-        rows, mid = rows[go], mid[go]
-        if not rows.size:
-            break
-        f, z_hat, _ = eq.classify(rows, mid)
+        if live is None or not go.all():  # collapsed brackets and zero residuals end here
+            done = rows[~go]
+            iterations[done], best_lam[done], best_z[done] = count, lam[~go], z[~go]
+            rows, lower, upper, mid, lam, least, z = (
+                x[go] for x in (rows, lower, upper, mid, lam, least, z))
+            if not rows.size:
+                break
+            live = eq.take(rows)
+        f, z_hat, _ = live.classify(mid)
         count += 1
-        better = np.abs(f) < best_abs[rows]  # f is inf where not solved
-        keep(rows[better], mid[better], f[better], z_hat[better])
-        low = f > 0.0
-        a[rows[low]], b[rows[~low]] = mid[low], mid[~low]
-        zero = f == 0.0
-        iterations[rows[zero]] = count
-        rows = rows[~zero]
+        better = np.abs(f) < least  # f is inf where not solved
+        lam, least = np.where(better, mid, lam), np.where(better, np.abs(f), least)
+        z = np.where(better[:, None], z_hat, z)
+        low, zero = f > 0.0, f == 0.0
+        lower, upper = np.where(low, mid, lower), np.where(low, upper, mid)
 
     done = [row for row in range(n) if row not in errors]
     results = dict(errors)

@@ -536,7 +536,8 @@ def shifted_scaled(eq, lam):
 
 def classify_replies(batch, rows, lams):
     """_Equilibrated.classify as the (low, residual, z_hat or None) triples of _classify."""
-    residual, z_hat, solved = batch.classify(np.array(rows), np.array(lams, dtype=float))
+    classify = gtrs._lapack_errors(batch.take(np.array(rows)).classify)
+    residual, z_hat, solved = classify(np.array(lams, dtype=float))
     return [(f > 0.0, f, z if ok else None) for f, z, ok in zip(residual.tolist(), z_hat, solved)]
 
 
@@ -674,14 +675,15 @@ class TestSolveMany:
         # unsolved point above 0 ends the upward walk with a NumericalError.
         systems = [orthonormal_system(seed) for seed in range(6)]
         batch = gtrs._Equilibrated(systems)
-        residual, _, solved = batch.classify(np.arange(6), np.full(6, np.inf))
+        classify_stack = gtrs._lapack_errors(batch.take(np.arange(6)).classify)
+        residual, _, solved = classify_stack(np.full(6, np.inf))
         assert residual.tolist() == [np.inf] * 6 and not solved.any()
         classify_alone = gtrs._lapack_errors(gtrs._classify)
         assert all(classify_alone(batch[row], np.inf) == (True, np.inf, None) for row in range(6))
         # Evaluate every positive multiplier at inf instead.
         classify, solve_at = gtrs._Equilibrated.classify, gtrs._Equilibrated.solve_at
-        monkeypatch.setattr(gtrs._Equilibrated, "classify", lambda self, rows, lams: classify(
-            self, rows, np.where(lams > 0.0, np.inf, lams)))
+        monkeypatch.setattr(gtrs._Equilibrated, "classify", lambda self, lams: classify(
+            self, np.where(lams > 0.0, np.inf, lams)))
         monkeypatch.setattr(gtrs._Equilibrated, "solve_at", lambda self, lam, check_definite: (
             solve_at(self, np.inf if lam > 0.0 else lam, check_definite)))
         reference = solve_each(systems)
@@ -768,6 +770,136 @@ class TestSolveMany:
             assert all(later < earlier for earlier, later in zip(walk, walk[1:]))
             walks.append(len(walk))
         assert max(walks) >= 4  # 0, the floor and two steps down
+
+
+@gtrs._lapack_errors
+def stepwise_search(eq):
+    """Reference for gtrs._search: its bracketing, then a bisection that
+    classifies one midpoint per step through gtrs._classify."""
+    _, f0, z0 = gtrs._classify(eq, 0.0)
+    if z0 is None:
+        raise GeometryError("normal matrix is not positive definite")
+    if f0 == 0.0:
+        return 0.0, z0, 0
+    if f0 > 0.0:
+        a, b = 0.0, float(np.linalg.norm(eq.gram))
+        low, fb, zb = gtrs._classify(eq, b)
+        while low:
+            if zb is None:
+                raise gtrs._unsolved(b)
+            a, b = b, 2.0 * b
+            low, fb, zb = gtrs._classify(eq, b)
+    else:
+        a, b, fb, zb = gtrs._walk_down(eq, f0, z0)
+    best = (b, abs(fb), zb)
+    iterations = 0
+    while b > a:
+        if iterations >= gtrs.MAX_ITER:
+            raise ConvergenceError(
+                f"bisection exceeded {gtrs.MAX_ITER} iterations (bracket width {b - a:.3e})",
+                bracket=(a, b),
+            )
+        mid = 0.5 * (a + b)
+        if mid == a or mid == b:
+            break
+        low, fm, zm = gtrs._classify(eq, mid)
+        iterations += 1
+        if abs(fm) < best[1]:
+            best = (mid, abs(fm), zm)
+        if fm == 0.0:
+            break
+        if low:
+            a = mid
+        else:
+            b = mid
+    return best[0], best[2], iterations
+
+
+def search_outcome(search, eq):
+    """(multiplier, z_hat bytes, iterations), or the error's (class, message, bracket)."""
+    try:
+        lam, z_hat, iterations = search(eq)
+    except UwlocError as exc:
+        return type(exc), str(exc), getattr(exc, "bracket", None)
+    return lam, z_hat.tobytes(), iterations
+
+
+# Trials 0-12 and the negative roots of trials 0-299 at sigma = 1 dB, as in
+# TestSolveMany; the negative roots' rounds run the Cholesky check.
+SIGMA1_TRIALS = [*range(13), 45, 66, 107, 123, 158, 183, 191, 223, 241, 256, 294]
+
+
+class TestSpeculativeSearch:
+    """gtrs._search classifies the midpoints of DEPTH steps in one stacked
+    call and replays the steps; it must match stepwise_search bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def sigma1(self, bundled_config):
+        systems = trial_systems(bundled_config, 1.0, SIGMA1_TRIALS)
+        return [gtrs._Equilibrated([system])[0] for system in systems]
+
+    @pytest.mark.parametrize("depth", [1, 2, 3, 5])
+    def test_matches_stepwise_bisection(self, sigma1, monkeypatch, depth):
+        expected = [search_outcome(stepwise_search, eq) for eq in sigma1]
+        assert sum(lam < 0.0 for lam, _, _ in expected) == 12
+        monkeypatch.setattr(gtrs, "DEPTH", depth)
+        calls = []
+        classify = gtrs._Equilibrated.classify
+        monkeypatch.setattr(gtrs._Equilibrated, "classify", lambda self, lams: (
+            calls.append(lams.size) or classify(self, lams)))
+        ends_inside_a_round = 0
+        for eq, reference in zip(sigma1, expected):
+            calls.clear()
+            assert search_outcome(gtrs._search, eq) == reference
+            iterations = reference[2]
+            # One call per DEPTH steps; a bracket that collapses at a round's
+            # first step costs no call.
+            assert calls == [2**depth - 1] * -(-iterations // depth)
+            ends_inside_a_round += iterations % depth != 0
+        if depth > 1:
+            assert ends_inside_a_round > 0  # collapses at a node that is not a round's first
+
+    @pytest.mark.parametrize("depth", [1, 2, 3, 5])
+    @pytest.mark.parametrize("max_iter", [4, 5, 7, 11])
+    def test_iteration_cap_inside_a_round(self, sigma1, monkeypatch, depth, max_iter):
+        monkeypatch.setattr(gtrs, "MAX_ITER", max_iter)
+        expected = [search_outcome(stepwise_search, eq) for eq in sigma1]
+        assert all(outcome[0] is ConvergenceError for outcome in expected)
+        monkeypatch.setattr(gtrs, "DEPTH", depth)
+        assert [search_outcome(gtrs._search, eq) for eq in sigma1] == expected
+
+    @pytest.mark.parametrize("depth", [2, 3, 5])
+    @pytest.mark.parametrize("step", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("trial", [0, 12], ids=["positive", "negative"])
+    def test_zero_residual_inside_a_round(self, sigma1, monkeypatch, depth, step, trial):
+        # The residual reads exactly 0 at the bisection's step-th midpoint,
+        # which ends both searches there with that midpoint as the estimate.
+        eq = sigma1[SIGMA1_TRIALS.index(trial)]
+        seen = []
+        classify_one = gtrs._classify
+        monkeypatch.setattr(
+            gtrs, "_classify", lambda eq, lam: seen.append(lam) or classify_one(eq, lam)
+        )
+        lam, _, iterations = stepwise_search(eq)
+        assert (lam < 0.0) == (trial == 12)
+        zero_at = seen[len(seen) - iterations + step - 1]
+
+        def one(eq, lam):
+            low, residual, z_hat = classify_one(eq, lam)
+            return (False, 0.0, z_hat) if lam == zero_at else (low, residual, z_hat)
+
+        classify = gtrs._Equilibrated.classify
+
+        def stacked(self, lams):
+            residual, z_hat, solved = classify(self, lams)
+            return np.where(lams == zero_at, 0.0, residual), z_hat, solved
+
+        monkeypatch.setattr(gtrs, "_classify", one)
+        monkeypatch.setattr(gtrs._Equilibrated, "classify", stacked)
+        expected = search_outcome(stepwise_search, eq)
+        assert expected[0] == zero_at and expected[2] == step
+        monkeypatch.setattr(gtrs, "DEPTH", depth)
+        assert search_outcome(gtrs._search, eq) == expected
 
 
 class TestPowerDbm:

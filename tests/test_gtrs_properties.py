@@ -14,12 +14,13 @@ residual, which its uncapped loop relies on.
 """
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import uwloc
 from conftest import brute_force_objective, gtrs_objective, normalized_gram_floor
-from test_gtrs import assert_bit_identical, solve_each
+from test_gtrs import assert_bit_identical, search_outcome, solve_each, stepwise_search
 from uwloc import gtrs
 from uwloc.errors import NumericalError, UwlocError
 from uwloc.gtrs import build_known_power_system, build_system, lambda_interval, phi, solve_many
@@ -136,6 +137,20 @@ def test_kkt_monotone_residual_and_batch_equality(batch):
                 continue
             assert_kkt(system, outcome)
             assert_phi_decreasing(system)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(batch=fix_batches())
+def test_search_rounds_replay_the_stepwise_bisection(batch):
+    """gtrs._search, at every DEPTH tried, takes stepwise_search's steps bit for bit."""
+    for build in BUILDS:
+        for system in built_systems(batch, build):
+            eq = gtrs._Equilibrated([system])[0]
+            expected = search_outcome(stepwise_search, eq)
+            for depth in (1, 2, 3, 5):
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(gtrs, "DEPTH", depth)
+                    assert search_outcome(gtrs._search, eq) == expected
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
