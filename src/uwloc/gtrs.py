@@ -33,7 +33,11 @@ reparameterization: the multiplier, the constraint residual, and the
 returned z are unchanged).  Below the interval's pole the shifted matrix is
 indefinite, which a Cholesky failure detects; such points are treated as
 lying below the root, so the bisection never depends on a high-accuracy
-estimate of lam*.
+estimate of lam*.  A single fix's search guesses the root from the secular
+equation of the scaled pencil and classifies the bisection's likely path
+in one call; every step is still decided by the shifted solve, so the
+secular function sets only the speed, never the multiplier, z or the step
+count.
 """
 
 import functools
@@ -66,6 +70,10 @@ MAX_ITER = 200
 # Bisection steps one round of the one-system search evaluates ahead: one
 # stacked classify of the 2**DEPTH - 1 midpoints those steps can reach.
 DEPTH = 3
+
+# Cap on the Newton steps of the root predictor (:func:`_predict`); on random
+# fixes it stops after 3 to 9.
+PREDICT_STEPS = 30
 
 _NONPOSITIVE_DIAGONAL = "normal matrix has a nonpositive diagonal entry"
 
@@ -472,16 +480,98 @@ def _midpoints(a, b):
     return mids
 
 
+def _path(a, b, guess):
+    """Midpoints the bisection from (a, b) visits if those below ``guess`` are low.
+
+    It ends where the bracket would collapse, or after MAX_ITER midpoints.
+    """
+    mids = []
+    while len(mids) < MAX_ITER:
+        mid = 0.5 * (a + b)
+        if mid == a or mid == b:
+            break
+        mids.append(mid)
+        if mid < guess:
+            a = mid
+        else:
+            b = mid
+    return mids
+
+
+def _predict(eq, a, b):
+    """An estimate of the root in the bracket (a, b), from the secular equation.
+
+    With G = L L^T and L^-1 H L^-T = U diag(mu) U^T for the scaled ``gram``
+    and ``quad``, z = L^-T U y turns (G + lam*H) z = r - lam*h into
+    y_i = (c_i - lam*e_i) / (1 + lam*mu_i), with c = U^T L^-1 r and
+    e = U^T L^-1 h, so phi(lam) = sum mu_i*y_i^2 + 2*e_i*y_i.  H has rank k,
+    so all but k of the mu are 0, and phi = n - l: n(lam) is the sum over
+    the k others of g_i^2 / (mu_i * (1 + lam*mu_i)^2), g_i = mu_i*c_i + e_i,
+    and l(lam) = alpha + beta*lam with beta >= 0.  Above the pole, phi is
+    convex and decreasing; where l > 0 too, psi = 1/sqrt(n) - 1/sqrt(l) is
+    concave and increasing, has phi's root, and is near linear by a pole
+    (Moré & Sorensen 1983).  So a Newton step on phi or on psi, and l's own
+    root, all land at or below the root, and each step takes the largest of
+    them; a step that leaves the bracket it narrows halves it instead.
+    Returns None where a factorization fails or a value is not finite.
+    """
+    factor = _umath_linalg.cholesky_lo(eq.gram, signature="d->d")
+    inverse = _umath_linalg.inv(factor, signature="d->d")
+    mu, u = _umath_linalg.eigh_lo((inverse * eq.quad.diagonal()) @ inverse.T, signature="d->dd")
+    c, e = np.array([eq.rhs0, eq.lin]) @ inverse.T @ u
+    free = len(mu) - eq.dimension  # the w - k smallest mu are rounding noise about 0
+    mu, c0, e0, c, e = mu[free:], c[:free], e[:free], c[free:], e[free:]
+    g2 = (mu * c + e) ** 2
+    alpha, beta = float(e @ (e / mu) - 2.0 * e0 @ c0), 2.0 * float(e0 @ e0)
+    g2mu, mu, g2 = (g2 / mu).tolist(), mu.tolist(), g2.tolist()
+    if not (min(mu) > 0.0 and math.isfinite(alpha + beta + sum(g2mu) + sum(g2))):
+        return None
+    lam = a
+    for _ in range(PREDICT_STEPS):
+        d = [1.0 + lam * m for m in mu]
+        if min(d) <= 0.0:  # below the pole, where the bisection's steps are low
+            a, lam = lam, 0.5 * (lam + b)
+            continue
+        n = sum(h / (di * di) for h, di in zip(g2mu, d))
+        dn = 2.0 * sum(h / (di * di * di) for h, di in zip(g2, d))  # -n'
+        level = alpha + beta * lam
+        f = n - level
+        if not (math.isfinite(f) and dn + beta > 0.0):
+            return None
+        if f > 0.0:
+            a = lam
+        elif f < 0.0:
+            b = lam
+        new = lam + f / (dn + beta)
+        if level > 0.0 and n > 0.0:
+            root_n, root_l = math.sqrt(n), math.sqrt(level)
+            slope = 0.5 * (dn / n / root_n + beta / level / root_l)
+            if slope > 0.0:
+                new = max(new, lam - (1.0 / root_n - 1.0 / root_l) / slope)
+        elif beta > 0.0:
+            new = max(new, -alpha / beta)
+        if not math.isfinite(new):
+            return None
+        if abs(new - lam) <= 1e-12 * abs(new):
+            return new
+        lam = new if a < new < b else 0.5 * (a + b)
+    return lam
+
+
 @_lapack_errors
 def _search(eq):
     """Root of the constraint residual of one system by classification bisection.
 
-    Returns (multiplier, z_hat, iterations).  Each round classifies, in one
-    stacked call, the midpoints the next DEPTH steps can reach, then takes
-    those steps one by one along the tree, so the steps, their order and
-    every exit are those of a bisection that classifies one midpoint per
-    step.  :func:`solve_many` takes the same steps over a stack of systems,
-    which the tests pin against this bit for bit.
+    Returns (multiplier, z_hat, iterations).  Once the root is bracketed,
+    :func:`_predict` guesses it, and the first round classifies, in one
+    stacked call, the midpoints :func:`_path` lays out for that guess, then
+    takes those steps while each lands on the side the guess called.  From
+    the first that does not, or the path's end, each round classifies the
+    midpoints the next DEPTH steps can reach and takes them one by one along
+    the tree.  So the steps, their order and every exit are those of a
+    bisection that classifies one midpoint per step, whatever the guess: a
+    poor one costs only time.  :func:`solve_many` takes the same steps over
+    a stack of systems, which the tests pin against this bit for bit.
     """
     _, f0, z0 = _classify(eq, 0.0)
     if z0 is None:
@@ -501,12 +591,14 @@ def _search(eq):
         a, b, fb, zb = _walk_down(eq, f0, z0)
     # phi decreases, so b, the last point that is not low, is the best so far.
     best = (b, abs(fb), zb)
-    iterations, node, mids = 0, 0, []
+    guess = _predict(eq, a, b)
+    path = guess is not None  # the first round follows the guess's path
+    iterations, node, mids, f = 0, 0, _path(a, b, guess) if path else [], None
     while b > a:
         if iterations >= MAX_ITER:
             raise _no_convergence(a, b)
-        if node >= len(mids):  # a new round from the bracket (a, b)
-            node, mids, f = 0, _midpoints(a, b), None
+        if node >= len(mids):  # a new tree round from the bracket (a, b)
+            node, mids, f, path = 0, _midpoints(a, b), None, False
         mid = mids[node]
         if mid == a or mid == b:
             break  # bracket has collapsed to adjacent floats
@@ -519,10 +611,15 @@ def _search(eq):
             best = (mid, abs(fm), z_hat[node])
         if fm == 0.0:
             break
-        if fm > 0.0:
-            a, node = mid, 2 * node + 1
+        low = fm > 0.0
+        if low:
+            a = mid
         else:
-            b, node = mid, 2 * node + 2
+            b = mid
+        if path:  # the next node while the guess called every side right
+            node = node + 1 if low == (mid < guess) else len(mids)
+        else:  # the low child 2j + 1 or the high child 2j + 2
+            node = 2 * node + 2 - low
     return best[0], best[2], iterations
 
 

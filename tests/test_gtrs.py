@@ -1,3 +1,4 @@
+import math
 import re
 import warnings
 from dataclasses import replace
@@ -824,65 +825,163 @@ def search_outcome(search, eq):
     return lam, z_hat.tobytes(), iterations
 
 
+def stepwise_steps(eq):
+    """stepwise_search's outcome and its bisection steps as (midpoint, residual) pairs."""
+    seen = []
+    classify = gtrs._classify
+
+    def record(eq, lam):
+        reply = classify(eq, lam)
+        seen.append((lam, reply[1]))
+        return reply
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gtrs, "_classify", record)
+        outcome = search_outcome(stepwise_search, eq)
+    iterations = gtrs.MAX_ITER if outcome[0] is ConvergenceError else outcome[2]
+    return outcome, seen[len(seen) - iterations:]
+
+
+def path_steps(steps, guess):
+    """How many of ``steps`` a path round for ``guess`` takes: up to the first
+    whose side the guess calls wrong, that one included."""
+    for count, (mid, residual) in enumerate(steps, 1):
+        if residual == 0.0 or (residual > 0.0) != (mid < guess):
+            return count
+    return len(steps)
+
+
+def record_calls(monkeypatch):
+    """The midpoint count of each _Equilibrated.classify call, from now on."""
+    calls = []
+    classify = gtrs._Equilibrated.classify
+    monkeypatch.setattr(gtrs._Equilibrated, "classify", lambda self, lams: (
+        calls.append(lams.size) or classify(self, lams)))
+    return calls
+
+
+def guess_wrong_first(monkeypatch, steps):
+    """Make the predictor call the first bisection step's side wrong, so a tree
+    round follows it: a guess of a calls every midpoint high, one of b low."""
+    first_low = steps[0][1] > 0.0
+    monkeypatch.setattr(gtrs, "_predict", lambda eq, a, b: a if first_low else b)
+
+
 # Trials 0-12 and the negative roots of trials 0-299 at sigma = 1 dB, as in
 # TestSolveMany; the negative roots' rounds run the Cholesky check.
 SIGMA1_TRIALS = [*range(13), 45, 66, 107, 123, 158, 183, 191, 223, 241, 256, 294]
 
+# Guesses, from the bracket (a, b) and the stepwise root, that _search must
+# shrug off: no guess, values that are not finite, the bracket's ends and
+# first midpoint, the root's neighbours and points far outside the bracket.
+ADVERSARIAL_GUESSES = {
+    "none": lambda a, b, root: None,
+    "nan": lambda a, b, root: math.nan,
+    "inf": lambda a, b, root: math.inf,
+    "-inf": lambda a, b, root: -math.inf,
+    "a": lambda a, b, root: a,
+    "b": lambda a, b, root: b,
+    "first-midpoint": lambda a, b, root: 0.5 * (a + b),
+    "root-ulp": lambda a, b, root: math.nextafter(root, -math.inf),
+    "root+ulp": lambda a, b, root: math.nextafter(root, math.inf),
+    "far-below": lambda a, b, root: a - 1e6 * (b - a),
+    "far-above": lambda a, b, root: b + 1e6 * (b - a),
+}
+
 
 class TestSpeculativeSearch:
-    """gtrs._search classifies the midpoints of DEPTH steps in one stacked
-    call and replays the steps; it must match stepwise_search bit for bit."""
+    """gtrs._search classifies a predicted path, then the midpoints of DEPTH
+    steps per round, in stacked calls and replays the steps; it must match
+    stepwise_search bit for bit whatever the predictor guesses."""
 
     @pytest.fixture(scope="class")
     def sigma1(self, bundled_config):
         systems = trial_systems(bundled_config, 1.0, SIGMA1_TRIALS)
         return [gtrs._Equilibrated([system])[0] for system in systems]
 
+    @pytest.fixture(scope="class")
+    def sigma1_steps(self, sigma1):
+        return [stepwise_steps(eq) for eq in sigma1]
+
     @pytest.mark.parametrize("depth", [1, 2, 3, 5])
-    def test_matches_stepwise_bisection(self, sigma1, monkeypatch, depth):
-        expected = [search_outcome(stepwise_search, eq) for eq in sigma1]
+    def test_matches_stepwise_bisection(self, sigma1, sigma1_steps, monkeypatch, depth):
+        expected = [outcome for outcome, _ in sigma1_steps]
         assert sum(lam < 0.0 for lam, _, _ in expected) == 12
         monkeypatch.setattr(gtrs, "DEPTH", depth)
-        calls = []
-        classify = gtrs._Equilibrated.classify
-        monkeypatch.setattr(gtrs._Equilibrated, "classify", lambda self, lams: (
-            calls.append(lams.size) or classify(self, lams)))
+        calls, guesses, paths = record_calls(monkeypatch), [], []
+        predict, path = gtrs._predict, gtrs._path
+        monkeypatch.setattr(gtrs, "_predict", lambda eq, a, b: (
+            guesses.append(predict(eq, a, b)) or guesses[-1]))
+        monkeypatch.setattr(gtrs, "_path", lambda a, b, guess: (
+            paths.append(path(a, b, guess)) or paths[-1]))
         ends_inside_a_round = 0
-        for eq, reference in zip(sigma1, expected):
+        for eq, (reference, steps) in zip(sigma1, sigma1_steps):
             calls.clear()
             assert search_outcome(gtrs._search, eq) == reference
             iterations = reference[2]
-            # One call per DEPTH steps; a bracket that collapses at a round's
-            # first step costs no call.
-            assert calls == [2**depth - 1] * -(-iterations // depth)
-            ends_inside_a_round += iterations % depth != 0
+            taken = path_steps(steps, guesses[-1])
+            # The predictor is good enough that the path round takes most steps.
+            assert taken >= iterations / 2
+            # One call for the whole path, then one per DEPTH steps; a bracket
+            # that collapses at a tree round's first step costs no call.
+            assert calls[0] == len(paths[-1]) > 2**depth - 1
+            assert calls[1:] == [2**depth - 1] * -(-(iterations - taken) // depth)
+            ends_inside_a_round += (iterations - taken) % depth != 0
         if depth > 1:
             assert ends_inside_a_round > 0  # collapses at a node that is not a round's first
 
     @pytest.mark.parametrize("depth", [1, 2, 3, 5])
+    @pytest.mark.parametrize("guess", ADVERSARIAL_GUESSES)
+    def test_any_guess_gives_the_stepwise_bits(
+        self, sigma1, sigma1_steps, monkeypatch, depth, guess
+    ):
+        monkeypatch.setattr(gtrs, "DEPTH", depth)
+        calls = record_calls(monkeypatch)
+        for eq, (reference, _) in zip(sigma1, sigma1_steps):
+            root, iterations = reference[0], reference[2]
+            monkeypatch.setattr(gtrs, "_predict", lambda eq, a, b: (
+                ADVERSARIAL_GUESSES[guess](a, b, root)))
+            calls.clear()
+            assert search_outcome(gtrs._search, eq) == reference
+            if guess == "none":  # no path round: the tree rounds alone
+                assert calls == [2**depth - 1] * -(-iterations // depth)
+
+    @pytest.mark.parametrize("depth", [1, 2, 3, 5])
     @pytest.mark.parametrize("max_iter", [4, 5, 7, 11])
-    def test_iteration_cap_inside_a_round(self, sigma1, monkeypatch, depth, max_iter):
+    @pytest.mark.parametrize("where", ["path", "tree"])
+    def test_iteration_cap_inside_a_round(
+        self, sigma1, sigma1_steps, monkeypatch, depth, max_iter, where
+    ):
         monkeypatch.setattr(gtrs, "MAX_ITER", max_iter)
         expected = [search_outcome(stepwise_search, eq) for eq in sigma1]
         assert all(outcome[0] is ConvergenceError for outcome in expected)
         monkeypatch.setattr(gtrs, "DEPTH", depth)
-        assert [search_outcome(gtrs._search, eq) for eq in sigma1] == expected
+        calls = record_calls(monkeypatch)
+        for eq, reference, (_, steps) in zip(sigma1, expected, sigma1_steps):
+            if where == "tree":
+                guess_wrong_first(monkeypatch, steps)
+            calls.clear()
+            assert search_outcome(gtrs._search, eq) == reference
+            if where == "path":  # the path stops at the cap, and so does the search
+                assert calls == [max_iter]
+            else:
+                assert calls[1:] == [2**depth - 1] * -(-(max_iter - 1) // depth)
 
     @pytest.mark.parametrize("depth", [2, 3, 5])
     @pytest.mark.parametrize("step", [1, 2, 3, 4, 5, 6])
     @pytest.mark.parametrize("trial", [0, 12], ids=["positive", "negative"])
-    def test_zero_residual_inside_a_round(self, sigma1, monkeypatch, depth, step, trial):
+    @pytest.mark.parametrize("where", ["path", "tree"])
+    def test_zero_residual_inside_a_round(
+        self, sigma1, sigma1_steps, monkeypatch, depth, step, trial, where
+    ):
         # The residual reads exactly 0 at the bisection's step-th midpoint,
         # which ends both searches there with that midpoint as the estimate.
+        # A wrong first guess puts steps after the first in tree rounds.
+        (lam, _, _), steps = sigma1_steps[SIGMA1_TRIALS.index(trial)]
         eq = sigma1[SIGMA1_TRIALS.index(trial)]
-        seen = []
-        classify_one = gtrs._classify
-        monkeypatch.setattr(
-            gtrs, "_classify", lambda eq, lam: seen.append(lam) or classify_one(eq, lam)
-        )
-        lam, _, iterations = stepwise_search(eq)
         assert (lam < 0.0) == (trial == 12)
-        zero_at = seen[len(seen) - iterations + step - 1]
+        zero_at = steps[step - 1][0]
+        classify_one = gtrs._classify
 
         def one(eq, lam):
             low, residual, z_hat = classify_one(eq, lam)
@@ -899,7 +998,61 @@ class TestSpeculativeSearch:
         expected = search_outcome(stepwise_search, eq)
         assert expected[0] == zero_at and expected[2] == step
         monkeypatch.setattr(gtrs, "DEPTH", depth)
+        if where == "tree":
+            guess_wrong_first(monkeypatch, steps)
+        calls = record_calls(monkeypatch)
         assert search_outcome(gtrs._search, eq) == expected
+        if where == "path" or step == 1:
+            assert len(calls) == 1
+        else:
+            assert calls[1:] == [2**depth - 1] * -(-(step - 1) // depth)
+
+
+def assert_predictor_quiet(eq):
+    """Under _lapack_errors, gtrs._predict gives None or a finite float, with no
+    warning or exception, on _search's bracket of ``eq`` and on brackets
+    around no root, across the pole or as wide as floats go."""
+    seen = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gtrs, "_predict", lambda eq, a, b: seen.append((a, b)))
+        search_outcome(gtrs._search, eq)
+    predict = gtrs._lapack_errors(gtrs._predict)
+    guesses = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a, b in seen + [(-1e300, 1e300), (0.0, 1e300), (-1.0, 0.0), (1.0, 2.0)]:
+            guesses.append(predict(eq, a, b))
+    assert all(guess is None or type(guess) is float and math.isfinite(guess) for guess in guesses)
+    return guesses[: len(seen)]
+
+
+class TestPredict:
+    """gtrs._predict only sets the speed, so it must never stop a search."""
+
+    @pytest.mark.parametrize("shift_db", [-1000.0, 1000.0, 1500.0])
+    @pytest.mark.parametrize("build", [build_system, build_known_power_system])
+    def test_quiet_and_total_at_the_overflow_scale(self, reference_scenario, shift_db, build):
+        # Readings 1000 dB up or down scale q^2 by about 1e100 either way; at
+        # +1500 dB the weighted system is just below the build's overflow check.
+        scenario, env = reference_scenario, reference_scenario.environment
+        rss = uwloc.noiseless_rss(scenario.target_m, scenario.anchors_m, env)
+        rss = rss + np.random.default_rng(1).standard_normal(scenario.n_anchors) + shift_db
+        measurements = MeasurementSet(np.arange(scenario.n_anchors), rss, env)
+        weights = link_weights(measurements, env)
+        system = build(measurements, weights, scenario.anchors_m, env)
+        assert np.abs(np.log10(system.normal.diagonal())).max() > 150
+        assert len(assert_predictor_quiet(gtrs._Equilibrated([system])[0])) == 1
+
+    def test_quiet_and_total_on_width_4_known_power_systems(self):
+        rng = np.random.default_rng(4)
+        guesses = []
+        for _ in range(20):
+            inst = random_solver_instance(rng, dims=(3,))
+            env, anchors = inst["scenario"].environment, inst["scenario"].anchors_m
+            system = build_known_power_system(inst["measurements"], inst["weights"], anchors, env)
+            assert system.design.shape[1] == 4
+            guesses += assert_predictor_quiet(gtrs._Equilibrated([system])[0])
+        assert len(guesses) == 20 and None not in guesses
 
 
 class TestPowerDbm:

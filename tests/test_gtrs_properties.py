@@ -13,6 +13,8 @@ residual, which its uncapped loop relies on.
 ``derandomize=True`` keeps the drawn examples fixed.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -20,7 +22,13 @@ from hypothesis import strategies as st
 
 import uwloc
 from conftest import brute_force_objective, gtrs_objective, normalized_gram_floor
-from test_gtrs import assert_bit_identical, search_outcome, solve_each, stepwise_search
+from test_gtrs import (
+    assert_bit_identical,
+    assert_predictor_quiet,
+    search_outcome,
+    solve_each,
+    stepwise_search,
+)
 from uwloc import gtrs
 from uwloc.errors import NumericalError, UwlocError
 from uwloc.gtrs import build_known_power_system, build_system, lambda_interval, phi, solve_many
@@ -151,6 +159,54 @@ def test_search_rounds_replay_the_stepwise_bisection(batch):
                 with pytest.MonkeyPatch.context() as patch:
                     patch.setattr(gtrs, "DEPTH", depth)
                     assert search_outcome(gtrs._search, eq) == expected
+
+
+# A guess as the point a + t*(b - a) of the bracket (a, b), inside it for
+# 0 < t < 1, or as a count of ulps from the stepwise root (the point at
+# t = count where the search fails).
+GUESSES = st.one_of(
+    st.tuples(st.just("bracket"), st.floats(-3.0, 4.0)),
+    st.tuples(st.just("root"), st.integers(-(2**40), 2**40)),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(batch=fix_batches(), data=st.data())
+def test_any_guess_replays_the_stepwise_bisection(batch, data):
+    """Whatever the root predictor guesses, gtrs._search takes stepwise_search's steps."""
+    for build in BUILDS:
+        for system in built_systems(batch, build):
+            eq = gtrs._Equilibrated([system])[0]
+            expected = search_outcome(stepwise_search, eq)
+            kind, value = data.draw(GUESSES)
+            root = expected[0] if kind == "root" and isinstance(expected[0], float) else None
+
+            def guess(eq, a, b):
+                return a + value * (b - a) if root is None else root + value * math.ulp(root)
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(gtrs, "_predict", guess)
+                assert search_outcome(gtrs._search, eq) == expected
+
+
+def test_predictor_is_quiet_near_the_gram_floor():
+    """gtrs._predict gives None or a finite guess, quietly, within a decade of the rank gate."""
+    floors = []
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        k = 2 + seed % 2
+        anchors, target = anchor_layout(rng, "near_collinear", k, k + 3, offset_m=0.3, jitter=0.0)
+        env = uwloc.Environment(ple=2.0, frequency_khz=10.0, transmit_power_dbm=0.0)
+        rss = uwloc.noiseless_rss(target, anchors, env) + rng.standard_normal(k + 3)
+        measurements = uwloc.MeasurementSet(np.arange(k + 3), rss, env)
+        fix = (measurements, uwloc.link_weights(measurements, env), anchors, env)
+        for build in BUILDS:
+            for system in built_systems([fix], build):
+                floor = gtrs._gram_floor(system.normal)
+                if floor < 10.0 * gtrs.RANK_TOL:
+                    floors.append(floor)
+                    assert_predictor_quiet(gtrs._Equilibrated([system])[0])
+    assert len(floors) >= 20
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
