@@ -30,7 +30,10 @@ class ConvergenceError(UwlocError, RuntimeError):
 
 
 class InfeasibleProblemError(UwlocError, RuntimeError):
-    """The downward multiplier walk found no sign change; the upward one always does."""
+    """No longer raised: a negative multiplier root is always bracketed.
+
+    Kept for its exported name.
+    """
 
 
 class NumericalError(UwlocError, RuntimeError):

@@ -27,17 +27,23 @@ stays bounded, as ||(S + lam*I)^{-1}|| <= 1/lam, while z_k = e_1^T C^{-1} (m_w
 - B^T t) + (lam/2) (C^{-1})_11 grows like lam/2.  So phi(lam) = ||t||^2 - z_k
 -> -inf, and doubling from ||G||_F >= sqrt(2) turns phi negative in finitely many steps.
 
+A negative root needs no downward search.  R^T R + lam*H is PD exactly
+where S + lam*I is, so the pole is -lam_min(S) < 0.  S is A less the PSD
+B C^{-1} B^T, so lam_min(S) <= min_i S_ii <= min_i A_ii, and the pole lies at
+or above a = -min_{i<k} (R^T R)_ii.  A negative root lies in (pole, 0), so
+[a, 0] brackets it.  At a, one diagonal entry of the scaled shifted matrix
+is exactly 0, so a reads as low with no eigen-solve.
+
 Numerical notes: the normal matrix mixes meter, meter^2, and dimensionless
 columns, so all internal solves run on a Jacobi-equilibrated copy (a pure
 reparameterization: the multiplier, the constraint residual, and the
 returned z are unchanged).  Below the interval's pole the shifted matrix is
 indefinite, which a Cholesky failure detects; such points are treated as
-lying below the root, so the bisection never depends on a high-accuracy
-estimate of lam*.  A single fix's search guesses the root from the secular
-equation of the scaled pencil and classifies the bisection's likely path
-in one call; every step is still decided by the shifted solve, so the
-secular function sets only the speed, never the multiplier, z or the step
-count.
+lying below the root, so the search never needs an estimate of lam*.  A
+single fix's search guesses the root from the secular equation of the
+scaled pencil and classifies the bisection's likely path in one call;
+every step is still decided by the shifted solve, so the secular function
+sets only the speed, never the multiplier, z or the step count.
 """
 
 import functools
@@ -49,19 +55,13 @@ from numpy.linalg import _umath_linalg
 
 from . import numerics
 from .channel import LN10
-from .errors import ConfigError, ConvergenceError, GeometryError, InfeasibleProblemError
+from .errors import ConfigError, ConvergenceError, GeometryError
 from .errors import NumericalError, SingularMatrixError, UwlocError
 
 # Column-rank tolerance on the column-normalized design matrix.  The raw
 # design mixes units spanning ~12 orders of magnitude at kilometer scales,
 # so rank is only meaningful after normalization.
 RANK_TOL = 1e-10
-
-# Guarded offset from the singular endpoint of the multiplier interval.
-ENDPOINT_GUARD = 1e-12
-
-# Cap on the downward walk's steps below the multiplier floor.
-MAX_EXPANSIONS = 120
 
 # Cap on bisection steps.  Searches take 60-130, but a root just above 0
 # can need over 1000 halvings to collapse its bracket; stop those here.
@@ -350,21 +350,10 @@ class _Equilibrated:
     def constraint_residual(self, z_hat):
         return float(z_hat @ self.quad @ z_hat + self.lin2 @ z_hat)
 
-    def multiplier_floor(self):
-        """Guarded lower endpoint -1/lam* + eps of the multiplier interval."""
-        try:
-            inv_sqrt = numerics.inv_sqrt_sym(self.gram)
-        except SingularMatrixError as exc:
-            raise GeometryError(f"normal matrix is singular: {exc}") from exc
-        pencil = inv_sqrt @ self.quad @ inv_sqrt
-        lam_star = float(numerics.sym_eig(pencil)[0][-1])
-        edge = -1.0 / lam_star
-        guard = ENDPOINT_GUARD * (1.0 + abs(edge))
-        if guard >= 0.5 * abs(edge):
-            # Past lam* ~ 5e11 the guard would reach edge/2, and the root can
-            # lie below that; stay just above the pole, past lam*'s rounding.
-            guard = 1e-6 * abs(edge)
-        return edge + guard
+    def bound(self):
+        """a = -min_{i<k} (R^T R)_ii, where a negative root's bracket starts (module docstring)."""
+        position = self.constraint_quad.diagonal(axis1=-2, axis2=-1) > 0.0
+        return -np.where(position, self.normal.diagonal(axis1=-2, axis2=-1), np.inf).min(axis=-1)
 
     def classify(self, lams):
         """:func:`_classify` at every multiplier of ``lams`` at once.
@@ -392,13 +381,30 @@ class _Equilibrated:
         return np.where(solved, _quadratic(z_hat, self.quad, self.lin2), np.inf), z_hat, solved
 
 
+# Guarded offset from the singular endpoint of the multiplier interval.
+ENDPOINT_GUARD = 1e-12
+
+
 def lambda_interval(system):
     """Search interval (lower, +inf) for the Lagrange multiplier.
 
     ``lower``, finite and negative, sits a guarded offset above -1/lam*,
-    the point where the shifted normal matrix turns singular.
+    the point where the shifted normal matrix turns singular.  The solver
+    does not use it: a negative root's bracket starts at -min_{i<k} (R^T R)_ii.
     """
-    return _Equilibrated([system])[0].multiplier_floor(), np.inf
+    eq = _Equilibrated([system])[0]
+    try:
+        inv_sqrt = numerics.inv_sqrt_sym(eq.gram)
+    except SingularMatrixError as exc:
+        raise GeometryError(f"normal matrix is singular: {exc}") from exc
+    lam_star = float(numerics.sym_eig(inv_sqrt @ eq.quad @ inv_sqrt)[0][-1])
+    edge = -1.0 / lam_star
+    guard = ENDPOINT_GUARD * (1.0 + abs(edge))
+    if guard >= 0.5 * abs(edge):
+        # Past lam* ~ 5e11 the guard would reach edge/2, and the root can
+        # lie below that; stay just above the pole, past lam*'s rounding.
+        guard = 1e-6 * abs(edge)
+    return edge + guard, np.inf
 
 
 @_lapack_errors
@@ -431,33 +437,6 @@ def _classify(eq, lam):
         return True, np.inf, None
     residual = eq.constraint_residual(z_hat)
     return residual > 0.0, residual, z_hat
-
-
-@_lapack_errors
-def _walk_down(eq, f0, z0):
-    """Bracket (a, b, phi(b), z_hat(b)) of the negative root of one system.
-
-    ``f0`` < 0 and ``z0`` are phi(0) and z_hat(0).  a steps down from the
-    guarded endpoint estimate, doubling its step, until it is low; points
-    below the pole classify as low via the PD check, so an imprecise
-    endpoint estimate only costs extra expansions.
-    """
-    b, fb, zb = 0.0, f0, z0
-    a = eq.multiplier_floor()
-    step = 0.1 * (1.0 + abs(a))
-    low, fa, za = _classify(eq, a)
-    for _ in range(MAX_EXPANSIONS):
-        if low:
-            break
-        b, fb, zb = a, fa, za
-        a -= step
-        step *= 2.0
-        low, fa, za = _classify(eq, a)
-    if not low:
-        raise InfeasibleProblemError(
-            f"no constraint-residual sign change down to multiplier {a:.3e}"
-        )
-    return a, b, fb, zb
 
 
 def _no_convergence(a, b):
@@ -587,8 +566,8 @@ def _search(eq):
                 raise _unsolved(b)
             a, b = b, 2.0 * b
             low, fb, zb = _classify(eq, b)
-    else:
-        a, b, fb, zb = _walk_down(eq, f0, z0)
+    else:  # Root is negative, so [bound, 0] brackets it (module docstring).
+        a, b, fb, zb = float(eq.bound()), 0.0, f0, z0
     # phi decreases, so b, the last point that is not low, is the best so far.
     best = (b, abs(fb), zb)
     guess = _predict(eq, a, b)
@@ -644,7 +623,14 @@ def _quadratic(z, quad, lin2):
     return ((row @ quad) @ col + lin2[..., None, :] @ col)[:, 0, 0]
 
 
-@np.errstate(divide="ignore", invalid="ignore")
+def _stationarity(shifted, z, rhs):
+    """||M z - rhs|| / (||M||_F ||z|| + ||rhs||) of each row, and where its norms are finite."""
+    residual = _norms((shifted @ z[:, :, None])[:, :, 0] - rhs)
+    scale = _norms(shifted.reshape(len(z), -1)) * _norms(z) + _norms(rhs)
+    return np.where(scale > 0, residual / scale, residual), np.isfinite(residual + scale)
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _finalize(eq, rows, lam, z_hat, iterations):
     """Estimates of the finished searches at the index array ``rows`` of ``eq``.
 
@@ -658,9 +644,12 @@ def _finalize(eq, rows, lam, z_hat, iterations):
     z = z_hat[rows] * eq.scale[rows]
     rhs = eq.moment[rows] - lams[:, None] * lin
     shifted = normal + lams[:, None, None] * quad
-    residual = _norms((shifted @ z[:, :, None])[:, :, 0] - rhs)
-    scale = _norms(shifted.reshape(len(rows), -1)) * _norms(z) + _norms(rhs)
-    stationarity = np.where(scale > 0, residual / scale, residual)
+    stationarity, finite = _stationarity(shifted, z, rhs)
+    if not finite.all():  # norms that overflow: divide M and rhs by their largest entry
+        over = ~finite
+        top = np.maximum(abs(shifted[over]).max(axis=(1, 2)), abs(rhs[over]).max(axis=1))
+        stationarity[over] = _stationarity(
+            shifted[over] / top[:, None, None], z[over], rhs[over] / top[:, None])[0]
     constraint = _quadratic(z, quad, 2.0 * lin)
     min_eig = np.linalg.eigvalsh(shifted).min(axis=1)
     min_eig_ratio = min_eig / np.linalg.svd(normal, compute_uv=False).max(axis=1)
@@ -713,11 +702,11 @@ def solve_many(systems):
     Every system must have the same design width, as the trials of one
     sweep do.  One :class:`_Equilibrated` holds them all, and the stages
     of :func:`_search` run over it in order, as array state with one row
-    per system: every row is classified at 0, the few rows with a negative
-    residual take :func:`_walk_down` one by one, those with a positive one
-    expand upward together, and every bracketed row then bisects, one step
-    per round.  Each round of a stacked stage classifies a compact stack of
-    its unfinished rows in one :meth:`_Equilibrated.classify` call: the
+    per system: every row is classified at 0, the rows with a negative
+    residual take the bracket [bound, 0], those with a positive one expand
+    upward together, and every bracketed row then bisects in one stack, one
+    step per round.  Each round of a stacked stage classifies a compact
+    stack of its unfinished rows in one :meth:`_Equilibrated.classify` call: the
     upward rounds take their rows anew, the bisection only after a round in
     which a row finished.  The finished searches are finalized in one
     stacked pass.  Returns one entry per system, in order: its Estimate, or
@@ -745,18 +734,10 @@ def solve_many(systems):
     f, z_hat, solved = eq.take(rows).classify(np.zeros(rows.size))
     keep(rows, 0.0, f, z_hat)
     fail(rows[~solved], lambda r: GeometryError("normal matrix is not positive definite"))
-    bracketed = [rows[:0]]
-
-    # Downward, one system at a time: few rows have a negative root.
-    down = solved & ~(f >= 0.0)
-    for row, f0, z0 in zip(rows[down].tolist(), f[down], z_hat[down]):
-        try:
-            a[row], b[row], fb, zb = _walk_down(eq[row], f0, z0)
-        except UwlocError as exc:
-            errors[row] = exc
-        else:
-            keep(row, b[row], fb, zb)
-            bracketed.append(np.array([row]))
+    # A negative root's bracket is [bound, 0], with 0 as its best point so far.
+    down = rows[solved & ~(f >= 0.0)]
+    a[down] = eq.bound()[down]
+    bracketed = [down]
 
     # Upward: double b until the residual turns negative, which it does (module
     # docstring), or its solve fails.  Each row keeps its last b as its best.

@@ -2,7 +2,6 @@ import math
 import re
 import warnings
 from dataclasses import replace
-from itertools import takewhile
 
 import numpy as np
 import pytest
@@ -602,9 +601,10 @@ class TestSolveMany:
         assert isinstance(batch[failed[0]], ConvergenceError)
 
     def test_a_row_below_its_pole_fails_alone_in_its_stack(self, bundled_config):
-        batch = gtrs._Equilibrated(sigma9_trial_systems(bundled_config, range(3)))
+        systems = sigma9_trial_systems(bundled_config, range(3))
+        batch = gtrs._Equilibrated(systems)
         eqs = [batch[row] for row in range(3)]
-        below_pole = 2.0 * eqs[0].multiplier_floor()
+        below_pole = 2.0 * lambda_interval(systems[0])[0]
         lams = [below_pole, 0.0, 1.0]
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(np.stack([shifted_scaled(eq, lam) for eq, lam in zip(eqs, lams)]))
@@ -623,8 +623,9 @@ class TestSolveMany:
         batch = gtrs._Equilibrated(systems)
         eqs = [batch[row] for row in range(len(systems))]
         edges = []
-        for eq in eqs:
-            fails, works = 2.0 * eq.multiplier_floor(), eq.multiplier_floor()
+        for eq, system in zip(eqs, systems):
+            works = lambda_interval(system)[0]
+            fails = 2.0 * works
             while fails < 0.5 * (fails + works) < works:
                 mid = 0.5 * (fails + works)
                 try:
@@ -708,69 +709,26 @@ class TestSolveMany:
         assert_bit_identical(solve_many(systems), reference)
         assert_bit_identical(solve_many(systems[2:3]), reference[2:3])
 
-    @pytest.mark.parametrize("expansions", [gtrs.MAX_EXPANSIONS, 1])
-    def test_expansions_match_solve(self, monkeypatch, expansions):
-        # Orthonormal designs put every pole at -1.  A floor of -1e-3 lies
-        # above the roots near -0.5 of seeds 0 and 6, as an inaccurate pole
-        # estimate can, so their searches step down twice; roots above 2
-        # step up from 2, which needs no cap.  With one downward step
-        # allowed the downward walks fail.
-        systems = [orthonormal_system(seed) for seed in range(12)]
-        monkeypatch.setattr(gtrs._Equilibrated, "multiplier_floor", lambda self: -1e-3)
-        monkeypatch.setattr(gtrs, "MAX_EXPANSIONS", expansions)
-        reference = solve_each(systems)
-        failures = [str(outcome) for outcome in reference if isinstance(outcome, UwlocError)]
-        if expansions == 1:
-            assert any("down to multiplier" in message for message in failures)
-        else:
-            assert failures == []
-        assert_bit_identical(solve_many(systems), reference)
-
     @pytest.mark.parametrize(
-        "width, k, root, t0, aux", [(9, 7, 3.0, 8.0, 2.5), (4, 2, -0.75, 3.0, 144.375)],
-        ids=["up", "down"],
+        "width, k, root, t0, aux, steps",
+        [(9, 7, 3.0, 8.0, 2.5, None), (4, 2, -0.75, 3.0, 144.375, 2)], ids=["up", "down"],
     )
-    def test_root_on_the_last_expansion_point_is_the_estimate(
-        self, monkeypatch, width, k, root, t0, aux
-    ):
+    def test_root_on_the_last_expansion_point_is_the_estimate(self, width, k, root, t0, aux, steps):
         # An identity Gram matrix and R^T v = t0 e_0 + aux e_k give
-        # phi(lam) = t0^2 / (1 + lam)^2 - aux - lam/2, which is exactly 0 at
-        # the first upward probe ||G||_F = 3 of width 9, and at a floor
-        # patched to -0.75; every scaling there is a power of two.  No
-        # bisection point beats a zero residual, so the estimate is the
-        # expansion's last point, which both drivers keep without comparing.
+        # phi(lam) = t0^2 / (1 + lam)^2 - aux - lam/2; every scaling there is
+        # a power of two.  Up: phi is exactly 0 at the first upward probe
+        # ||G||_F = 3 of width 9.  No bisection point beats a zero residual,
+        # so the estimate is the expansion's last point, which both drivers
+        # keep without comparing.  Down: the bracket is [-1, 0], phi(-0.5)
+        # is negative, and the second midpoint -0.75 is the exact root,
+        # which ends both bisections after 2 steps.
         target = np.zeros(width + 3)
         target[0], target[k] = t0, aux
         system = GtrsSystem(np.eye(width + 3, width), target, k, 2.0)
-        monkeypatch.setattr(gtrs._Equilibrated, "multiplier_floor", lambda self: -0.75)
         reference = solve_each([system])
         assert reference[0].multiplier == root
+        assert steps is None or reference[0].iterations == steps
         assert_bit_identical(solve_many([system]), reference)
-
-    def test_downward_walk_ends_at_its_best_point(self, monkeypatch):
-        # phi decreases, so |phi| falls strictly along the points of the
-        # downward walk that are not low, from 0 on; both drivers therefore
-        # take the walk's last such point as the best without comparing.
-        # The floor is patched as in test_expansions_match_solve.
-        monkeypatch.setattr(gtrs._Equilibrated, "multiplier_floor", lambda self: -1e-3)
-        replies = []
-        classify = gtrs._classify
-
-        def record(eq, lam):
-            replies.append(classify(eq, lam))
-            return replies[-1]
-
-        monkeypatch.setattr(gtrs, "_classify", record)
-        walks = []
-        for seed in range(12):
-            replies.clear()
-            solve(orthonormal_system(seed))
-            if replies[0][1] > 0.0:
-                continue  # the root is positive
-            walk = [abs(residual) for _, residual, _ in takewhile(lambda r: not r[0], replies)]
-            assert all(later < earlier for earlier, later in zip(walk, walk[1:]))
-            walks.append(len(walk))
-        assert max(walks) >= 4  # 0, the floor and two steps down
 
 
 @gtrs._lapack_errors
@@ -790,8 +748,8 @@ def stepwise_search(eq):
                 raise gtrs._unsolved(b)
             a, b = b, 2.0 * b
             low, fb, zb = gtrs._classify(eq, b)
-    else:
-        a, b, fb, zb = gtrs._walk_down(eq, f0, z0)
+    else:  # the free bound -min_{i<k} N_ii lies at or below the pole
+        a, b, fb, zb = -eq.normal.diagonal()[: eq.dimension].min(), 0.0, f0, z0
     best = (b, abs(fb), zb)
     iterations = 0
     while b > a:
@@ -889,6 +847,41 @@ ADVERSARIAL_GUESSES = {
 }
 
 
+def assert_bound_is_low(systems):
+    """Each system's free bound -min_{i<k} N_ii is low to gtrs._classify and to a
+    stacked classify, and no higher than lambda_interval's guarded pole."""
+    batch = gtrs._Equilibrated(systems)
+    rows = range(len(systems))
+    classify_alone = gtrs._lapack_errors(gtrs._classify)
+    bounds = batch.bound()
+    for system, row, reply in zip(systems, rows, classify_replies(batch, rows, bounds)):
+        bound = -system.normal.diagonal()[: system.dimension].min()
+        assert bounds[row] == batch[row].bound() == bound <= lambda_interval(system)[0]
+        assert reply == classify_alone(batch[row], bound) == (True, np.inf, None)
+
+
+class TestFreeBound:
+    """A negative root's bracket is [-min_{i<k} N_ii, 0] (gtrs module docstring)."""
+
+    def test_bound_is_low_on_the_negative_roots(self, bundled_config):
+        systems = trial_systems(bundled_config, 1.0, SIGMA1_TRIALS)
+        negative = [system for system, outcome in zip(systems, solve_many(systems))
+                    if outcome.multiplier < 0.0]
+        assert len(negative) == 12
+        assert_bound_is_low(negative)
+
+    def test_negative_rows_bisect_in_one_stack_with_the_others(self, bundled_config, monkeypatch):
+        systems = trial_systems(bundled_config, 1.0, SIGMA1_TRIALS)
+        reference = solve_each(systems)
+        assert sum(estimate.multiplier < 0.0 for estimate in reference) == 12
+        calls = record_calls(monkeypatch)
+        monkeypatch.setattr(gtrs, "_classify", None)  # no row is searched alone
+        assert_bit_identical(solve_many(systems), reference)
+        # The round at 0 holds all 24 rows, one upward round brackets the 12
+        # positive roots, and the first bisection round holds all 24 again.
+        assert len(systems) == 24 and calls[:3] == [24, 12, 24]
+
+
 class TestSpeculativeSearch:
     """gtrs._search classifies a predicted path, then the midpoints of DEPTH
     steps per round, in stacked calls and replays the steps; it must match
@@ -974,12 +967,17 @@ class TestSpeculativeSearch:
     def test_zero_residual_inside_a_round(
         self, sigma1, sigma1_steps, monkeypatch, depth, step, trial, where
     ):
-        # The residual reads exactly 0 at the bisection's step-th midpoint,
-        # which ends both searches there with that midpoint as the estimate.
+        # The residual reads exactly 0 at the bisection's step-th solved
+        # midpoint, which ends both searches there with that midpoint as the
+        # estimate.  A negative root's first midpoints can lie below the pole,
+        # where there is no solution to return, so those are not counted.
         # A wrong first guess puts steps after the first in tree rounds.
         (lam, _, _), steps = sigma1_steps[SIGMA1_TRIALS.index(trial)]
         eq = sigma1[SIGMA1_TRIALS.index(trial)]
         assert (lam < 0.0) == (trial == 12)
+        solved = [count for count, (_, residual) in enumerate(steps, 1) if residual != np.inf]
+        assert (solved[0] > 1) == (trial == 12)
+        step = solved[step - 1]
         zero_at = steps[step - 1][0]
         classify_one = gtrs._classify
 
@@ -1053,6 +1051,30 @@ class TestPredict:
             assert system.design.shape[1] == 4
             guesses += assert_predictor_quiet(gtrs._Equilibrated([system])[0])
         assert len(guesses) == 20 and None not in guesses
+
+
+class TestFinalize:
+    @pytest.mark.parametrize("shift_db", [1000.0, 1500.0])
+    @pytest.mark.parametrize("build", [build_system, build_known_power_system], ids=["joint", "known"])
+    @pytest.mark.parametrize("driver", ["solve", "solve_many"])
+    def test_readings_far_above_the_usual_ones(self, reference_scenario, shift_db, build, driver):
+        # Shifting every reading, and a known power with them, rescales the
+        # problem without moving the fix; its norms overflow in _finalize.
+        scenario = reference_scenario
+        rss = uwloc.noiseless_rss(scenario.target_m, scenario.anchors_m, scenario.environment)
+        rss = rss + np.random.default_rng(1).standard_normal(scenario.n_anchors)
+        estimates = []
+        for shift in (0.0, shift_db):
+            env = replace(scenario.environment,
+                          transmit_power_dbm=scenario.environment.transmit_power_dbm + shift)
+            measurements = MeasurementSet(np.arange(scenario.n_anchors), rss + shift, env)
+            system = build(measurements, link_weights(measurements, env), scenario.anchors_m, env)
+            estimates.append(solve(system) if driver == "solve" else solve_many([system])[0])
+        usual, shifted = estimates
+        with np.errstate(over="ignore"):
+            assert np.linalg.norm(system.normal) == np.inf  # the plain norms overflow
+        assert shifted.kkt_stationarity <= 1e-8
+        assert np.allclose(shifted.position_m, usual.position_m, rtol=1e-10, atol=0.0)
 
 
 class TestPowerDbm:

@@ -7,9 +7,10 @@ a named UwlocError or give an estimate that meets the invariants of the
 acceptance criteria c03 (KKT), c04 (monotone constraint residual) and, in
 2-D, c05 (brute-force oracle); ``solve_many`` must match ``solve`` bit for
 bit either way.  Every built system's multiplier interval must have a
-finite negative floor, which the solver's downward search relies on, and
-where the root is positive the upward doubling must reach a negative
-residual, which its uncapped loop relies on.
+finite negative floor at or above the free bound -min_{i<k} N_ii, which
+must classify as low, as a negative root's bracket relies on, and where
+the root is positive the upward doubling must reach a negative residual,
+which its uncapped loop relies on.
 ``derandomize=True`` keeps the drawn examples fixed.
 """
 
@@ -24,6 +25,7 @@ import uwloc
 from conftest import brute_force_objective, gtrs_objective, normalized_gram_floor
 from test_gtrs import (
     assert_bit_identical,
+    assert_bound_is_low,
     assert_predictor_quiet,
     search_outcome,
     solve_each,
@@ -217,6 +219,16 @@ def test_multiplier_interval_has_a_finite_negative_floor(batch):
         for system in built_systems(batch, build):
             lower, _ = lambda_interval(system)
             assert np.isfinite(lower) and lower < 0.0
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(batch=fix_batches())
+def test_free_bound_is_low(batch):
+    """[-min_{i<k} N_ii, 0] brackets every negative root (gtrs module docstring)."""
+    for build in BUILDS:
+        systems = built_systems(batch, build)
+        if systems:
+            assert_bound_is_low(systems)
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
