@@ -20,9 +20,7 @@ from .channel import (
 from .crlb import FimReport, c_vector, fim_known_power, fim_unknown_power, hessian_loglik, residuals
 from .errors import (
     ConfigError,
-    ConvergenceError,
     GeometryError,
-    InfeasibleProblemError,
     NumericalError,
     SingularMatrixError,
     UwlocError,
@@ -67,9 +65,7 @@ __all__ = [
     "hessian_loglik",
     "residuals",
     "ConfigError",
-    "ConvergenceError",
     "GeometryError",
-    "InfeasibleProblemError",
     "NumericalError",
     "SingularMatrixError",
     "UwlocError",

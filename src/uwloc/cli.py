@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 usage or configuration errors, 2 computational
-failures (degenerate geometry, solver non-convergence, singular matrices).
+failures (degenerate geometry, overflow or underflow, singular matrices).
 All randomness flows from the scenario file's master_seed; wall-clock time
 never enters the results (the CSV's seconds_per_solve column is zeroed
 unless --timing is given, and measured timing goes to stderr instead).

@@ -21,24 +21,9 @@ class GeometryError(UwlocError, ValueError):
     """Anchor/target geometry cannot support the requested estimate."""
 
 
-class ConvergenceError(UwlocError, RuntimeError):
-    """Iteration budget exhausted before reaching the requested tolerance."""
-
-    def __init__(self, message, bracket=None):
-        super().__init__(message)
-        self.bracket = bracket
-
-
-class InfeasibleProblemError(UwlocError, RuntimeError):
-    """No longer raised: a negative multiplier root is always bracketed.
-
-    Kept for its exported name.
-    """
-
-
 class NumericalError(UwlocError, RuntimeError):
-    """A value overflowed while building a system, or a linear solve failed
-    during the multiplier search.
+    """A value overflowed or underflowed while building a system, or a
+    linear solve failed during the multiplier search.
 
     ``multiplier`` carries the value at which a solve failed.
     """

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import crlb, gtrs, weighting
 from .channel import NOISE_KINDS, Environment, MeasurementSet, NoiseModel, Scenario
-from .channel import generate_measurements, noiseless_rss, sample_noise
+from .channel import absorption_coefficient, generate_measurements, noiseless_rss, sample_noise
 from .errors import ConfigError, UwlocError
 
 SWEEP_KINDS = ("sigma", "anchor_count", "ple", "frequency", "noise_scenarios", "sensitivity")
@@ -97,6 +97,11 @@ class ExperimentConfig:
             raise ConfigError("ple_grid entries must be positive")
         if any(f <= 0 for f in self.frequency_grid_khz):
             raise ConfigError("frequency_grid_khz entries must be positive")
+        for f in self.frequency_grid_khz:
+            try:
+                absorption_coefficient(f)
+            except ValueError as exc:
+                raise ConfigError(f"frequency_grid_khz entry {f!r}: {exc}") from None
         for kind in self.noise_kinds:
             if kind not in NOISE_KINDS:
                 raise ConfigError(f"noise_kinds entry {kind!r} is not one of {NOISE_KINDS}")

@@ -34,6 +34,11 @@ or above a = -min_{i<k} (R^T R)_ii.  A negative root lies in (pole, 0), so
 [a, 0] brackets it.  At a, one diagonal entry of the scaled shifted matrix
 is exactly 0, so a reads as low with no eigen-solve.
 
+The bisection needs no step cap.  Each step moves an end of (a, b) to
+0.5*(a + b), halving b - a up to rounding, and it stops once that midpoint
+equals an end.  Doubles are at least 2^-1074 apart, so a search from a
+finite bracket ends within about log2(b - a) + 1075 steps, under 2100.
+
 Numerical notes: the normal matrix mixes meter, meter^2, and dimensionless
 columns, so all internal solves run on a Jacobi-equilibrated copy (a pure
 reparameterization: the multiplier, the constraint residual, and the
@@ -55,17 +60,13 @@ from numpy.linalg import _umath_linalg
 
 from . import numerics
 from .channel import LN10
-from .errors import ConfigError, ConvergenceError, GeometryError
+from .errors import ConfigError, GeometryError
 from .errors import NumericalError, SingularMatrixError, UwlocError
 
 # Column-rank tolerance on the column-normalized design matrix.  The raw
 # design mixes units spanning ~12 orders of magnitude at kilometer scales,
 # so rank is only meaningful after normalization.
 RANK_TOL = 1e-10
-
-# Cap on bisection steps.  Searches take 60-130, but a root just above 0
-# can need over 1000 halvings to collapse its bracket; stop those here.
-MAX_ITER = 200
 
 # Bisection steps one round of the one-system search evaluates ahead: one
 # stacked classify of the 2**DEPTH - 1 midpoints those steps can reach.
@@ -76,6 +77,7 @@ DEPTH = 3
 PREDICT_STEPS = 30
 
 _NONPOSITIVE_DIAGONAL = "normal matrix has a nonpositive diagonal entry"
+_TINY = np.finfo(float).tiny  # the smallest normal double
 
 
 # A LAPACK gufunc fills the output of a matrix it cannot factor or solve with
@@ -163,7 +165,14 @@ def _rank_loss_cause(system, q2):
 
 
 def _check_rank(system, q2):
-    if (system.normal.diagonal() == 0.0).any():
+    """Raise what dropped a row that failed :func:`_build`'s quick gate, if anything."""
+    diag = system.normal.diagonal()
+    # A nonzero column whose N_ii leaves the Jacobi scale 1/sqrt(N_ii N_jj) infinite underflowed.
+    if (~np.isfinite((1.0 / np.sqrt(diag)) ** 2) & system.design.any(axis=0)).any():
+        raise NumericalError(
+            "the weighted system underflows: readings or anchor coordinates are too small"
+        )
+    if (diag == 0.0).any():
         raise GeometryError(
             "design matrix has a zero column; add anchors or spread them out"
         )
@@ -175,14 +184,14 @@ def _check_rank(system, q2):
         )
 
 
-@np.errstate(over="ignore", invalid="ignore")  # overflow is a NumericalError below
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")  # NumericalErrors below
 def _build(measurements, weights, anchors_m, env, estimates_power):
     """The joint (k + 2 columns) or known-power (k + 1) system of each fix.
 
     ``measurements`` and ``weights`` hold one fix or a stack at the same
     anchors, and each row gets a one-row build's bits.  A check on what the
     rows share raises; per row, the list returned holds its GtrsSystem or
-    the UwlocError (overflow, rank gate) that drops it.
+    the UwlocError (overflow, underflow, rank gate) that drops it.
     """
     anchors = measurements.anchor_rows(anchors_m)
     weights = np.asarray(weights, dtype=float)
@@ -218,7 +227,8 @@ def _build(measurements, weights, anchors_m, env, estimates_power):
     flat = np.concatenate([design.reshape(len(design), -1), target], axis=1)
     finite = np.isfinite((flat[:, None, :] @ flat[:, :, None])[:, 0, 0])
     normal = np.swapaxes(design, 1, 2) @ design
-    passed = finite & (normal.diagonal(axis1=1, axis2=2) > 0.0).all(axis=1)
+    # Normal-double N_ii keep the Jacobi scale finite; _check_rank sorts out the other rows.
+    passed = finite & (normal.diagonal(axis1=1, axis2=2) >= _TINY).all(axis=1)
     rows = slice(None) if passed.all() else passed  # no copy in the usual case
     passed[rows] = _gram_floor(normal[rows]) > RANK_TOL
     outcomes = []
@@ -439,16 +449,11 @@ def _classify(eq, lam):
     return residual > 0.0, residual, z_hat
 
 
-def _no_convergence(a, b):
-    message = f"bisection exceeded {MAX_ITER} iterations (bracket width {b - a:.3e})"
-    return ConvergenceError(message, bracket=(a, b))
-
-
 def _midpoints(a, b):
-    """Midpoints of the next DEPTH bisection steps from the bracket (a, b).
+    """Midpoints the next DEPTH bisection steps from the bracket (a, b) can reach.
 
-    Node 0 is 0.5 * (a + b); node j's children are 2j + 1, the step after a
-    low midpoint (a moves up to it), and 2j + 2, the step after a high one.
+    Entry 0 is 0.5 * (a + b); entry j is followed by 2j + 1 after a low
+    midpoint (a moves up to it) and by 2j + 2 after a high one.
     """
     lows, highs, mids = [a], [b], []
     for j in range(2**DEPTH - 1):
@@ -460,12 +465,11 @@ def _midpoints(a, b):
 
 
 def _path(a, b, guess):
-    """Midpoints the bisection from (a, b) visits if those below ``guess`` are low.
-
-    It ends where the bracket would collapse, or after MAX_ITER midpoints.
+    """Midpoints the bisection from (a, b) visits if those below ``guess`` are low,
+    up to where its bracket would collapse (under 2100; module docstring).
     """
     mids = []
-    while len(mids) < MAX_ITER:
+    while True:
         mid = 0.5 * (a + b)
         if mid == a or mid == b:
             break
@@ -541,16 +545,14 @@ def _predict(eq, a, b):
 def _search(eq):
     """Root of the constraint residual of one system by classification bisection.
 
-    Returns (multiplier, z_hat, iterations).  Once the root is bracketed,
-    :func:`_predict` guesses it, and the first round classifies, in one
-    stacked call, the midpoints :func:`_path` lays out for that guess, then
-    takes those steps while each lands on the side the guess called.  From
-    the first that does not, or the path's end, each round classifies the
-    midpoints the next DEPTH steps can reach and takes them one by one along
-    the tree.  So the steps, their order and every exit are those of a
-    bisection that classifies one midpoint per step, whatever the guess: a
-    poor one costs only time.  :func:`solve_many` takes the same steps over
-    a stack of systems, which the tests pin against this bit for bit.
+    Returns (multiplier, z_hat, iterations).  Each step looks its midpoint up
+    by value in the memo of the current round, the list of midpoints that one
+    stacked classify call classified: those :func:`_path` lays out for
+    :func:`_predict`'s guess, then those the next DEPTH steps can reach
+    (:func:`_midpoints`) whenever the memo lacks the midpoint.  A class
+    depends on the multiplier alone, so the steps and exits are those of a
+    bisection that classifies one midpoint per step, whatever the guess.
+    :func:`solve_many` takes the same steps over a stack, pinned bit for bit.
     """
     _, f0, z0 = _classify(eq, 0.0)
     if z0 is None:
@@ -568,38 +570,31 @@ def _search(eq):
             low, fb, zb = _classify(eq, b)
     else:  # Root is negative, so [bound, 0] brackets it (module docstring).
         a, b, fb, zb = float(eq.bound()), 0.0, f0, z0
-    # phi decreases, so b, the last point that is not low, is the best so far.
-    best = (b, abs(fb), zb)
+    # phi decreases, so b, the last point that is not low, is the best so far; z_hat is rows[row].
+    best, least, rows, row = b, abs(fb), zb[None], 0
     guess = _predict(eq, a, b)
-    path = guess is not None  # the first round follows the guess's path
-    iterations, node, mids, f = 0, 0, _path(a, b, guess) if path else [], None
-    while b > a:
-        if iterations >= MAX_ITER:
-            raise _no_convergence(a, b)
-        if node >= len(mids):  # a new tree round from the bracket (a, b)
-            node, mids, f, path = 0, _midpoints(a, b), None, False
-        mid = mids[node]
+    mids, node, iterations = [], 0, 0
+    while True:
+        mid = 0.5 * (a + b)
         if mid == a or mid == b:
             break  # bracket has collapsed to adjacent floats
-        if f is None:  # classified only once a step needs it
+        try:  # the round's entries before node lie outside (a, b), so mid is not among them
+            node = mids.index(mid, node)
+        except ValueError:  # a new round from the bracket (a, b), whose entry 0 is mid
+            mids = _path(a, b, guess) if guess is not None and not mids else _midpoints(a, b)
             f, z_hat, _ = eq.classify(np.array(mids))
-            f = f.tolist()
+            f, node = f.tolist(), 0
         fm = f[node]
         iterations += 1
-        if abs(fm) < best[1]:  # fm is inf where the shifted matrix is not PD
-            best = (mid, abs(fm), z_hat[node])
+        if -least < fm < least:  # |fm| < least; fm is inf where the shifted matrix is not PD
+            best, least, rows, row = mid, abs(fm), z_hat, node
         if fm == 0.0:
             break
-        low = fm > 0.0
-        if low:
+        if fm > 0.0:
             a = mid
         else:
             b = mid
-        if path:  # the next node while the guess called every side right
-            node = node + 1 if low == (mid < guess) else len(mids)
-        else:  # the low child 2j + 1 or the high child 2j + 2
-            node = 2 * node + 2 - low
-    return best[0], best[2], iterations
+    return best, rows[row], iterations
 
 
 def _power_dbm(u, ple):
@@ -681,10 +676,9 @@ def solve(system):
     Serves both system kinds: the joint position/power system of
     :func:`build_system` and the smaller known-power system of
     :func:`build_known_power_system`, whose estimate carries no power.
-    The bisection runs until the bracket collapses to adjacent
-    floating-point numbers or the residual is exactly zero, keeping the
-    multiplier with the smallest constraint residual seen; more than
-    MAX_ITER steps is a ConvergenceError.
+    The bisection runs, with no step cap, until the bracket collapses to
+    adjacent floating-point numbers or the residual is exactly zero,
+    keeping the multiplier with the smallest constraint residual seen.
     """
     eq = _Equilibrated([system])
     lam, z_hat, iterations = _search(eq[0])
@@ -760,12 +754,7 @@ def solve_many(systems):
     live, zero, count = None, np.zeros(rows.size, dtype=bool), 0
     while True:
         mid = 0.5 * (lower + upper)
-        go = (upper > lower) & ~zero
-        if count >= MAX_ITER:
-            for row, lo, hi in zip(rows[go].tolist(), lower[go].tolist(), upper[go].tolist()):
-                errors[row] = _no_convergence(lo, hi)
-            go[:] = False
-        go &= (mid != lower) & (mid != upper)
+        go = ~zero & (mid != lower) & (mid != upper)
         if live is None or not go.all():  # collapsed brackets and zero residuals end here
             done = rows[~go]
             iterations[done], best_lam[done], best_z[done] = count, lam[~go], z[~go]

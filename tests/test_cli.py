@@ -182,6 +182,23 @@ class TestSimulateCommand:
         ]
         assert out.read_text().splitlines()[2].startswith("frequency_khz=50,sigma=2,,,")
 
+    @pytest.mark.parametrize("known_power", [False, True], ids=["joint", "known"])
+    def test_power_far_below_the_usual_one_gives_the_same_csv(self, config_path, tmp_path, known_power):
+        # Readings 1000 dB down rescale every trial's problem; the bisection
+        # runs the extra steps to bracket collapse and lands on the same fixes.
+        doc = json.loads(config_path.read_text())
+        doc["mc_trials"] = 5
+        doc["solver"]["known_power"] = known_power
+        csvs = []
+        for power in (0.0, -1000.0):
+            doc["transmit_power_dbm"] = power
+            path = tmp_path / f"power{power:g}.json"
+            path.write_text(json.dumps(doc))
+            out = tmp_path / f"power{power:g}.csv"
+            assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+            csvs.append(out.read_bytes())
+        assert BUNDLED_DOC["transmit_power_dbm"] == 0.0 and csvs[0] == csvs[1]
+
     def test_csv_header(self, small_config_path, tmp_path):
         out = tmp_path / "c.csv"
         main(["simulate", "--config", str(small_config_path), "--out", str(out)])
@@ -435,6 +452,38 @@ class TestExitCodes:
             " transmit power 1e+308 dBm overflows u = 10^(P_t/(5*beta))"
         )
 
+    @pytest.mark.filterwarnings("error")  # no RuntimeWarning from the underflow
+    @pytest.mark.parametrize("known_power", [False, True], ids=["joint", "known"])
+    def test_underflowing_readings_are_a_numerical_error(
+        self, tmp_path, config_path, capsys, known_power
+    ):
+        # At -1500 dBm every reading is too weak for the Jacobi scaling of
+        # the normal matrix; the build drops each trial, and locate exits 2.
+        doc = json.loads(config_path.read_text())
+        doc["transmit_power_dbm"] = -1500.0
+        doc["solver"]["known_power"] = known_power
+        doc["mc_trials"] = 3
+        doc["sigma_grid_db"] = [3.0]
+        path = tmp_path / "faint_power.json"
+        path.write_text(json.dumps(doc))
+        underflows = (
+            "the weighted system underflows: readings or anchor coordinates are too small"
+        )
+        out = tmp_path / "faint.csv"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        assert capsys.readouterr().err.splitlines()[:2] == [
+            "sigma=3: 3 of 3 trials dropped from the averages"
+            " (NumericalError in 3, first trials 0, 1, 2)",
+            f"  NumericalError, first at trial 0: {underflows}",
+        ]
+        assert out.read_text().splitlines()[1].startswith("sigma=3,,,")
+        scenario = parse_scenario(path).scenario
+        clean = uwloc.noiseless_rss(scenario.target_m, scenario.anchors_m, scenario.environment)
+        meas = tmp_path / "measurements.json"
+        meas.write_text(json.dumps({"anchor_index": list(range(10)), "rss_dbm": clean.tolist()}))
+        assert main(["locate", "--config", str(path), "--measurements", str(meas)]) == 2
+        assert capsys.readouterr().err == f"error: {underflows}\n"
+
     def test_unknown_noise_kind_fails_before_the_sweep(self, tmp_path, config_path, capsys):
         doc = json.loads(config_path.read_text())
         doc["sweep"] = {"kind": "noise_scenarios", "noise_kinds": ["x"]}
@@ -498,6 +547,7 @@ class TestExitCodes:
             ("sweep", "bias_scenarios", []),
             ("sweep", "bias_scenarios", [["ple_minus_100pct", -1.0, 0.0]]),
             ("sweep", "bias_scenarios", [["absorption_minus_150pct", 0.0, -1.5]]),
+            ("sweep", "frequency_grid_khz", [9, 1e200]),  # absorption is not finite
         ],
     )
     def test_values_that_break_a_sweep_fail_at_parse_time(
