@@ -10,7 +10,7 @@ absorption in dB per meter, ``d0`` = 1 m the reference distance, and ``n``
 a noise term in dB.  Distances are meters and powers dBm throughout.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -141,15 +141,22 @@ class Scenario:
     supports a joint position/power solve (N >= k + 2), that no anchor sits
     inside the reference distance, and that the anchor placement is regular
     (non-collinear/coplanar in the information-matrix sense).
+
+    The Scenario holds read-only copies of the positions it is given.
+    ``gradient`` is the pair (d, c) of :func:`gradient_directions` at the
+    target, kept read-only from the regularity test for the Fisher bounds;
+    it is neither a constructor argument nor part of repr or equality.
     """
 
     anchors_m: np.ndarray
     target_m: np.ndarray
     environment: Environment
+    gradient: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        anchors = np.atleast_2d(np.asarray(self.anchors_m, dtype=float))
-        target = np.asarray(self.target_m, dtype=float).ravel()
+        anchors = np.array(self.anchors_m, dtype=float, ndmin=2)
+        target = np.array(self.target_m, dtype=float).ravel()
+        anchors.flags.writeable = target.flags.writeable = False
         object.__setattr__(self, "anchors_m", anchors)
         object.__setattr__(self, "target_m", target)
         n, k = anchors.shape
@@ -182,6 +189,8 @@ class Scenario:
                 "degenerate anchor placement: gradient directions do not"
                 f" span dimension {k + 1} (singular value ratio {s[-1] / s[0]:.2e})"
             )
+        d.flags.writeable = c.flags.writeable = False
+        object.__setattr__(self, "gradient", (d, c))
 
     @property
     def n_anchors(self):

@@ -20,15 +20,26 @@ For any probe [x; y] the quadratic form collapses to a sum of squares,
 
 which is the executable form of the positive-definiteness argument (the
 minus sign on y is forced by the sign of the cross block b).
+
+The bounds take d_i and c_i from ``Scenario.gradient``, computed once when
+the Scenario was validated, and invert through the LAPACK gufuncs behind
+``np.linalg.eigh`` and ``np.linalg.inv``: the same bits without the
+wrappers' cost.  A gufunc returns NaN where its wrapper raised, so a
+Fisher matrix with an entry that is not finite is a NumericalError raised
+before the eigen-solve, as is a sigma whose square overflows or
+underflows; a sigma that is not positive and finite is a ValueError.
 """
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from . import numerics
 from .channel import LN10, gradient_directions
-from .errors import GeometryError
+from .errors import GeometryError, NumericalError
 
 # A Fisher matrix whose smallest eigenvalue falls below this fraction of the
 # largest is reported as degenerate rather than silently inverted.
@@ -49,15 +60,32 @@ class FimReport:
     condition_estimate: float
 
 
-def _per_anchor_sigmas(sigmas, n):
+def _noise_variances(sigmas, n):
+    """Per-anchor noise variances sigma_i^2 from one sigma or one per anchor.
+
+    A sigma that is not positive and finite is a ValueError; one whose
+    square overflows or underflows (is not a normal float) is a
+    NumericalError naming it.
+    """
     sig = np.asarray(sigmas, dtype=float)
     if sig.ndim == 0:
-        sig = np.full(n, float(sig))
-    if sig.shape != (n,):
+        lo = hi = float(sig)
+    elif sig.shape != (n,):
         raise ValueError(f"expected {n} noise sigmas, got shape {sig.shape}")
-    if np.any(sig <= 0):
+    else:  # a NaN reaches both ends
+        lo, hi = float(sig.min()), float(sig.max())
+    if lo <= 0:
         raise ValueError("noise sigmas must be positive")
-    return sig
+    if not hi < math.inf:
+        raise ValueError("noise sigmas must be finite")
+    # Squared as Python floats, the ends overflow and underflow without a warning.
+    if not hi * hi < math.inf:
+        raise NumericalError(f"noise sigma {hi:g} dB overflows: its square is not finite")
+    if not lo * lo >= sys.float_info.min:
+        raise NumericalError(
+            f"noise sigma {lo:g} dB underflows: its square is below the smallest normal float"
+        )
+    return np.full(n, lo * lo) if sig.ndim == 0 else sig**2
 
 
 def residuals(measurements, anchors_m, position_m, transmit_power_dbm, env):
@@ -104,7 +132,7 @@ def hessian_loglik(measurements, anchors_m, position_m, transmit_power_dbm, env,
     anchors_m = np.atleast_2d(np.asarray(anchors_m, dtype=float))
     position_m = np.asarray(position_m, dtype=float)
     k = position_m.shape[0]
-    sig2 = _per_anchor_sigmas(sigmas, len(measurements)) ** 2
+    sig2 = _noise_variances(sigmas, len(measurements))
     f = residuals(measurements, anchors_m, position_m, transmit_power_dbm, env)
     diff, d, c = gradient_directions(position_m, anchors_m[measurements.anchor_index], env)
     s = 1.0 / (sig2 * LN10**2 * d**4)
@@ -123,12 +151,13 @@ def hessian_loglik(measurements, anchors_m, position_m, transmit_power_dbm, env,
     return hess
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")  # see _checked_inverse
 def _fim_blocks(scenario, sigmas):
-    sig2 = _per_anchor_sigmas(sigmas, scenario.n_anchors) ** 2
-    _, d, c = gradient_directions(scenario.target_m, scenario.anchors_m, scenario.environment)
+    sig2 = _noise_variances(sigmas, scenario.n_anchors)
+    d, c = scenario.gradient
     a_block = (c / (sig2 * LN10**2 * d**4)[:, None]).T @ c
-    b_block = -np.sum(c / (sig2 * LN10 * d**2)[:, None], axis=0)
-    return a_block, b_block, np.sum(1.0 / sig2)
+    b_block = -np.add.reduce(c / (sig2 * LN10 * d**2)[:, None], axis=0)
+    return a_block, b_block, np.add.reduce(1.0 / sig2)
 
 
 def _invert_reported(fim, context):
@@ -140,7 +169,20 @@ def _invert_reported(fim, context):
             f"{context}: Fisher matrix is not positive definite"
             f" (smallest eigenvalue {w[0]:.3e}, largest {w[-1]:.3e})"
         )
-    return np.linalg.inv(fim), float(w[-1] / w[0])
+    return _umath_linalg.inv(fim, signature="d->d"), float(w[-1] / w[0])
+
+
+def _checked_inverse(fim, context, sigmas):
+    """:func:`_invert_reported` of a Fisher matrix built at ``sigmas``.
+
+    A non-finite entry, which the eigen-solve would turn into NaN, is a
+    NumericalError naming the sigmas.
+    """
+    if not np.isfinite(fim).all():
+        sig = np.asarray(sigmas, dtype=float)
+        named = f"{sig.item():g}" if sig.ndim == 0 else f"{sig.min():g} to {sig.max():g}"
+        raise NumericalError(f"{context}: Fisher matrix at noise sigma {named} dB is not finite")
+    return _invert_reported(fim, context)
 
 
 def fim_unknown_power(scenario, sigmas):
@@ -151,16 +193,16 @@ def fim_unknown_power(scenario, sigmas):
     """
     a_block, b_block, c_block = _fim_blocks(scenario, sigmas)
     k = scenario.dimension
-    fim = np.zeros((k + 1, k + 1))
+    fim = np.empty((k + 1, k + 1))
     fim[:k, :k] = a_block
     fim[:k, k] = b_block
     fim[k, :k] = b_block
     fim[k, k] = c_block
-    inv, condition = _invert_reported(fim, "unknown-power bound")
+    inv, condition = _checked_inverse(fim, "unknown-power bound", sigmas)
     return FimReport(
         fim=fim,
-        crlb_t_m=float(np.sqrt(np.trace(inv[:k, :k]))),
-        crlb_p_db=float(np.sqrt(inv[k, k])),
+        crlb_t_m=math.sqrt(inv[:k, :k].trace()),
+        crlb_p_db=math.sqrt(inv[k, k]),
         condition_estimate=condition,
     )
 
@@ -168,10 +210,10 @@ def fim_unknown_power(scenario, sigmas):
 def fim_known_power(scenario, sigmas):
     """Fisher information and position bound when the transmit power is known."""
     a_block, _, _ = _fim_blocks(scenario, sigmas)
-    inv, condition = _invert_reported(a_block, "known-power bound")
+    inv, condition = _checked_inverse(a_block, "known-power bound", sigmas)
     return FimReport(
         fim=a_block,
-        crlb_t_m=float(np.sqrt(np.trace(inv))),
+        crlb_t_m=math.sqrt(inv.trace()),
         crlb_p_db=None,
         condition_estimate=condition,
     )

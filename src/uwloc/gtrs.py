@@ -646,8 +646,8 @@ def _finalize(eq, rows, lam, z_hat, iterations):
         stationarity[over] = _stationarity(
             shifted[over] / top[:, None, None], z[over], rhs[over] / top[:, None])[0]
     constraint = _quadratic(z, quad, 2.0 * lin)
-    min_eig = np.linalg.eigvalsh(shifted).min(axis=1)
-    min_eig_ratio = min_eig / np.linalg.svd(normal, compute_uv=False).max(axis=1)
+    min_eig = _umath_linalg.eigvalsh_lo(shifted, signature="d->d").min(axis=1)
+    min_eig_ratio = min_eig / _umath_linalg.svd(normal, signature="d->d").max(axis=1)
     estimates = []
     for row, k, ple, z_row, multiplier, stat, cons, ratio in zip(
         rows, eq.dimension[rows].tolist(), eq.ple[rows].tolist(), z, lams.tolist(),

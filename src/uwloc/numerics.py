@@ -3,10 +3,13 @@
 All routines operate on square symmetric matrices of modest order (the
 solver and bound calculators never need more than order k + 2 = 5, and
 nothing here is intended beyond order 16).  Contracts are expressed as
-residual bounds, not method choices.
+residual bounds, not method choices.  :func:`sym_eig` calls the LAPACK
+gufunc behind ``np.linalg.eigh`` directly: the same bits without the
+wrapper's cost.
 """
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import SingularMatrixError
 
@@ -22,14 +25,17 @@ PIVOT_TOL = 1e-12
 def check_symmetric(a):
     """Validate that ``a`` is a square symmetric array and return it as float.
 
-    Raises ValueError when the input is not square or the asymmetry exceeds
-    SYMMETRY_TOL relative to the largest absolute entry.
+    Raises ValueError when the input is not square, has an entry that is
+    not finite, or the asymmetry exceeds SYMMETRY_TOL relative to the
+    largest absolute entry.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    scale = np.max(np.abs(a)) if a.size else 0.0
-    if scale > 0 and np.max(np.abs(a - a.T)) > SYMMETRY_TOL * scale:
+    scale = abs(a).max() if a.size else 0.0
+    if not scale < np.inf:  # NaN too
+        raise ValueError("matrix has an entry that is not finite")
+    if scale > 0 and abs(a - a.T).max() > SYMMETRY_TOL * scale:
         raise ValueError("matrix is not symmetric within tolerance")
     return a
 
@@ -41,8 +47,7 @@ def sym_eig(a):
     eigenvectors as orthonormal columns, so that ``a @ V = V @ diag(w)``.
     """
     a = check_symmetric(a)
-    w, v = np.linalg.eigh(a)
-    return w, v
+    return _umath_linalg.eigh_lo(a, signature="d->dd")
 
 
 def solve_spd(a, b):

@@ -484,6 +484,30 @@ class TestExitCodes:
         assert main(["locate", "--config", str(path), "--measurements", str(meas)]) == 2
         assert capsys.readouterr().err == f"error: {underflows}\n"
 
+    @pytest.mark.filterwarnings("error")  # no RuntimeWarning from the square
+    @pytest.mark.parametrize(
+        "sigma, message",
+        [
+            (1e-200, "noise sigma 1e-200 dB underflows: its square is below the smallest normal float"),
+            (1e200, "noise sigma 1e+200 dB overflows: its square is not finite"),
+        ],
+        ids=["underflow", "overflow"],
+    )
+    @pytest.mark.parametrize("command", ["crlb", "simulate"])
+    def test_sigma_whose_square_leaves_the_float_range(
+        self, tmp_path, config_path, capsys, command, sigma, message
+    ):
+        doc = json.loads(config_path.read_text())
+        doc["sigma_grid_db"] = [sigma]
+        doc["mc_trials"] = 3
+        path = tmp_path / "extreme_sigma.json"
+        path.write_text(json.dumps(doc))
+        args = [command, "--config", str(path)]
+        if command == "simulate":
+            args += ["--out", str(tmp_path / "o.csv")]
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_unknown_noise_kind_fails_before_the_sweep(self, tmp_path, config_path, capsys):
         doc = json.loads(config_path.read_text())
         doc["sweep"] = {"kind": "noise_scenarios", "noise_kinds": ["x"]}

@@ -1,8 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import uwloc
-from uwloc.channel import LN10, Environment, MeasurementSet, NoiseModel, Scenario
+from uwloc.channel import (
+    LN10,
+    Environment,
+    MeasurementSet,
+    NoiseModel,
+    Scenario,
+    gradient_directions,
+)
 from uwloc.crlb import (
     c_vector,
     fim_known_power,
@@ -10,7 +19,7 @@ from uwloc.crlb import (
     hessian_loglik,
     residuals,
 )
-from uwloc.errors import GeometryError
+from uwloc.errors import GeometryError, NumericalError
 
 # Reference-topology position bound at sigma = 1 dB, frozen after the first
 # run verified against the negated-Hessian oracle below.
@@ -268,3 +277,176 @@ class TestDegenerateGeometry:
 
         with pytest.raises(GeometryError):
             _invert_reported(np.diag([1.0, 0.0]), "test")
+
+
+def reference_report(scenario, sigmas, known_power):
+    """(fim, crlb_t, crlb_p, condition) by the original formula: the gradient
+    recomputed with gradient_directions, np.linalg.eigh and np.linalg.inv."""
+    sig = np.asarray(sigmas, dtype=float)
+    if sig.ndim == 0:
+        sig = np.full(scenario.n_anchors, float(sig))
+    sig2 = sig**2
+    _, d, c = gradient_directions(scenario.target_m, scenario.anchors_m, scenario.environment)
+    a_block = (c / (sig2 * LN10**2 * d**4)[:, None]).T @ c
+    b_block = -np.sum(c / (sig2 * LN10 * d**2)[:, None], axis=0)
+    k = scenario.dimension
+    if known_power:
+        fim = a_block
+    else:
+        fim = np.zeros((k + 1, k + 1))
+        fim[:k, :k] = a_block
+        fim[:k, k] = fim[k, :k] = b_block
+        fim[k, k] = np.sum(1.0 / sig2)
+    w, _ = np.linalg.eigh(fim)
+    inv = np.linalg.inv(fim)
+    crlb_p = None if known_power else float(np.sqrt(inv[k, k]))
+    return fim, float(np.sqrt(np.trace(inv[:k, :k]))), crlb_p, float(w[-1] / w[0])
+
+
+def random_bound_scenario(rng):
+    """A valid random 2-D or 3-D Scenario at one of several coordinate scales."""
+    while True:
+        k = int(rng.choice([2, 3]))
+        n = int(rng.integers(k + 2, 13))
+        scale = 10.0 ** rng.uniform(1.0, 4.0)
+        env = Environment(
+            ple=float(rng.uniform(1.5, 2.5)),
+            frequency_khz=float(rng.uniform(5.0, 50.0)),
+            transmit_power_dbm=float(rng.uniform(-10.0, 10.0)),
+        )
+        try:
+            return Scenario(rng.uniform(0.0, scale, (n, k)), rng.uniform(0.0, scale, k), env)
+        except GeometryError:
+            continue
+
+
+def assert_same_gradient(scenario):
+    d, c = scenario.gradient
+    _, d_ref, c_ref = gradient_directions(
+        scenario.target_m, scenario.anchors_m, scenario.environment
+    )
+    assert d.tobytes() == d_ref.tobytes()
+    assert c.tobytes() == c_ref.tobytes()
+
+
+class TestBoundCensus:
+    """The bounds read the Scenario's stored gradient and call the LAPACK
+    gufuncs directly; every byte must match the original formula."""
+
+    def test_bounds_match_the_reference_bit_for_bit(self):
+        rng = np.random.default_rng(2020)
+        compared = differing = 0
+        for _ in range(150):
+            scenario = random_bound_scenario(rng)
+            per_anchor = rng.uniform(0.5, 6.0, scenario.n_anchors)
+            for sigmas in (float(rng.uniform(0.5, 9.0)), per_anchor):
+                for known_power, bound in ((False, fim_unknown_power), (True, fim_known_power)):
+                    report = bound(scenario, sigmas)
+                    fim, crlb_t, crlb_p, condition = reference_report(
+                        scenario, sigmas, known_power
+                    )
+                    compared += 1
+                    differing += (
+                        report.fim.tobytes() != fim.tobytes()
+                        or report.crlb_t_m != crlb_t
+                        or report.crlb_p_db != crlb_p
+                        or report.condition_estimate != condition
+                    )
+        assert compared == 600
+        assert differing == 0
+
+    def test_stored_gradient_is_gradient_directions(self):
+        rng = np.random.default_rng(2021)
+        for _ in range(20):
+            scenario = random_bound_scenario(rng)
+            env = dataclasses.replace(scenario.environment, ple=scenario.environment.ple + 0.3)
+            derived = [
+                scenario,
+                dataclasses.replace(scenario, environment=env),
+                dataclasses.replace(scenario, target_m=scenario.target_m + 7.5),
+                scenario.subset(scenario.dimension + 2),
+            ]
+            for each in derived:
+                assert_same_gradient(each)
+
+    def test_gradient_is_not_a_constructor_argument_repr_or_eq_field(self, reference_scenario):
+        field = {f.name: f for f in dataclasses.fields(Scenario)}["gradient"]
+        assert not (field.init or field.repr or field.compare)
+        assert "gradient" not in repr(reference_scenario)
+        with pytest.raises(TypeError):
+            Scenario(
+                reference_scenario.anchors_m,
+                reference_scenario.target_m,
+                reference_scenario.environment,
+                gradient=reference_scenario.gradient,
+            )
+
+    def test_caller_arrays_written_after_construction_leave_the_bound(
+        self, reference_scenario
+    ):
+        anchors = np.array(reference_scenario.anchors_m)
+        target = np.array(reference_scenario.target_m)
+        scenario = Scenario(anchors, target, reference_scenario.environment)
+        before = fim_unknown_power(scenario, 2.0)
+        anchors[0] += 500.0
+        target[1] -= 250.0
+        after = fim_unknown_power(scenario, 2.0)
+        assert after.fim.tobytes() == before.fim.tobytes()
+        assert (after.crlb_t_m, after.crlb_p_db) == (before.crlb_t_m, before.crlb_p_db)
+        assert_same_gradient(scenario)
+        for stored in (scenario.anchors_m, scenario.target_m, *scenario.gradient):
+            with pytest.raises(ValueError):
+                stored[0] = 0.0
+
+
+def sigma_arguments(value, n):
+    """``value`` as one sigma and as the last of ``n`` per-anchor sigmas."""
+    per_anchor = np.full(n, 2.0)
+    per_anchor[-1] = value
+    return [value, per_anchor]
+
+
+@pytest.mark.filterwarnings("error")  # a named error, never a RuntimeWarning
+class TestNoiseSigmaErrors:
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("bound", [fim_unknown_power, fim_known_power])
+    def test_non_finite_sigma_is_a_value_error(self, reference_scenario, bound, value):
+        for sigmas in sigma_arguments(value, reference_scenario.n_anchors):
+            with pytest.raises(ValueError, match="^noise sigmas must be finite$"):
+                bound(reference_scenario, sigmas)
+
+    def test_non_finite_sigma_in_the_hessian(self, reference_scenario):
+        meas = noiseless_set(reference_scenario)
+        env = reference_scenario.environment
+        for sigmas in sigma_arguments(np.nan, reference_scenario.n_anchors):
+            with pytest.raises(ValueError, match="^noise sigmas must be finite$"):
+                hessian_loglik(
+                    meas, reference_scenario.anchors_m, reference_scenario.target_m,
+                    env.transmit_power_dbm, env, sigmas,
+                )
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (1e-200, "noise sigma 1e-200 dB underflows: its square is below the smallest normal float"),
+            # 1e-310 is subnormal: not 0, but its inverse overflows
+            (1e-155, "noise sigma 1e-155 dB underflows: its square is below the smallest normal float"),
+            (1e200, "noise sigma 1e+200 dB overflows: its square is not finite"),
+        ],
+    )
+    @pytest.mark.parametrize("bound", [fim_unknown_power, fim_known_power])
+    def test_sigma_whose_square_leaves_the_float_range(
+        self, reference_scenario, bound, value, message
+    ):
+        for sigmas in sigma_arguments(value, reference_scenario.n_anchors):
+            with pytest.raises(NumericalError) as err:
+                bound(reference_scenario, sigmas)
+            assert str(err.value) == message
+
+    def test_fisher_matrix_that_overflows(self, reference_scenario):
+        # 1.5e-154 squares to a normal float, but ten times its inverse overflows.
+        with pytest.raises(NumericalError) as err:
+            fim_unknown_power(reference_scenario, 1.5e-154)
+        assert str(err.value) == (
+            "unknown-power bound: Fisher matrix at noise sigma 1.5e-154 dB is not finite"
+        )

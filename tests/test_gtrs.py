@@ -248,14 +248,18 @@ def direct_lapack(spd, matrices, rhs):
 
 
 class TestDirectLapack:
-    """_Equilibrated.solve_at calls numpy.linalg's LAPACK gufuncs without its wrapper."""
+    """_Equilibrated.solve_at and _finalize call numpy.linalg's LAPACK gufuncs
+    without its wrapper."""
 
     def test_numpy_exposes_the_gufuncs(self):
         # numpy.linalg._umath_linalg is private; a numpy that renames it fails here first.
         assert _umath_linalg.solve1.signature == "(m,m),(m)->(m)"
         assert _umath_linalg.cholesky_lo.signature == "(m,m)->(m,m)"
+        assert _umath_linalg.eigvalsh_lo.signature == "(m,m)->(m)"
+        assert _umath_linalg.svd.signature == "(m,n)->(p)"
         assert "dd->d" in _umath_linalg.solve1.types
-        assert "d->d" in _umath_linalg.cholesky_lo.types
+        for gufunc in (_umath_linalg.cholesky_lo, _umath_linalg.eigvalsh_lo, _umath_linalg.svd):
+            assert "d->d" in gufunc.types
 
     @pytest.mark.parametrize("width", [3, 4, 5])
     def test_gufuncs_give_numpy_linalg_bits(self, width):
@@ -272,6 +276,16 @@ class TestDirectLapack:
             assert factor.tobytes() == np.linalg.cholesky(unit).tobytes()
             for a, y in zip((unit, general), solved):
                 assert y.tobytes() == np.linalg.solve(a, rhs).tobytes()
+            # _finalize's eigenvalues of a shifted matrix and singular values of N
+            shifted = spd - rng.uniform(0.0, 2.0) * np.diag(rng.uniform(size=width))
+            assert (
+                _umath_linalg.eigvalsh_lo(shifted, signature="d->d").tobytes()
+                == np.linalg.eigvalsh(shifted).tobytes()
+            )
+            assert (
+                _umath_linalg.svd(spd, signature="d->d").tobytes()
+                == np.linalg.svd(spd, compute_uv=False).tobytes()
+            )
 
     def test_singular_or_indefinite_shift_gives_none(self):
         eq = gtrs._Equilibrated([singular_shift_system()])[0]

@@ -46,6 +46,25 @@ class TestSymEig:
         with pytest.raises(ValueError):
             sym_eig(np.ones((2, 3)))
 
+    def test_gives_numpy_eigh_bits(self):
+        rng = np.random.default_rng(23)
+        for _ in range(200):
+            n = int(rng.integers(1, 9))
+            a = rng.normal(size=(n, n))
+            a = a + a.T
+            w, v = sym_eig(a)
+            w_ref, v_ref = np.linalg.eigh(a)
+            assert w.tobytes() == w_ref.tobytes()
+            assert v.tobytes() == v_ref.tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, value):
+        a = np.eye(3)
+        a[1, 1] = value
+        with pytest.raises(ValueError, match="^matrix has an entry that is not finite$"):
+            sym_eig(a)
+
 
 class TestSolveSpd:
     def test_identity(self):
