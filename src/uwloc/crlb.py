@@ -27,7 +27,8 @@ the Scenario was validated, and invert through the LAPACK gufuncs behind
 wrappers' cost.  A gufunc returns NaN where its wrapper raised, so a
 Fisher matrix with an entry that is not finite is a NumericalError raised
 before the eigen-solve, as is a sigma whose square overflows or
-underflows; a sigma that is not positive and finite is a ValueError.
+underflows, or one so large that an anchor's position term falls below
+the normal range; a sigma that is not positive and finite is a ValueError.
 """
 
 import math
@@ -44,6 +45,9 @@ from .errors import GeometryError, NumericalError
 # A Fisher matrix whose smallest eigenvalue falls below this fraction of the
 # largest is reported as degenerate rather than silently inverted.
 DEFINITENESS_TOL = 1e-12
+
+# 1 / (the smallest normal double), a power of two: 1/x is normal up to here.
+_NORMAL_INVERSE = 1.0 / sys.float_info.min
 
 
 @dataclass(frozen=True)
@@ -151,11 +155,25 @@ def hessian_loglik(measurements, anchors_m, position_m, transmit_power_dbm, env,
     return hess
 
 
+def _sigma_error(context, sigmas, fault):
+    """The NumericalError of a Fisher matrix that ``sigmas`` put out of the float range."""
+    sig = np.asarray(sigmas, dtype=float)
+    named = f"{sig.item():g}" if sig.ndim == 0 else f"{sig.min():g} to {sig.max():g}"
+    return NumericalError(f"{context}: Fisher matrix at noise sigma {named} dB {fault}")
+
+
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")  # see _checked_inverse
-def _fim_blocks(scenario, sigmas):
+def _fim_blocks(scenario, sigmas, context):
     sig2 = _noise_variances(sigmas, scenario.n_anchors)
     d, c = scenario.gradient
-    a_block = (c / (sig2 * LN10**2 * d**4)[:, None]).T @ c
+    scale = sig2 * LN10**2 * d**4
+    # The Scenario's regular geometry makes every anchor's position term
+    # c_i c_i^T / scale_i count; past 1/tiny it falls below the normal range.
+    if not np.maximum.reduce(scale) <= _NORMAL_INVERSE:
+        raise _sigma_error(
+            context, sigmas, "underflows: an anchor's term is below the smallest normal float"
+        )
+    a_block = (c / scale[:, None]).T @ c
     b_block = -np.add.reduce(c / (sig2 * LN10 * d**2)[:, None], axis=0)
     return a_block, b_block, np.add.reduce(1.0 / sig2)
 
@@ -179,10 +197,11 @@ def _checked_inverse(fim, context, sigmas):
     NumericalError naming the sigmas.
     """
     if not np.isfinite(fim).all():
-        sig = np.asarray(sigmas, dtype=float)
-        named = f"{sig.item():g}" if sig.ndim == 0 else f"{sig.min():g} to {sig.max():g}"
-        raise NumericalError(f"{context}: Fisher matrix at noise sigma {named} dB is not finite")
+        raise _sigma_error(context, sigmas, "is not finite")
     return _invert_reported(fim, context)
+
+
+_UNKNOWN, _KNOWN = "unknown-power bound", "known-power bound"
 
 
 def fim_unknown_power(scenario, sigmas):
@@ -191,14 +210,14 @@ def fim_unknown_power(scenario, sigmas):
     CRLB_t is the square root of the position-block trace of the inverse;
     CRLB_p the square root of the power diagonal entry.
     """
-    a_block, b_block, c_block = _fim_blocks(scenario, sigmas)
+    a_block, b_block, c_block = _fim_blocks(scenario, sigmas, _UNKNOWN)
     k = scenario.dimension
     fim = np.empty((k + 1, k + 1))
     fim[:k, :k] = a_block
     fim[:k, k] = b_block
     fim[k, :k] = b_block
     fim[k, k] = c_block
-    inv, condition = _checked_inverse(fim, "unknown-power bound", sigmas)
+    inv, condition = _checked_inverse(fim, _UNKNOWN, sigmas)
     return FimReport(
         fim=fim,
         crlb_t_m=math.sqrt(inv[:k, :k].trace()),
@@ -209,8 +228,8 @@ def fim_unknown_power(scenario, sigmas):
 
 def fim_known_power(scenario, sigmas):
     """Fisher information and position bound when the transmit power is known."""
-    a_block, _, _ = _fim_blocks(scenario, sigmas)
-    inv, condition = _checked_inverse(a_block, "known-power bound", sigmas)
+    a_block, _, _ = _fim_blocks(scenario, sigmas, _KNOWN)
+    inv, condition = _checked_inverse(a_block, _KNOWN, sigmas)
     return FimReport(
         fim=a_block,
         crlb_t_m=math.sqrt(inv.trace()),

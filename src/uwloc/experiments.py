@@ -271,9 +271,10 @@ def point_bounds(scenario, sigma, known_power):
     return report.crlb_t_m, report.crlb_p_db
 
 
-def _record(setting, config, outcomes, seconds_per_solve):
+def _record(setting, config, outcomes, bounds, seconds_per_solve):
     """One sweep coordinate's ResultRecord from its trials' outcomes, each
-    an Estimate or the UwlocError that dropped the trial."""
+    an Estimate or the UwlocError that dropped the trial, and its
+    :func:`point_bounds`."""
     true_t = setting.scenario.target_m
     true_p = setting.scenario.environment.transmit_power_dbm
     err2, power_err2, failures = [], [], {}
@@ -294,7 +295,7 @@ def _record(setting, config, outcomes, seconds_per_solve):
     else:
         nrmse_p = float(np.sqrt(np.mean(np.array(power_err2)))) if power_err2 else None
         power_failures = n_solved - len(power_err2)
-    crlb_t, crlb_p = point_bounds(setting.scenario, setting.noise.sigma_db, config.known_power)
+    crlb_t, crlb_p = bounds
     return ResultRecord(
         sweep_coord=setting.label,
         nrmse_t_m=nrmse_t,
@@ -312,8 +313,8 @@ def _record(setting, config, outcomes, seconds_per_solve):
     )
 
 
-def _run_group(settings, config):
-    """Sweep coordinates solved as one batch.
+def _run_group(settings, bounds, config):
+    """Sweep coordinates solved as one batch, with their :func:`point_bounds`.
 
     Each coordinate's trials are built as one stack, then every system
     that passed its checks is solved by one ``solve_many`` call, and each
@@ -333,8 +334,8 @@ def _run_group(settings, config):
     seconds = (time.perf_counter() - start) / len(outcomes)
     m = config.mc_trials
     return [
-        _record(setting, config, outcomes[j * m : (j + 1) * m], seconds)
-        for j, setting in enumerate(settings)
+        _record(setting, config, outcomes[j * m : (j + 1) * m], bound, seconds)
+        for j, (setting, bound) in enumerate(zip(settings, bounds))
     ]
 
 
@@ -346,13 +347,18 @@ def run_sweep(config):
     and each group's trials are solved as one batch.  The estimates are
     bit-identical to solving the trials one by one, so results depend
     only on (config, master_seed); only the recorded wall time varies.
+    Every coordinate is bounded before any trial is drawn, so a sweep
+    whose bound fails raises at once.
     """
     settings = _sweep_settings(config)
+    bounds = [point_bounds(s.scenario, s.noise.sigma_db, config.known_power) for s in settings]
     per_group = max(1, SWEEP_BATCH_TRIALS // config.mc_trials)
     return [
         record
         for first in range(0, len(settings), per_group)
-        for record in _run_group(settings[first : first + per_group], config)
+        for record in _run_group(
+            settings[first : first + per_group], bounds[first : first + per_group], config
+        )
     ]
 
 

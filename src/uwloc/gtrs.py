@@ -44,11 +44,14 @@ columns, so all internal solves run on a Jacobi-equilibrated copy (a pure
 reparameterization: the multiplier, the constraint residual, and the
 returned z are unchanged).  Below the interval's pole the shifted matrix is
 indefinite, which a Cholesky failure detects; such points are treated as
-lying below the root, so the search never needs an estimate of lam*.  A
-single fix's search guesses the root from the secular equation of the
-scaled pencil and classifies the bisection's likely path in one call;
-every step is still decided by the shifted solve, so the secular function
-sets only the speed, never the multiplier, z or the step count.
+lying below the root, so the search never needs an estimate of lam*.
+One kernel, :meth:`_Equilibrated.classify`, decides every multiplier that
+either search driver tries: the opening call at 0 and ||G||_F, each
+upward doubling and each bisection step.  A single fix's search guesses
+the root from the secular equation of the scaled pencil and classifies
+the bisection's likely path in one call; every step is still decided by
+the shifted solve, so the secular function sets only the speed, never the
+multiplier, z or the step count.
 """
 
 import functools
@@ -335,55 +338,43 @@ class _Equilibrated:
             raise GeometryError(_NONPOSITIVE_DIAGONAL)
         return self.take(row)
 
-    def solve_at(self, lam, check_definite):
-        """Solution of the shifted system, or None when it is not PD or not solved.
-
-        ``check_definite`` may be skipped for lam >= 0, where the shifted
-        matrix is PD whenever the Gram matrix is.  A Cholesky or solve that
-        LAPACK cannot complete comes back as NaN, read here as a failure;
-        callers hold :data:`_lapack_errors`, so the invalid flag it raises is quiet.
-        """
-        shifted = self.gram + lam * self.quad
-        diag = shifted.diagonal()
-        if np.fmin.reduce(diag) <= 0.0:  # (diag <= 0.0).any(), cheaper
-            return None
-        s = 1.0 / np.sqrt(diag)
-        scaled = shifted * (s[:, None] * s)
-        if check_definite:
-            factor = _umath_linalg.cholesky_lo(scaled, signature="d->d")
-            if not factor.diagonal().min() > 1e-6:  # NaN where the Cholesky failed
-                return None
-        y = _umath_linalg.solve1(scaled, (self.rhs0 - lam * self.lin) * s, signature="dd->d")
-        # math.isnan: np.isnan on a scalar costs about ten times as much.
-        return None if math.isnan(y[-1]) else y * s
-
-    def constraint_residual(self, z_hat):
-        return float(z_hat @ self.quad @ z_hat + self.lin2 @ z_hat)
-
     def bound(self):
         """a = -min_{i<k} (R^T R)_ii, where a negative root's bracket starts (module docstring)."""
         position = self.constraint_quad.diagonal(axis1=-2, axis2=-1) > 0.0
         return -np.where(position, self.normal.diagonal(axis1=-2, axis2=-1), np.inf).min(axis=-1)
 
-    def classify(self, lams):
-        """:func:`_classify` at every multiplier of ``lams`` at once.
+    def gram_norm(self):
+        """||G||_F of each system, where a positive root's upward search starts."""
+        return _norms(self.gram.reshape(-1, self.gram.shape[-1] ** 2))
+
+    def shifted_solve(self, lams):
+        """(z_hat, scaled): the shifted system's solution at every multiplier of
+        ``lams`` and the unit-diagonal matrix solved for it, with no check.
 
         A stack holds one system per multiplier; one system (2-D arrays)
-        broadcasts over them all.  Returns (residual, z_hat, solved) arrays.
-        Where the shifted matrix is not PD or its solve fails, ``solved`` is
-        False, the residual is inf and the z_hat row is not a solution, so
-        ``residual > 0`` is :func:`_classify`'s ``low``.  The arithmetic is
-        that of :meth:`solve_at` matrix by matrix, so every bit matches;
-        callers hold :data:`_lapack_errors`.
+        broadcasts over them all.  A nonpositive diagonal entry makes the
+        scaling NaN or inf, and LAPACK fills the solution of a matrix it
+        cannot solve with NaN; callers hold :data:`_lapack_errors`.
         """
         shifted = self.gram + lams[:, None, None] * self.quad
         s = 1.0 / np.sqrt(shifted.diagonal(axis1=1, axis2=2))
         scaled = shifted * (s[:, :, None] * s[:, None, :])
         rhs = (self.rhs0 - lams[:, None] * self.lin) * s
-        z_hat = _umath_linalg.solve1(scaled, rhs, signature="dd->d") * s
+        return _umath_linalg.solve1(scaled, rhs, signature="dd->d") * s, scaled
+
+    def classify(self, lams):
+        """Which side of the root each multiplier of ``lams`` lies on: the one
+        rule of both search drivers.
+
+        Returns (residual, z_hat, solved) arrays.  Where the shifted matrix
+        is not PD or its solve fails, ``solved`` is False, the residual is
+        inf and the z_hat row is not a solution, so ``residual > 0`` says
+        the multiplier is low: below the pole or below the root.  Above 0
+        the shifted matrix is PD whenever the Gram matrix is; below 0 a
+        Cholesky pivot under 1e-6 (NaN where it fails) makes a multiplier low.
+        """
+        z_hat, scaled = self.shifted_solve(lams)
         solved = ~np.isnan(z_hat[:, -1])
-        # At lam >= 0 the diagonal is positive; below 0 a nonpositive entry
-        # makes s NaN or inf, so the Cholesky fails as solve_at's check would.
         negative = lams < 0.0
         if negative.any():
             factor = _umath_linalg.cholesky_lo(scaled[negative], signature="d->d")
@@ -422,31 +413,19 @@ def phi(lam, system):
     """Constraint residual of the shifted solution at multiplier ``lam``.
 
     Strictly decreasing on the multiplier interval; its unique root is the
-    optimal multiplier.
+    optimal multiplier.  Unlike :meth:`_Equilibrated.classify` it checks
+    no Cholesky pivot, so it is defined wherever the shifted solve is finite,
+    just above the pole included.
     """
     eq = _Equilibrated([system])[0]
-    z_hat = eq.solve_at(float(lam), check_definite=False)
-    if z_hat is None or not np.all(np.isfinite(z_hat)):
+    z_hat = eq.shifted_solve(np.array([float(lam)]))[0]
+    if not np.isfinite(z_hat).all():
         raise _unsolved(lam)
-    return eq.constraint_residual(z_hat)
+    return float(_quadratic(z_hat, eq.quad, eq.lin2)[0])
 
 
 def _unsolved(lam):
     return NumericalError(f"shifted system could not be solved at multiplier {lam}", multiplier=lam)
-
-
-def _classify(eq, lam):
-    """(low, residual, z_hat) of one trial multiplier.
-
-    ``low`` says the multiplier is below the root: the shifted matrix fails
-    to be PD (below the pole, given as residual inf and z_hat None) or the
-    residual is positive.
-    """
-    z_hat = eq.solve_at(lam, check_definite=lam < 0.0)
-    if z_hat is None:
-        return True, np.inf, None
-    residual = eq.constraint_residual(z_hat)
-    return residual > 0.0, residual, z_hat
 
 
 def _midpoints(a, b):
@@ -545,33 +524,36 @@ def _predict(eq, a, b):
 def _search(eq):
     """Root of the constraint residual of one system by classification bisection.
 
-    Returns (multiplier, z_hat, iterations).  Each step looks its midpoint up
-    by value in the memo of the current round, the list of midpoints that one
-    stacked classify call classified: those :func:`_path` lays out for
-    :func:`_predict`'s guess, then those the next DEPTH steps can reach
-    (:func:`_midpoints`) whenever the memo lacks the midpoint.  A class
+    Returns (multiplier, z_hat, iterations).  One classify call opens at 0
+    and at ||G||_F, and each further upward probe is one more.  Each step
+    looks its midpoint up by value in the memo of the current round, the
+    list of midpoints that one classify call classified: those
+    :func:`_path` lays out for :func:`_predict`'s guess, then those the next
+    DEPTH steps can reach (:func:`_midpoints`) whenever the memo lacks the midpoint.  A class
     depends on the multiplier alone, so the steps and exits are those of a
     bisection that classifies one midpoint per step, whatever the guess.
     :func:`solve_many` takes the same steps over a stack, pinned bit for bit.
     """
-    _, f0, z0 = _classify(eq, 0.0)
-    if z0 is None:
+    b = float(eq.gram_norm()[0])
+    f, z_hat, solved = eq.classify(np.array([0.0, b]))
+    if not solved[0]:
         raise GeometryError("normal matrix is not positive definite")
+    (f0, fb), row = f.tolist(), 1
     if f0 == 0.0:
-        return 0.0, z0, 0
+        return 0.0, z_hat[0], 0
     if f0 > 0.0:
         # Root is positive: double b until phi(b) < 0, as it must (module docstring).
-        a, b = 0.0, float(np.linalg.norm(eq.gram))
-        low, fb, zb = _classify(eq, b)
-        while low:
-            if zb is None:  # above 0 only a failed solve, which b = inf always gives
+        a = 0.0
+        while fb > 0.0:  # inf where the solve failed
+            if not solved[-1]:  # above 0 only a failed solve, which b = inf always gives
                 raise _unsolved(b)
             a, b = b, 2.0 * b
-            low, fb, zb = _classify(eq, b)
+            f, z_hat, solved = eq.classify(np.array([b]))
+            (fb,), row = f.tolist(), 0
     else:  # Root is negative, so [bound, 0] brackets it (module docstring).
-        a, b, fb, zb = float(eq.bound()), 0.0, f0, z0
+        a, b, fb, row = float(eq.bound()), 0.0, f0, 0
     # phi decreases, so b, the last point that is not low, is the best so far; z_hat is rows[row].
-    best, least, rows, row = b, abs(fb), zb[None], 0
+    best, least, rows = b, abs(fb), z_hat
     guess = _predict(eq, a, b)
     mids, node, iterations = [], 0, 0
     while True:
@@ -694,13 +676,14 @@ def solve_many(systems):
     """:func:`solve` applied to every system, with bit-identical results.
 
     Every system must have the same design width, as the trials of one
-    sweep do.  One :class:`_Equilibrated` holds them all, and the stages
-    of :func:`_search` run over it in order, as array state with one row
-    per system: every row is classified at 0, the rows with a negative
-    residual take the bracket [bound, 0], those with a positive one expand
-    upward together, and every bracketed row then bisects in one stack, one
-    step per round.  Each round of a stacked stage classifies a compact
-    stack of its unfinished rows in one :meth:`_Equilibrated.classify` call: the
+    sweep do; a stack of mixed widths is a ValueError.  One
+    :class:`_Equilibrated` holds them all, and the stages of :func:`_search`
+    run over it in order, as array state with one row per system: one call
+    classifies every row at 0 and at ||G||_F, the rows with a negative
+    residual at 0 take the bracket [bound, 0], those with a positive one
+    expand upward together from ||G||_F, and every bracketed row then
+    bisects in one stack, one step per round.  Each later round classifies
+    a compact stack of its unfinished rows in one classify call: the
     upward rounds take their rows anew, the bisection only after a round in
     which a row finished.  The finished searches are finalized in one
     stacked pass.  Returns one entry per system, in order: its Estimate, or
@@ -708,6 +691,9 @@ def solve_many(systems):
     """
     if not systems:
         return []
+    widths = sorted({system.design.shape[1] for system in systems})
+    if len(widths) > 1:
+        raise ValueError(f"solve_many takes systems of one design width, got widths {widths}")
     eq = _Equilibrated(systems)
     n = len(systems)
     a, b = np.zeros(n), np.zeros(n)
@@ -725,7 +711,9 @@ def solve_many(systems):
 
     fail(np.flatnonzero(~eq.valid), lambda r: GeometryError(_NONPOSITIVE_DIAGONAL))
     rows = np.flatnonzero(eq.valid)
-    f, z_hat, solved = eq.take(rows).classify(np.zeros(rows.size))
+    start = eq.gram_norm()[rows]
+    opening = eq.take(np.tile(rows, 2)).classify(np.concatenate([a[rows], start]))
+    (f, up_f), (z_hat, up_z), (solved, up_solved) = (np.split(x, 2) for x in opening)
     keep(rows, 0.0, f, z_hat)
     fail(rows[~solved], lambda r: GeometryError("normal matrix is not positive definite"))
     # A negative root's bracket is [bound, 0], with 0 as its best point so far.
@@ -735,17 +723,19 @@ def solve_many(systems):
 
     # Upward: double b until the residual turns negative, which it does (module
     # docstring), or its solve fails.  Each row keeps its last b as its best.
-    width = eq.gram.shape[1]
-    rows = rows[solved & (f > 0.0)]
-    b[rows] = _norms(eq.gram[rows].reshape(rows.size, width * width))
-    while rows.size:
-        f, z_hat, solved = eq.take(rows).classify(b[rows])
+    up = solved & (f > 0.0)
+    rows, f, z_hat, solved = rows[up], up_f[up], up_z[up], up_solved[up]
+    b[rows] = start[up]
+    while True:
         fail(rows[~solved], lambda r: _unsolved(float(b[r])))
         low = f > 0.0
         keep(rows[~low], b[rows[~low]], f[~low], z_hat[~low])
         bracketed.append(rows[~low])
         rows = rows[low & solved]
+        if not rows.size:
+            break
         a[rows], b[rows] = b[rows], 2.0 * b[rows]
+        f, z_hat, solved = eq.take(rows).classify(b[rows])
 
     # Bisection: keep the best, stop on a zero residual, else halve.  The live
     # rows' brackets and best points are compact arrays, written back as rows finish.

@@ -85,16 +85,21 @@ def gtrs_objective(system, z):
     return float(residual @ residual)
 
 
-def brute_force_objective(measurements, weights, anchors, env, grid_lo, grid_hi, points=200):
+def brute_force_objective(
+    measurements, weights, anchors, env, grid_lo, grid_hi, points=200, polish="newton"
+):
     """Best objective over a dense position grid with the power column
-    eliminated in closed form, polished by a derivative-free local search.
+    eliminated in closed form, polished by a local search from the grid's best.
 
     Independent of the multiplier machinery: the lifting constraint is
     honored by substituting ||t||^2 directly, and the search never touches
-    the bisection path.
+    the bisection path.  With the power column projected out by P, the
+    objective is ||P r(t)||^2 with r(t) = a ||t||^2 + B t + c quadratic in t,
+    so its gradient 2 J^T P r, J = 2 a t^T + B, and its Hessian
+    2 J^T P J + 4 (a^T P r) I are exact.  ``polish="newton"`` takes Newton
+    steps on them with step halving until no halving lowers the value;
+    ``polish="nelder-mead"`` runs scipy's derivative-free search instead.
     """
-    from scipy.optimize import minimize
-
     beta = env.ple
     q2 = (10.0 ** ((measurements.rss_dbm - env.absorption_db_per_m) / (10.0 * beta))) ** 2
     c_pos = 10.0 * beta / LN10
@@ -123,13 +128,39 @@ def brute_force_objective(measurements, weights, anchors, env, grid_lo, grid_hi,
     values = objective_many(mesh)
     start = mesh[int(np.argmin(values))]
 
-    def objective_one(t):
-        return objective_many(t[None, :])[0]
+    if polish == "nelder-mead":
+        from scipy.optimize import minimize
 
-    result = minimize(
-        objective_one,
-        start,
-        method="Nelder-Mead",
-        options=dict(xatol=1e-9, fatol=1e-18, maxiter=20000, maxfev=40000),
-    )
-    return float(min(result.fun, values.min()))
+        result = minimize(
+            lambda t: objective_many(t[None, :])[0],
+            start,
+            method="Nelder-Mead",
+            options=dict(xatol=1e-9, fatol=1e-18, maxiter=20000, maxfev=40000),
+        )
+        return float(min(result.fun, values.min()))
+
+    def project(x):  # P x: the part of x (a vector or the columns of a matrix) orthogonal to u
+        return x - np.multiply.outer(u_coef, u_coef @ x) / (u_coef @ u_coef)
+
+    quad = root_w * c_aux * q2  # a
+    lin = -(root_w * c_pos * q2)[:, None] * anchors  # B
+    halvings = 0.5 ** np.arange(200)[:, None]
+    t, value = start, values.min()
+    for _ in range(100):
+        jac = 2.0 * quad[:, None] * t + lin
+        pr = project(residual_parts(t[None, :])[0])
+        grad = 2.0 * jac.T @ pr
+        hess = 2.0 * jac.T @ project(jac) + 4.0 * (quad @ pr) * np.eye(len(t))
+        try:
+            step = -np.linalg.solve(hess, grad)
+        except np.linalg.LinAlgError:
+            step = -grad
+        if not step @ grad < 0.0:  # not a descent direction where hess is not PD
+            step = -grad
+        trials = t + halvings * step
+        trial_values = objective_many(trials)
+        lower = np.flatnonzero(trial_values < value)
+        if not lower.size:
+            break
+        t, value = trials[lower[0]], trial_values[lower[0]]
+    return float(value)

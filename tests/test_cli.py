@@ -508,6 +508,49 @@ class TestExitCodes:
         assert main(args) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.filterwarnings("error")  # no RuntimeWarning from the Fisher terms
+    @pytest.mark.parametrize("command", ["crlb", "simulate"])
+    @pytest.mark.parametrize("known_power", [False, True], ids=["joint", "known"])
+    def test_sigma_whose_fisher_terms_underflow(
+        self, tmp_path, config_path, capsys, command, known_power
+    ):
+        # 1e154 squares to a normal float, but sigma^2 d^4 overflows, so every
+        # anchor's Fisher term would read 0 and the bound would blame the anchors.
+        doc = json.loads(config_path.read_text())
+        doc["sigma_grid_db"] = [1.0, 1e154]
+        doc["mc_trials"] = 3
+        doc["solver"]["known_power"] = known_power
+        path = tmp_path / "huge_sigma.json"
+        path.write_text(json.dumps(doc))
+        args = [command, "--config", str(path)]
+        if command == "simulate":
+            args += ["--out", str(tmp_path / "o.csv")]
+        assert main(args) == 2
+        context = "known-power bound" if known_power else "unknown-power bound"
+        assert capsys.readouterr().err == (
+            f"error: {context}: Fisher matrix at noise sigma 1e+154 dB underflows:"
+            " an anchor's term is below the smallest normal float\n"
+        )
+
+    def test_sweep_is_bounded_before_its_first_trial(
+        self, tmp_path, config_path, capsys, monkeypatch
+    ):
+        drawn = []
+        trial_rng = uwloc.experiments.trial_rng
+        monkeypatch.setattr(uwloc.experiments, "trial_rng", lambda *args: (
+            drawn.append(args) or trial_rng(*args)))
+        doc = json.loads(config_path.read_text())
+        doc["sigma_grid_db"] = [1, 1e200]
+        doc["mc_trials"] = 50
+        path = tmp_path / "unbounded.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "never.csv"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: noise sigma 1e+200 dB overflows: its square is not finite\n"
+        )
+        assert drawn == [] and not out.exists()
+
     def test_unknown_noise_kind_fails_before_the_sweep(self, tmp_path, config_path, capsys):
         doc = json.loads(config_path.read_text())
         doc["sweep"] = {"kind": "noise_scenarios", "noise_kinds": ["x"]}

@@ -443,6 +443,24 @@ class TestNoiseSigmaErrors:
                 bound(reference_scenario, sigmas)
             assert str(err.value) == message
 
+    @pytest.mark.parametrize(
+        "bound, context",
+        [(fim_unknown_power, "unknown-power bound"), (fim_known_power, "known-power bound")],
+    )
+    def test_fisher_terms_that_underflow_name_sigma(self, reference_scenario, bound, context):
+        # From 1e147 on sigma^2 d^4 overflows at the farthest anchors, whose
+        # terms would read 0, and at 1e154 at every anchor; 1e146 is exact.
+        fault = "underflows: an anchor's term is below the smallest normal float"
+        for value in (1e147, 1e154):
+            named = [f"{value:g}", f"2 to {value:g}"]
+            for sigmas, name in zip(sigma_arguments(value, reference_scenario.n_anchors), named):
+                with pytest.raises(NumericalError) as err:
+                    bound(reference_scenario, sigmas)
+                assert str(err.value) == f"{context}: Fisher matrix at noise sigma {name} dB {fault}"
+        assert bound(reference_scenario, 1e146).crlb_t_m == pytest.approx(
+            1e146 * bound(reference_scenario, 1.0).crlb_t_m, rel=1e-12
+        )
+
     def test_fisher_matrix_that_overflows(self, reference_scenario):
         # 1.5e-154 squares to a normal float, but ten times its inverse overflows.
         with pytest.raises(NumericalError) as err:

@@ -242,13 +242,13 @@ def singular_shift_system():
 
 @gtrs._lapack_errors
 def direct_lapack(spd, matrices, rhs):
-    """solve_at's Cholesky of ``spd`` and its solves of ``matrices`` with ``rhs``."""
+    """classify's Cholesky of ``spd`` and its solves of ``matrices`` with ``rhs``."""
     solved = [_umath_linalg.solve1(a, rhs, signature="dd->d") for a in matrices]
     return _umath_linalg.cholesky_lo(spd, signature="d->d"), solved
 
 
 class TestDirectLapack:
-    """_Equilibrated.solve_at and _finalize call numpy.linalg's LAPACK gufuncs
+    """_Equilibrated.classify and _finalize call numpy.linalg's LAPACK gufuncs
     without its wrapper."""
 
     def test_numpy_exposes_the_gufuncs(self):
@@ -268,7 +268,7 @@ class TestDirectLapack:
             root = rng.normal(size=(width + 2, width))
             spd = root.T @ root
             s = 1.0 / np.sqrt(spd.diagonal())
-            unit = spd * (s[:, None] * s)  # unit diagonal, as solve_at scales
+            unit = spd * (s[:, None] * s)  # unit diagonal, as shifted_solve scales
             general = unit + rng.uniform(-0.5, 0.5, (width, width))
             np.fill_diagonal(general, 1.0)
             rhs = rng.normal(size=width)
@@ -288,17 +288,26 @@ class TestDirectLapack:
             )
 
     def test_singular_or_indefinite_shift_gives_none(self):
-        eq = gtrs._Equilibrated([singular_shift_system()])[0]
-        solve_at = gtrs._lapack_errors(eq.solve_at)
+        system = singular_shift_system()
+        eq = gtrs._Equilibrated([system])[0]
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.solve(shifted_scaled(eq, -3.0), eq.rhs0)
-        assert solve_at(-3.0, check_definite=False) is None  # singular: the solve fails
-        assert solve_at(-3.0, check_definite=True) is None  # PSD only: the Cholesky fails
-        assert solve_at(-4.0, check_definite=True) is None  # a zero diagonal entry
-        # At -3.5 the shifted matrix is indefinite but not singular.
-        assert solve_at(-3.5, check_definite=True) is None
-        assert np.all(np.isfinite(solve_at(-3.5, check_definite=False)))
-        assert np.all(np.isfinite(solve_at(-2.5, check_definite=True)))
+        # -3 is singular (PSD only), -4 gives a zero diagonal entry, and at
+        # -3.5 the shifted matrix is indefinite but not singular: all low.
+        lams = [-3.0, -4.0, -3.5, -2.5]
+        replies = classify_replies(gtrs._Equilibrated([system]), [0] * 4, lams)
+        assert [z_hat is None for _, _, z_hat in replies] == [True, True, True, False]
+        reference = gtrs._lapack_errors(classify_one)
+        for lam, (low, residual, z_hat) in zip(lams, replies):
+            expected = reference(eq, lam)
+            assert (low, residual) == expected[:2]
+            assert z_hat is None or np.array_equal(z_hat, expected[2])
+        # phi checks no pivot: the singular shift and the zero diagonal entry
+        # fail its solve, while the indefinite one solves.
+        for lam in (-3.0, -4.0):
+            with pytest.raises(NumericalError, match="could not be solved"):
+                phi(lam, system)
+        assert phi(-3.5, system) == gtrs._lapack_errors(shifted_residual)(eq, -3.5)
 
     def test_phi_at_a_singular_shift_is_a_named_error_without_a_warning(self):
         system = singular_shift_system()
@@ -306,13 +315,13 @@ class TestDirectLapack:
             warnings.simplefilter("error")
             with pytest.raises(NumericalError, match="could not be solved at multiplier -3.0"):
                 phi(-3.0, system)
-        # Outside the error state the gufunc warns; solve_at still reads its NaN as a failure.
+        # Outside the error state the gufunc warns; classify still reads its NaN as unsolved.
         eq = gtrs._Equilibrated([system])[0]
         with pytest.warns(RuntimeWarning, match="invalid value"):
-            assert eq.solve_at(-3.0, check_definite=False) is None
+            assert eq.classify(np.array([-3.0]))[2].tolist() == [False]
 
     def test_a_failed_matrix_is_a_nan_row_of_its_stack(self):
-        # solve_at and classify rely on this: the other matrices of the
+        # classify relies on this: the other matrices of the
         # stack keep numpy.linalg's bits, and the failed one is all NaN.
         eq = gtrs._Equilibrated([singular_shift_system()])[0]
         good, singular, indefinite = (shifted_scaled(eq, lam) for lam in (-2.5, -3.0, -3.5))
@@ -391,6 +400,19 @@ class TestSolve:
                 inst["scenario"].environment, grid_lo=-2000.0, grid_hi=7000.0,
             )
             assert gtrs_objective(system, est.z) <= best * (1.0 + 1e-4) + 1e-12
+
+    def test_newton_polish_agrees_with_nelder_mead(self):
+        # The brute-force oracle's exact Newton polish against scipy's
+        # derivative-free search on the first instances of the test above.
+        rng = np.random.default_rng(8)
+        for _ in range(3):
+            inst = random_solver_instance(rng, dims=(2,), max_anchors=5)
+            args = (inst["measurements"], inst["weights"], inst["scenario"].anchors_m,
+                    inst["scenario"].environment, -2000.0, 7000.0)
+            newton = brute_force_objective(*args)
+            nelder_mead = brute_force_objective(*args, polish="nelder-mead")
+            assert newton <= nelder_mead * (1.0 + 1e-12)
+            assert newton == pytest.approx(nelder_mead, rel=1e-12)
 
 
 class TestKnownPower:
@@ -533,14 +555,60 @@ def orthonormal_system(seed):
 
 
 def shifted_scaled(eq, lam):
-    """The matrix whose Cholesky _Equilibrated.solve_at checks at ``lam``."""
+    """The matrix whose Cholesky _Equilibrated.classify checks at ``lam``."""
     shifted = eq.gram + lam * eq.quad
     s = 1.0 / np.sqrt(shifted.diagonal())
     return shifted * (s[:, None] * s)
 
 
+# The scalar reference for the kernel: one multiplier of one system at a
+# time, a matrix and a vector at each step.  Callers hold gtrs._lapack_errors.
+
+
+def solve_at(eq, lam, check_definite):
+    """The shifted system's solution at ``lam``, or None where the shifted
+    matrix has a nonpositive diagonal entry, where ``check_definite`` and its
+    scaled Cholesky has a pivot under 1e-6 (or fails), or where it is not solved."""
+    shifted = eq.gram + lam * eq.quad
+    diag = shifted.diagonal()
+    if (diag <= 0.0).any():
+        return None
+    s = 1.0 / np.sqrt(diag)
+    scaled = shifted * (s[:, None] * s)
+    if check_definite:
+        factor = _umath_linalg.cholesky_lo(scaled, signature="d->d")
+        if not factor.diagonal().min() > 1e-6:  # NaN where the Cholesky failed
+            return None
+    y = _umath_linalg.solve1(scaled, (eq.rhs0 - lam * eq.lin) * s, signature="dd->d")
+    return None if math.isnan(y[-1]) else y * s
+
+
+def constraint_residual(eq, z_hat):
+    return float(z_hat @ eq.quad @ z_hat + eq.lin2 @ z_hat)
+
+
+def shifted_residual(eq, lam):
+    """Reference for phi: the residual at ``lam`` with no pivot check, or None."""
+    z_hat = solve_at(eq, lam, check_definite=False)
+    return None if z_hat is None else constraint_residual(eq, z_hat)
+
+
+def classify_one(eq, lam):
+    """Reference for _Equilibrated.classify: (low, residual, z_hat) at ``lam``.
+
+    ``low`` says the multiplier is below the root: the shifted matrix fails
+    to be PD below 0 (below the pole, given as residual inf and z_hat None),
+    its solve fails, or the residual is positive.
+    """
+    z_hat = solve_at(eq, lam, check_definite=lam < 0.0)
+    if z_hat is None:
+        return True, np.inf, None
+    residual = constraint_residual(eq, z_hat)
+    return residual > 0.0, residual, z_hat
+
+
 def classify_replies(batch, rows, lams):
-    """_Equilibrated.classify as the (low, residual, z_hat or None) triples of _classify."""
+    """_Equilibrated.classify as the (low, residual, z_hat or None) triples of classify_one."""
     classify = gtrs._lapack_errors(batch.take(np.array(rows)).classify)
     residual, z_hat, solved = classify(np.array(lams, dtype=float))
     return [(f > 0.0, f, z if ok else None) for f, z, ok in zip(residual.tolist(), z_hat, solved)]
@@ -604,14 +672,14 @@ class TestSolveMany:
         replies = classify_replies(batch, [0, 1, 2], lams)
         assert replies[0] == (True, np.inf, None)
         for eq, lam, (low, residual, z_hat) in zip(eqs[1:], [0.0, 1.0], replies[1:]):
-            expected = gtrs._classify(eq, lam)
+            expected = gtrs._lapack_errors(classify_one)(eq, lam)
             assert (low, residual) == expected[:2]
             assert np.array_equal(z_hat, expected[2])
 
     def test_weak_pivot_rule_matches_one_by_one(self, bundled_config):
         # Just above the multiplier where the Cholesky of a shifted matrix
         # starts to fail, it succeeds with a pivot under the 1e-6 floor;
-        # a stacked round must call such multipliers low as solve_at does.
+        # a stacked round must call such multipliers low as classify_one does.
         systems = sigma9_trial_systems(bundled_config, range(6))
         batch = gtrs._Equilibrated(systems)
         eqs = [batch[row] for row in range(len(systems))]
@@ -630,7 +698,7 @@ class TestSolveMany:
         replies = classify_replies(batch, range(len(eqs)), edges)
         assert any(z_hat is None for _, _, z_hat in replies)
         for eq, lam, (low, residual, z_hat) in zip(eqs, edges, replies):
-            expected = gtrs._classify(eq, lam)
+            expected = gtrs._lapack_errors(classify_one)(eq, lam)
             assert (low, residual) == expected[:2]
             assert (z_hat is None) == (expected[2] is None)
             assert z_hat is None or np.array_equal(z_hat, expected[2])
@@ -674,14 +742,12 @@ class TestSolveMany:
         classify_stack = gtrs._lapack_errors(batch.take(np.arange(6)).classify)
         residual, _, solved = classify_stack(np.full(6, np.inf))
         assert residual.tolist() == [np.inf] * 6 and not solved.any()
-        classify_alone = gtrs._lapack_errors(gtrs._classify)
+        classify_alone = gtrs._lapack_errors(classify_one)
         assert all(classify_alone(batch[row], np.inf) == (True, np.inf, None) for row in range(6))
         # Evaluate every positive multiplier at inf instead.
-        classify, solve_at = gtrs._Equilibrated.classify, gtrs._Equilibrated.solve_at
+        classify = gtrs._Equilibrated.classify
         monkeypatch.setattr(gtrs._Equilibrated, "classify", lambda self, lams: classify(
             self, np.where(lams > 0.0, np.inf, lams)))
-        monkeypatch.setattr(gtrs._Equilibrated, "solve_at", lambda self, lam, check_definite: (
-            solve_at(self, np.inf if lam > 0.0 else lam, check_definite)))
         reference = solve_each(systems)
         failed = [outcome for outcome in reference if isinstance(outcome, UwlocError)]
         assert failed and all(isinstance(outcome, NumericalError) for outcome in failed)
@@ -702,6 +768,16 @@ class TestSolveMany:
         assert sum(isinstance(outcome, gtrs.Estimate) for outcome in reference) == 5
         assert_bit_identical(solve_many(systems), reference)
         assert_bit_identical(solve_many(systems[2:3]), reference[2:3])
+
+    def test_mixed_widths_are_a_named_error(self):
+        inst = random_solver_instance(np.random.default_rng(10))
+        scenario = inst["scenario"]
+        known = build_known_power_system(
+            inst["measurements"], inst["weights"], scenario.anchors_m, scenario.environment
+        )
+        widths = [known.design.shape[1], inst["system"].design.shape[1]]
+        with pytest.raises(ValueError, match=re.escape(f"one design width, got widths {widths}")):
+            solve_many([inst["system"], known, inst["system"]])
 
     @pytest.mark.parametrize(
         "width, k, root, t0, aux, steps",
@@ -726,22 +802,22 @@ class TestSolveMany:
 
 
 @gtrs._lapack_errors
-def stepwise_search(eq):
+def stepwise_search(eq, classify=classify_one):
     """Reference for gtrs._search: its bracketing, then a bisection that
-    classifies one midpoint per step through gtrs._classify."""
-    _, f0, z0 = gtrs._classify(eq, 0.0)
+    classifies one midpoint per step through the scalar ``classify``."""
+    _, f0, z0 = classify(eq, 0.0)
     if z0 is None:
         raise GeometryError("normal matrix is not positive definite")
     if f0 == 0.0:
         return 0.0, z0, 0
     if f0 > 0.0:
         a, b = 0.0, float(np.linalg.norm(eq.gram))
-        low, fb, zb = gtrs._classify(eq, b)
+        low, fb, zb = classify(eq, b)
         while low:
             if zb is None:
                 raise gtrs._unsolved(b)
             a, b = b, 2.0 * b
-            low, fb, zb = gtrs._classify(eq, b)
+            low, fb, zb = classify(eq, b)
     else:  # the free bound -min_{i<k} N_ii lies at or below the pole
         a, b, fb, zb = -eq.normal.diagonal()[: eq.dimension].min(), 0.0, f0, z0
     best = (b, abs(fb), zb)
@@ -750,7 +826,7 @@ def stepwise_search(eq):
         mid = 0.5 * (a + b)
         if mid == a or mid == b:
             break
-        low, fm, zm = gtrs._classify(eq, mid)
+        low, fm, zm = classify(eq, mid)
         iterations += 1
         if abs(fm) < best[1]:
             best = (mid, abs(fm), zm)
@@ -773,19 +849,19 @@ def search_outcome(search, eq):
 
 
 def stepwise_steps(eq):
-    """stepwise_search's outcome and its bisection steps as (midpoint, residual) pairs."""
+    """stepwise_search's outcome, its bisection steps as (midpoint, residual)
+    pairs, and the number of classify calls gtrs._search opens with: one of
+    [0, ||G||_F], then one per further upward probe."""
     seen = []
-    classify = gtrs._classify
 
     def record(eq, lam):
-        reply = classify(eq, lam)
+        reply = classify_one(eq, lam)
         seen.append((lam, reply[1]))
         return reply
 
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(gtrs, "_classify", record)
-        outcome = search_outcome(stepwise_search, eq)
-    return outcome, seen[len(seen) - outcome[2]:]
+    outcome = search_outcome(lambda eq: stepwise_search(eq, record), eq)
+    probes = len(seen) - outcome[2]  # 0, then each upward b
+    return outcome, seen[probes:], max(probes - 1, 1)
 
 
 def path_steps(steps, guess):
@@ -797,12 +873,12 @@ def path_steps(steps, guess):
     return len(steps)
 
 
-def record_calls(monkeypatch):
-    """The midpoint count of each _Equilibrated.classify call, from now on."""
+def record_calls(monkeypatch, record=len):
+    """``record`` of the multipliers of each _Equilibrated.classify call, from now on."""
     calls = []
     classify = gtrs._Equilibrated.classify
     monkeypatch.setattr(gtrs._Equilibrated, "classify", lambda self, lams: (
-        calls.append(lams.size) or classify(self, lams)))
+        calls.append(record(lams)) or classify(self, lams)))
     return calls
 
 
@@ -836,11 +912,11 @@ ADVERSARIAL_GUESSES = {
 
 
 def assert_bound_is_low(systems):
-    """Each system's free bound -min_{i<k} N_ii is low to gtrs._classify and to a
+    """Each system's free bound -min_{i<k} N_ii is low to classify_one and to a
     stacked classify, and no higher than lambda_interval's guarded pole."""
     batch = gtrs._Equilibrated(systems)
     rows = range(len(systems))
-    classify_alone = gtrs._lapack_errors(gtrs._classify)
+    classify_alone = gtrs._lapack_errors(classify_one)
     bounds = batch.bound()
     for system, row, reply in zip(systems, rows, classify_replies(batch, rows, bounds)):
         bound = -system.normal.diagonal()[: system.dimension].min()
@@ -863,17 +939,58 @@ class TestFreeBound:
         reference = solve_each(systems)
         assert sum(estimate.multiplier < 0.0 for estimate in reference) == 12
         calls = record_calls(monkeypatch)
-        monkeypatch.setattr(gtrs, "_classify", None)  # no row is searched alone
+        monkeypatch.setattr(gtrs, "_search", None)  # no row is searched alone
         assert_bit_identical(solve_many(systems), reference)
-        # The round at 0 holds all 24 rows, one upward round brackets the 12
-        # positive roots, and the first bisection round holds all 24 again.
-        assert len(systems) == 24 and calls[:3] == [24, 12, 24]
+        # The opening holds all 24 rows at 0 and at ||G||_F, which brackets
+        # the 12 positive roots, and the first bisection round holds all 24.
+        assert len(systems) == 24 and calls[:2] == [48, 24]
+
+
+class TestOpening:
+    """Both drivers open with one classify call that holds 0 and ||G||_F for
+    every row they search, and double upward through classify."""
+
+    def test_solve_opens_at_zero_and_the_gram_norm(self, bundled_config, monkeypatch):
+        systems = trial_systems(bundled_config, 1.0, SIGMA1_TRIALS)
+        calls = record_calls(monkeypatch, np.ndarray.tolist)
+        for system in systems:
+            calls.clear()
+            solve(system)
+            assert calls[0] == [0.0, np.linalg.norm(gtrs._Equilibrated([system]).gram[0])]
+
+    def test_solve_many_opens_every_valid_row_in_one_call(self, bundled_config, monkeypatch):
+        systems = trial_systems(bundled_config, 1.0, SIGMA1_TRIALS)
+        design = systems[0].design.copy()
+        design[:, 1] = 0.0  # a zero diagonal entry: the row is never searched
+        systems.append(replace(systems[0], design=design))
+        calls = record_calls(monkeypatch, np.ndarray.tolist)
+        solve_many(systems)
+        norms = [np.linalg.norm(gtrs._Equilibrated([system]).gram[0]) for system in systems[:-1]]
+        assert sorted(calls[0]) == sorted([0.0] * len(norms) + norms)
+
+    def test_upward_doubling_goes_through_classify(self, monkeypatch):
+        # An identity Gram matrix of width 9 and R^T v = 66 e_0 give
+        # phi(lam) = 66^2 / (1 + lam)^2 - lam/2, positive at ||G||_F = 3, 6
+        # and 12 and negative at 24.
+        target = np.zeros(12)
+        target[0] = 66.0
+        system = GtrsSystem(np.eye(12, 9), target, 7, 2.0)
+        eq = gtrs._Equilibrated([system])[0]
+        expected = search_outcome(stepwise_search, eq)
+        calls = record_calls(monkeypatch, np.ndarray.tolist)
+        assert search_outcome(gtrs._search, eq) == expected
+        assert calls[:4] == [[0.0, 3.0], [6.0], [12.0], [24.0]]
+        calls.clear()
+        outcomes = solve_many([system])
+        assert calls[:4] == [[0.0, 3.0], [6.0], [12.0], [24.0]]
+        assert_bit_identical(outcomes, solve_each([system]))
 
 
 class TestSpeculativeSearch:
-    """gtrs._search classifies a predicted path, then the midpoints of DEPTH
-    steps per round, in stacked calls and replays the steps; it must match
-    stepwise_search bit for bit whatever the predictor guesses."""
+    """gtrs._search opens with one classify call at 0 and ||G||_F, then
+    classifies a predicted path, then the midpoints of DEPTH steps per round,
+    in stacked calls and replays the steps; it must match stepwise_search bit
+    for bit whatever the predictor guesses."""
 
     @pytest.fixture(scope="class")
     def sigma1(self, bundled_config):
@@ -886,7 +1003,7 @@ class TestSpeculativeSearch:
 
     @pytest.mark.parametrize("depth", [1, 2, 3, 5])
     def test_matches_stepwise_bisection(self, sigma1, sigma1_steps, monkeypatch, depth):
-        expected = [outcome for outcome, _ in sigma1_steps]
+        expected = [outcome for outcome, _, _ in sigma1_steps]
         assert sum(lam < 0.0 for lam, _, _ in expected) == 12
         monkeypatch.setattr(gtrs, "DEPTH", depth)
         calls, guesses, paths = record_calls(monkeypatch), [], []
@@ -896,17 +1013,19 @@ class TestSpeculativeSearch:
         monkeypatch.setattr(gtrs, "_path", lambda a, b, guess: (
             paths.append(path(a, b, guess)) or paths[-1]))
         ends_inside_a_round = 0
-        for eq, (reference, steps) in zip(sigma1, sigma1_steps):
+        for eq, (reference, steps, opening) in zip(sigma1, sigma1_steps):
             calls.clear()
             assert search_outcome(gtrs._search, eq) == reference
             iterations = reference[2]
             taken = path_steps(steps, guesses[-1])
             # The predictor is good enough that the path round takes most steps.
             assert taken >= iterations / 2
-            # One call for the whole path, then one per DEPTH steps; a bracket
+            # The opening at [0, ||G||_F] and any further upward probes, then
+            # one call for the whole path, then one per DEPTH steps; a bracket
             # that collapses at a tree round's first step costs no call.
-            assert calls[0] == len(paths[-1]) > 2**depth - 1
-            assert calls[1:] == [2**depth - 1] * -(-(iterations - taken) // depth)
+            assert calls[:opening] == [2] + [1] * (opening - 1)
+            assert calls[opening] == len(paths[-1]) > 2**depth - 1
+            assert calls[opening + 1:] == [2**depth - 1] * -(-(iterations - taken) // depth)
             ends_inside_a_round += (iterations - taken) % depth != 0
         if depth > 1:
             assert ends_inside_a_round > 0  # collapses at a node that is not a round's first
@@ -918,14 +1037,14 @@ class TestSpeculativeSearch:
     ):
         monkeypatch.setattr(gtrs, "DEPTH", depth)
         calls = record_calls(monkeypatch)
-        for eq, (reference, _) in zip(sigma1, sigma1_steps):
+        for eq, (reference, _, opening) in zip(sigma1, sigma1_steps):
             root, iterations = reference[0], reference[2]
             monkeypatch.setattr(gtrs, "_predict", lambda eq, a, b: (
                 ADVERSARIAL_GUESSES[guess](a, b, root)))
             calls.clear()
             assert search_outcome(gtrs._search, eq) == reference
-            if guess == "none":  # no path round: the tree rounds alone
-                assert calls == [2**depth - 1] * -(-iterations // depth)
+            if guess == "none":  # no path round: the opening, then the tree rounds alone
+                assert calls[opening:] == [2**depth - 1] * -(-iterations // depth)
 
     @pytest.mark.parametrize("depth", [2, 3, 5])
     @pytest.mark.parametrize("step", [1, 2, 3, 4, 5, 6])
@@ -939,14 +1058,13 @@ class TestSpeculativeSearch:
         # estimate.  A negative root's first midpoints can lie below the pole,
         # where there is no solution to return, so those are not counted.
         # A wrong first guess puts steps after the first in tree rounds.
-        (lam, _, _), steps = sigma1_steps[SIGMA1_TRIALS.index(trial)]
+        (lam, _, _), steps, opening = sigma1_steps[SIGMA1_TRIALS.index(trial)]
         eq = sigma1[SIGMA1_TRIALS.index(trial)]
         assert (lam < 0.0) == (trial == 12)
         solved = [count for count, (_, residual) in enumerate(steps, 1) if residual != np.inf]
         assert (solved[0] > 1) == (trial == 12)
         step = solved[step - 1]
         zero_at = steps[step - 1][0]
-        classify_one = gtrs._classify
 
         def one(eq, lam):
             low, residual, z_hat = classify_one(eq, lam)
@@ -958,9 +1076,8 @@ class TestSpeculativeSearch:
             residual, z_hat, solved = classify(self, lams)
             return np.where(lams == zero_at, 0.0, residual), z_hat, solved
 
-        monkeypatch.setattr(gtrs, "_classify", one)
         monkeypatch.setattr(gtrs._Equilibrated, "classify", stacked)
-        expected = search_outcome(stepwise_search, eq)
+        expected = search_outcome(lambda eq: stepwise_search(eq, one), eq)
         assert expected[0] == zero_at and expected[2] == step
         monkeypatch.setattr(gtrs, "DEPTH", depth)
         if where == "tree":
@@ -968,9 +1085,9 @@ class TestSpeculativeSearch:
         calls = record_calls(monkeypatch)
         assert search_outcome(gtrs._search, eq) == expected
         if where == "path" or step == 1:
-            assert len(calls) == 1
+            assert len(calls) == opening + 1
         else:
-            assert calls[1:] == [2**depth - 1] * -(-(step - 1) // depth)
+            assert calls[opening + 1:] == [2**depth - 1] * -(-(step - 1) // depth)
 
 
 def assert_predictor_quiet(eq):
