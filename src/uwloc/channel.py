@@ -144,14 +144,16 @@ class Scenario:
 
     The Scenario holds read-only copies of the positions it is given.
     ``gradient`` is the pair (d, c) of :func:`gradient_directions` at the
-    target, kept read-only from the regularity test for the Fisher bounds;
-    it is neither a constructor argument nor part of repr or equality.
+    target, kept read-only from the regularity test for the Fisher bounds,
+    and ``range_powers`` is (d**2, d**4, the largest d**4 as a float); they
+    are neither constructor arguments nor part of repr or equality.
     """
 
     anchors_m: np.ndarray
     target_m: np.ndarray
     environment: Environment
     gradient: tuple = field(init=False, repr=False, compare=False)
+    range_powers: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         anchors = np.array(self.anchors_m, dtype=float, ndmin=2)
@@ -189,8 +191,10 @@ class Scenario:
                 "degenerate anchor placement: gradient directions do not"
                 f" span dimension {k + 1} (singular value ratio {s[-1] / s[0]:.2e})"
             )
-        d.flags.writeable = c.flags.writeable = False
+        d2, d4 = d**2, d**4
+        d.flags.writeable = c.flags.writeable = d2.flags.writeable = d4.flags.writeable = False
         object.__setattr__(self, "gradient", (d, c))
+        object.__setattr__(self, "range_powers", (d2, d4, float(d4.max())))
 
     @property
     def n_anchors(self):

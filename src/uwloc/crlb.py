@@ -21,14 +21,16 @@ For any probe [x; y] the quadratic form collapses to a sum of squares,
 which is the executable form of the positive-definiteness argument (the
 minus sign on y is forced by the sign of the cross block b).
 
-The bounds take d_i and c_i from ``Scenario.gradient``, computed once when
-the Scenario was validated, and invert through the LAPACK gufuncs behind
+The bounds take c_i from ``Scenario.gradient`` and d_i^2, d_i^4 from
+``Scenario.range_powers``, computed once when the Scenario was validated,
+and invert through the LAPACK gufuncs behind
 ``np.linalg.eigh`` and ``np.linalg.inv``: the same bits without the
 wrappers' cost.  A gufunc returns NaN where its wrapper raised, so a
 Fisher matrix with an entry that is not finite is a NumericalError raised
 before the eigen-solve, as is a sigma whose square overflows or
 underflows, or one so large that an anchor's position term falls below
-the normal range; a sigma that is not positive and finite is a ValueError.
+the normal range (also in :func:`hessian_loglik`); a sigma that is not
+positive and finite is a ValueError.
 """
 
 import math
@@ -65,7 +67,7 @@ class FimReport:
 
 
 def _noise_variances(sigmas, n):
-    """Per-anchor noise variances sigma_i^2 from one sigma or one per anchor.
+    """Noise variances: a float from one sigma, an array from one per anchor.
 
     A sigma that is not positive and finite is a ValueError; one whose
     square overflows or underflows (is not a normal float) is a
@@ -89,7 +91,7 @@ def _noise_variances(sigmas, n):
         raise NumericalError(
             f"noise sigma {lo:g} dB underflows: its square is below the smallest normal float"
         )
-    return np.full(n, lo * lo) if sig.ndim == 0 else sig**2
+    return lo * lo if sig.ndim == 0 else sig**2
 
 
 def residuals(measurements, anchors_m, position_m, transmit_power_dbm, env):
@@ -136,10 +138,14 @@ def hessian_loglik(measurements, anchors_m, position_m, transmit_power_dbm, env,
     anchors_m = np.atleast_2d(np.asarray(anchors_m, dtype=float))
     position_m = np.asarray(position_m, dtype=float)
     k = position_m.shape[0]
-    sig2 = _noise_variances(sigmas, len(measurements))
+    sig2 = np.full(len(measurements), _noise_variances(sigmas, len(measurements)))
     f = residuals(measurements, anchors_m, position_m, transmit_power_dbm, env)
     diff, d, c = gradient_directions(position_m, anchors_m[measurements.anchor_index], env)
-    s = 1.0 / (sig2 * LN10**2 * d**4)
+    with np.errstate(over="ignore"):  # checked next
+        scale = sig2 * LN10**2 * d**4
+    if not np.maximum.reduce(scale) <= _NORMAL_INVERSE:
+        raise _sigma_error(_HESSIAN, sigmas, _UNDERFLOW)
+    s = 1.0 / scale
     g = s * LN10 * d**2 * f  # weight of D_i
     alpha_ln10 = env.absorption_db_per_m * LN10
     coef = 10.0 * env.ple + alpha_ln10 * d
@@ -155,27 +161,33 @@ def hessian_loglik(measurements, anchors_m, position_m, transmit_power_dbm, env,
     return hess
 
 
-def _sigma_error(context, sigmas, fault):
-    """The NumericalError of a Fisher matrix that ``sigmas`` put out of the float range."""
+def _sigma_error(matrix, sigmas, fault):
+    """The NumericalError of a ``matrix`` that ``sigmas`` put out of the float range."""
     sig = np.asarray(sigmas, dtype=float)
     named = f"{sig.item():g}" if sig.ndim == 0 else f"{sig.min():g} to {sig.max():g}"
-    return NumericalError(f"{context}: Fisher matrix at noise sigma {named} dB {fault}")
+    return NumericalError(f"{matrix} at noise sigma {named} dB {fault}")
+
+
+_HESSIAN = "log-likelihood Hessian"
+_UNDERFLOW = "underflows: an anchor's term is below the smallest normal float"
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")  # see _checked_inverse
 def _fim_blocks(scenario, sigmas, context):
-    sig2 = _noise_variances(sigmas, scenario.n_anchors)
-    d, c = scenario.gradient
-    scale = sig2 * LN10**2 * d**4
+    n = scenario.n_anchors
+    sig2 = _noise_variances(sigmas, n)
+    _, c = scenario.gradient
+    d2, d4, d4_max = scenario.range_powers
+    scale = sig2 * LN10**2 * d4
     # The Scenario's regular geometry makes every anchor's position term
     # c_i c_i^T / scale_i count; past 1/tiny it falls below the normal range.
-    if not np.maximum.reduce(scale) <= _NORMAL_INVERSE:
-        raise _sigma_error(
-            context, sigmas, "underflows: an anchor's term is below the smallest normal float"
-        )
+    # One sigma scales every d_i^4 alike, so the largest term is one float product.
+    top = sig2 * LN10**2 * d4_max if type(sig2) is float else np.maximum.reduce(scale)
+    if not top <= _NORMAL_INVERSE:
+        raise _sigma_error(f"{context}: Fisher matrix", sigmas, _UNDERFLOW)
     a_block = (c / scale[:, None]).T @ c
-    b_block = -np.add.reduce(c / (sig2 * LN10 * d**2)[:, None], axis=0)
-    return a_block, b_block, np.add.reduce(1.0 / sig2)
+    b_block = -np.add.reduce(c / (sig2 * LN10 * d2)[:, None], axis=0)
+    return a_block, b_block, np.add.reduce(np.full(n, 1.0 / sig2))
 
 
 def _invert_reported(fim, context):
@@ -197,7 +209,7 @@ def _checked_inverse(fim, context, sigmas):
     NumericalError naming the sigmas.
     """
     if not np.isfinite(fim).all():
-        raise _sigma_error(context, sigmas, "is not finite")
+        raise _sigma_error(f"{context}: Fisher matrix", sigmas, "is not finite")
     return _invert_reported(fim, context)
 
 

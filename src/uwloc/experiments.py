@@ -271,24 +271,32 @@ def point_bounds(scenario, sigma, known_power):
     return report.crlb_t_m, report.crlb_p_db
 
 
+def _squared_errors(positions, true_t):
+    """||p - true_t||^2 of each position, in one reduction over the stack that
+    adds each row's terms in the order np.sum adds them for one row."""
+    return np.add.reduce((np.array(positions) - true_t) ** 2, axis=1)
+
+
 def _record(setting, config, outcomes, bounds, seconds_per_solve):
     """One sweep coordinate's ResultRecord from its trials' outcomes, each
     an Estimate or the UwlocError that dropped the trial, and its
     :func:`point_bounds`."""
     true_t = setting.scenario.target_m
     true_p = setting.scenario.environment.transmit_power_dbm
-    err2, power_err2, failures = [], [], {}
+    positions, power_err2, failures = [], [], {}
     for trial, outcome in enumerate(outcomes):
         if isinstance(outcome, UwlocError):
             trials, _ = failures.setdefault(type(outcome).__name__, ([], str(outcome)))
             trials.append(trial)
             continue
-        err2.append(float(np.sum((outcome.position_m - true_t) ** 2)))
+        positions.append(outcome.position_m)
         if outcome.power_valid:
             power_err2.append((outcome.transmit_power_dbm - true_p) ** 2)
     m = len(outcomes)
-    n_solved = len(err2)
-    nrmse_t = float(np.sqrt(np.mean(np.array(err2)))) if n_solved else float("nan")
+    n_solved = len(positions)
+    nrmse_t = (
+        float(np.sqrt(np.mean(_squared_errors(positions, true_t)))) if n_solved else float("nan")
+    )
     if config.known_power:
         nrmse_p = None
         power_failures = 0

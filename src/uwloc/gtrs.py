@@ -137,9 +137,14 @@ class Estimate:
 
 
 def _gram_floor(normal):
-    """Smallest eigenvalue of each ``normal`` scaled to a unit diagonal, as _Equilibrated.gram."""
+    """Smallest eigenvalue of each ``normal`` scaled to a unit diagonal, as _Equilibrated.gram.
+
+    NaN where LAPACK fails, which the rank gate reads as rank deficient;
+    callers hold an errstate that keeps the gufunc quiet.
+    """
     s = 1.0 / np.sqrt(normal.diagonal(axis1=-2, axis2=-1))
-    return np.linalg.eigvalsh(normal * (s[..., :, None] * s[..., None, :])).min(axis=-1)
+    scaled = normal * (s[..., :, None] * s[..., None, :])
+    return _umath_linalg.eigvalsh_lo(scaled, signature="d->d").min(axis=-1)
 
 
 def _rank_loss_cause(system, q2):
@@ -150,7 +155,7 @@ def _rank_loss_cause(system, q2):
     one column and never singular.
     """
     design, k = system.design, system.dimension
-    if _gram_floor(system.normal[k:, k:]) <= RANK_TOL:
+    if not _gram_floor(system.normal[k:, k:]) > RANK_TOL:
         return (
             "every reading implies the same range, so the q^2 column is parallel"
             " to the constant column; place anchors at different ranges or give"
@@ -180,7 +185,7 @@ def _check_rank(system, q2):
             "design matrix has a zero column; add anchors or spread them out"
         )
     smallest = _gram_floor(system.normal)
-    if smallest <= RANK_TOL:
+    if not smallest > RANK_TOL:  # NaN where LAPACK failed
         raise GeometryError(  # an exactly singular Gram matrix can read -1e-17
             "design matrix is rank deficient (normalized Gram eigenvalue"
             f" {max(smallest, 0.0):.2e}): {_rank_loss_cause(system, q2)}"
@@ -304,8 +309,9 @@ class _Equilibrated:
     exponent.  ``valid`` is False where the normal matrix has a
     nonpositive diagonal entry; such a row has no scaling and is never
     searched.  :meth:`classify` takes the stack, ``take(rows)`` a compact
-    stack of some rows, and ``eq[i]`` is system i alone, with 2-D arrays,
-    for the one-system methods.
+    stack of some rows, ``kernel(rows)`` one with only the arrays classify
+    reads, and ``eq[i]`` is system i alone, with 2-D arrays, for the
+    one-system methods.
     """
 
     @np.errstate(divide="ignore", invalid="ignore")  # rows that are not valid get inf or NaN
@@ -326,11 +332,16 @@ class _Equilibrated:
         self.lin2 = 2.0 * self.lin  # the residual's 2h, formed once
         self.rhs0 = self.moment * self.scale
 
-    def take(self, rows):
-        """The systems at the index array ``rows`` as a stack, or at an int as one system."""
-        sub = object.__new__(_Equilibrated)
-        sub.__dict__ = {name: value[rows] for name, value in vars(self).items()}
+    def take(self, rows, names=None):
+        """The systems at the index array ``rows`` as a stack, or at an int as one
+        system; with ``names``, only those arrays are copied."""
+        sub, arrays = object.__new__(_Equilibrated), vars(self)
+        sub.__dict__ = {name: arrays[name][rows] for name in names or arrays}
         return sub
+
+    def kernel(self, rows):
+        """``take(rows)`` of only the arrays :meth:`classify` reads."""
+        return self.take(rows, ("gram", "quad", "lin", "lin2", "rhs0"))
 
     def __getitem__(self, row):
         """System ``row`` alone; a GeometryError where it is not valid."""
@@ -488,14 +499,20 @@ def _predict(eq, a, b):
     g2mu, mu, g2 = (g2 / mu).tolist(), mu.tolist(), g2.tolist()
     if not (min(mu) > 0.0 and math.isfinite(alpha + beta + sum(g2mu) + sum(g2))):
         return None
+    terms = list(zip(mu, g2mu, g2))
     lam = a
     for _ in range(PREDICT_STEPS):
-        d = [1.0 + lam * m for m in mu]
-        if min(d) <= 0.0:  # below the pole, where the bisection's steps are low
+        n = dn = 0.0  # n and -n'/2, each summed in order
+        for m, h, h2 in terms:
+            d = 1.0 + lam * m
+            if d <= 0.0:
+                break
+            n += h / (d * d)
+            dn += h2 / (d * d * d)
+        if d <= 0.0:  # below the pole, where the bisection's steps are low
             a, lam = lam, 0.5 * (lam + b)
             continue
-        n = sum(h / (di * di) for h, di in zip(g2mu, d))
-        dn = 2.0 * sum(h / (di * di * di) for h, di in zip(g2, d))  # -n'
+        dn *= 2.0  # -n'
         level = alpha + beta * lam
         f = n - level
         if not (math.isfinite(f) and dn + beta > 0.0):
@@ -517,6 +534,8 @@ def _predict(eq, a, b):
         if abs(new - lam) <= 1e-12 * abs(new):
             return new
         lam = new if a < new < b else 0.5 * (a + b)
+        if not a < b:  # collapsed, so each further step lands here again
+            return lam
     return lam
 
 
@@ -524,38 +543,48 @@ def _predict(eq, a, b):
 def _search(eq):
     """Root of the constraint residual of one system by classification bisection.
 
-    Returns (multiplier, z_hat, iterations).  One classify call opens at 0
-    and at ||G||_F, and each further upward probe is one more.  Each step
-    looks its midpoint up by value in the memo of the current round, the
-    list of midpoints that one classify call classified: those
-    :func:`_path` lays out for :func:`_predict`'s guess, then those the next
-    DEPTH steps can reach (:func:`_midpoints`) whenever the memo lacks the midpoint.  A class
-    depends on the multiplier alone, so the steps and exits are those of a
-    bisection that classifies one midpoint per step, whatever the guess.
-    :func:`solve_many` takes the same steps over a stack, pinned bit for bit.
+    Returns (multiplier, z_hat, iterations).  Each step looks its midpoint
+    up by value in the memo of the current round: the multipliers that one
+    classify call classified.  The opening call holds 0 and ||G||_F and,
+    where :func:`_predict`'s guess for the bracket (0, ||G||_F) lies inside
+    it, the midpoints :func:`_path` lays out for that guess.  A negative
+    root's bracket [bound, 0] and an upward one (one call per further
+    probe) take a guess of their own and classify its path in one more
+    call.  Later rounds, and the first where the opening holds no path,
+    classify the midpoints the next DEPTH steps can reach (:func:`_midpoints`).
+    A class depends on the multiplier alone, so the steps and exits are
+    those of a bisection that classifies one midpoint per step, whatever
+    the guess.  :func:`solve_many` takes the same steps over a stack,
+    pinned bit for bit.
     """
     b = float(eq.gram_norm()[0])
-    f, z_hat, solved = eq.classify(np.array([0.0, b]))
+    guess = _predict(eq, 0.0, b)
+    mids = [0.0, b]
+    if guess is not None and 0.0 < guess < b:
+        mids += _path(0.0, b, guess)
+    f, z_hat, solved = eq.classify(np.array(mids))
     if not solved[0]:
         raise GeometryError("normal matrix is not positive definite")
-    (f0, fb), row = f.tolist(), 1
+    f, row = f.tolist(), 1
+    f0, fb = f[:2]
     if f0 == 0.0:
         return 0.0, z_hat[0], 0
-    if f0 > 0.0:
-        # Root is positive: double b until phi(b) < 0, as it must (module docstring).
-        a = 0.0
+    a = 0.0
+    if not f0 > 0.0:  # Root is negative, so [bound, 0] brackets it (module docstring).
+        a, b, fb, row, mids = float(eq.bound()), 0.0, f0, 0, []
+    elif fb > 0.0:  # Root is above b: double b until phi(b) < 0, as it must (module docstring).
         while fb > 0.0:  # inf where the solve failed
-            if not solved[-1]:  # above 0 only a failed solve, which b = inf always gives
+            if not solved[row]:  # above 0 only a failed solve, which b = inf always gives
                 raise _unsolved(b)
             a, b = b, 2.0 * b
             f, z_hat, solved = eq.classify(np.array([b]))
             (fb,), row = f.tolist(), 0
-    else:  # Root is negative, so [bound, 0] brackets it (module docstring).
-        a, b, fb, row = float(eq.bound()), 0.0, f0, 0
+        mids = []
     # phi decreases, so b, the last point that is not low, is the best so far; z_hat is rows[row].
     best, least, rows = b, abs(fb), z_hat
-    guess = _predict(eq, a, b)
-    mids, node, iterations = [], 0, 0
+    if not mids:  # a bracket other than the opening's: its own guess, for its first round
+        guess = _predict(eq, a, b)
+    node, iterations = 0, 0
     while True:
         mid = 0.5 * (a + b)
         if mid == a or mid == b:
@@ -608,19 +637,17 @@ def _stationarity(shifted, z, rhs):
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def _finalize(eq, rows, lam, z_hat, iterations):
-    """Estimates of the finished searches at the index array ``rows`` of ``eq``.
+def _finalize(eq, lam, z_hat, iterations):
+    """Estimates of the finished searches of the stack ``eq``, one per row.
 
-    ``lam``, ``z_hat`` and ``iterations`` hold one entry per row of the
-    stack.  One stacked pass puts each matrix through the
-    arithmetic it would get alone, so an estimate does not depend on the
-    batch it was finalized in.
+    ``lam``, ``z_hat`` and ``iterations`` hold one entry per row.  One
+    stacked pass puts each matrix through the arithmetic it would get
+    alone, so an estimate does not depend on the batch it was finalized in.
     """
-    quad, lin, normal = eq.constraint_quad[rows], eq.constraint_lin[rows], eq.normal[rows]
-    lams = lam[rows]
-    z = z_hat[rows] * eq.scale[rows]
-    rhs = eq.moment[rows] - lams[:, None] * lin
-    shifted = normal + lams[:, None, None] * quad
+    quad, lin, normal = eq.constraint_quad, eq.constraint_lin, eq.normal
+    z = z_hat * eq.scale
+    rhs = eq.moment - lam[:, None] * lin
+    shifted = normal + lam[:, None, None] * quad
     stationarity, finite = _stationarity(shifted, z, rhs)
     if not finite.all():  # norms that overflow: divide M and rhs by their largest entry
         over = ~finite
@@ -631,8 +658,8 @@ def _finalize(eq, rows, lam, z_hat, iterations):
     min_eig = _umath_linalg.eigvalsh_lo(shifted, signature="d->d").min(axis=1)
     min_eig_ratio = min_eig / _umath_linalg.svd(normal, signature="d->d").max(axis=1)
     estimates = []
-    for row, k, ple, z_row, multiplier, stat, cons, ratio in zip(
-        rows, eq.dimension[rows].tolist(), eq.ple[rows].tolist(), z, lams.tolist(),
+    for k, ple, z_row, multiplier, steps, stat, cons, ratio in zip(
+        eq.dimension.tolist(), eq.ple.tolist(), z, lam.tolist(), iterations,
         stationarity.tolist(), constraint.tolist(), min_eig_ratio.tolist(),
     ):
         power = _power_dbm(z_row[k + 1], ple) if z_row.shape[0] == k + 2 else None
@@ -643,7 +670,7 @@ def _finalize(eq, rows, lam, z_hat, iterations):
                 transmit_power_dbm=power,
                 power_valid=power is not None,
                 multiplier=multiplier,
-                iterations=int(iterations[row]),
+                iterations=int(steps),
                 kkt_stationarity=stat,
                 kkt_constraint=cons,
                 kkt_min_eig_ratio=ratio,
@@ -664,7 +691,7 @@ def solve(system):
     """
     eq = _Equilibrated([system])
     lam, z_hat, iterations = _search(eq[0])
-    return _finalize(eq, np.array([0]), np.array([lam]), z_hat[None], [iterations])[0]
+    return _finalize(eq, np.array([lam]), z_hat[None], [iterations])[0]
 
 
 # The known-power system needs no solver of its own; the name stays public.
@@ -712,7 +739,7 @@ def solve_many(systems):
     fail(np.flatnonzero(~eq.valid), lambda r: GeometryError(_NONPOSITIVE_DIAGONAL))
     rows = np.flatnonzero(eq.valid)
     start = eq.gram_norm()[rows]
-    opening = eq.take(np.tile(rows, 2)).classify(np.concatenate([a[rows], start]))
+    opening = eq.kernel(np.tile(rows, 2)).classify(np.concatenate([a[rows], start]))
     (f, up_f), (z_hat, up_z), (solved, up_solved) = (np.split(x, 2) for x in opening)
     keep(rows, 0.0, f, z_hat)
     fail(rows[~solved], lambda r: GeometryError("normal matrix is not positive definite"))
@@ -735,7 +762,7 @@ def solve_many(systems):
         if not rows.size:
             break
         a[rows], b[rows] = b[rows], 2.0 * b[rows]
-        f, z_hat, solved = eq.take(rows).classify(b[rows])
+        f, z_hat, solved = eq.kernel(rows).classify(b[rows])
 
     # Bisection: keep the best, stop on a zero residual, else halve.  The live
     # rows' brackets and best points are compact arrays, written back as rows finish.
@@ -752,18 +779,24 @@ def solve_many(systems):
                 x[go] for x in (rows, lower, upper, mid, lam, least, z))
             if not rows.size:
                 break
-            live = eq.take(rows)
+            live = eq.kernel(rows)
         f, z_hat, _ = live.classify(mid)
         count += 1
-        better = np.abs(f) < least  # f is inf where not solved
-        lam, least = np.where(better, mid, lam), np.where(better, np.abs(f), least)
-        z = np.where(better[:, None], z_hat, z)
+        size = np.abs(f)
+        better = size < least  # f is inf where not solved
+        np.copyto(lam, mid, where=better)
+        np.copyto(least, size, where=better)
+        np.copyto(z, z_hat, where=better[:, None])
         low, zero = f > 0.0, f == 0.0
-        lower, upper = np.where(low, mid, lower), np.where(low, upper, mid)
+        np.copyto(lower, mid, where=low)
+        np.copyto(upper, mid, where=~low)
 
+    if not errors:  # the usual case: the whole stack, with no copy
+        return _finalize(eq, best_lam, best_z, iterations)
     done = [row for row in range(n) if row not in errors]
     results = dict(errors)
     if done:
         rows = np.array(done)
-        results.update(zip(done, _finalize(eq, rows, best_lam, best_z, iterations)))
+        results.update(zip(done, _finalize(
+            eq.take(rows), best_lam[rows], best_z[rows], iterations[rows])))
     return [results[row] for row in range(n)]

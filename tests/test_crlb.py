@@ -303,6 +303,28 @@ def reference_report(scenario, sigmas, known_power):
     return fim, float(np.sqrt(np.trace(inv[:k, :k]))), crlb_p, float(w[-1] / w[0])
 
 
+def reference_hessian(measurements, anchors_m, position_m, transmit_power_dbm, env, sigmas):
+    """hessian_loglik's expression with no sigma check, for its bits."""
+    k = len(position_m)
+    sig2 = np.full(len(measurements), np.asarray(sigmas, dtype=float)) ** 2
+    f = residuals(measurements, anchors_m, position_m, transmit_power_dbm, env)
+    diff, d, c = gradient_directions(position_m, anchors_m[measurements.anchor_index], env)
+    s = 1.0 / (sig2 * LN10**2 * d**4)
+    g = s * LN10 * d**2 * f
+    alpha_ln10 = env.absorption_db_per_m * LN10
+    coef = 10.0 * env.ple + alpha_ln10 * d
+    hess = np.empty((k + 1, k + 1))
+    hess[:k, :k] = -(
+        (c * s[:, None]).T @ c
+        + (g @ coef) * np.eye(k)
+        + alpha_ln10 * (diff * (g / d)[:, None]).T @ diff
+        - 2.0 * LN10 * (c * (s * f)[:, None]).T @ diff
+    )
+    hess[:k, k] = hess[k, :k] = np.sum(c / (sig2 * LN10 * d**2)[:, None], axis=0)
+    hess[k, k] = -np.sum(1.0 / sig2)
+    return hess
+
+
 def random_bound_scenario(rng):
     """A valid random 2-D or 3-D Scenario at one of several coordinate scales."""
     while True:
@@ -327,6 +349,10 @@ def assert_same_gradient(scenario):
     )
     assert d.tobytes() == d_ref.tobytes()
     assert c.tobytes() == c_ref.tobytes()
+    d2, d4, d4_max = scenario.range_powers
+    assert d2.tobytes() == (d_ref**2).tobytes()
+    assert d4.tobytes() == (d_ref**4).tobytes()
+    assert type(d4_max) is float and d4_max == (d_ref**4).max()
 
 
 class TestBoundCensus:
@@ -370,16 +396,17 @@ class TestBoundCensus:
                 assert_same_gradient(each)
 
     def test_gradient_is_not_a_constructor_argument_repr_or_eq_field(self, reference_scenario):
-        field = {f.name: f for f in dataclasses.fields(Scenario)}["gradient"]
-        assert not (field.init or field.repr or field.compare)
-        assert "gradient" not in repr(reference_scenario)
-        with pytest.raises(TypeError):
-            Scenario(
-                reference_scenario.anchors_m,
-                reference_scenario.target_m,
-                reference_scenario.environment,
-                gradient=reference_scenario.gradient,
-            )
+        for name in ("gradient", "range_powers"):
+            field = {f.name: f for f in dataclasses.fields(Scenario)}[name]
+            assert not (field.init or field.repr or field.compare)
+            assert name not in repr(reference_scenario)
+            with pytest.raises(TypeError):
+                Scenario(
+                    reference_scenario.anchors_m,
+                    reference_scenario.target_m,
+                    reference_scenario.environment,
+                    **{name: getattr(reference_scenario, name)},
+                )
 
     def test_caller_arrays_written_after_construction_leave_the_bound(
         self, reference_scenario
@@ -394,7 +421,9 @@ class TestBoundCensus:
         assert after.fim.tobytes() == before.fim.tobytes()
         assert (after.crlb_t_m, after.crlb_p_db) == (before.crlb_t_m, before.crlb_p_db)
         assert_same_gradient(scenario)
-        for stored in (scenario.anchors_m, scenario.target_m, *scenario.gradient):
+        for stored in (
+            scenario.anchors_m, scenario.target_m, *scenario.gradient, *scenario.range_powers[:2]
+        ):
             with pytest.raises(ValueError):
                 stored[0] = 0.0
 
@@ -460,6 +489,25 @@ class TestNoiseSigmaErrors:
         assert bound(reference_scenario, 1e146).crlb_t_m == pytest.approx(
             1e146 * bound(reference_scenario, 1.0).crlb_t_m, rel=1e-12
         )
+
+    def test_hessian_terms_that_underflow_name_sigma(self, reference_scenario):
+        # The Fisher bounds' check: at 1e147 the far anchors' 1/(sigma^2 ln10^2 d^4)
+        # would read 0 and sigma^2 ln10^2 d^4 overflows; below, the Hessian's bits stay.
+        scenario, env = reference_scenario, reference_scenario.environment
+        rss = noiseless_set(scenario).rss_dbm + np.random.default_rng(5).standard_normal(scenario.n_anchors)
+        meas = MeasurementSet(np.arange(scenario.n_anchors), rss, env)
+        args = (meas, scenario.anchors_m, scenario.target_m + 40.0, env.transmit_power_dbm + 1.0, env)
+        fault = "underflows: an anchor's term is below the smallest normal float"
+        for value in (1e147, 1e154):
+            named = [f"{value:g}", f"2 to {value:g}"]
+            for sigmas, name in zip(sigma_arguments(value, scenario.n_anchors), named):
+                with pytest.raises(NumericalError) as err:
+                    hessian_loglik(*args, sigmas)
+                assert str(err.value) == f"log-likelihood Hessian at noise sigma {name} dB {fault}"
+        for value in (1.0, 1e146):
+            for sigmas in sigma_arguments(value, scenario.n_anchors):
+                hess = hessian_loglik(*args, sigmas)
+                assert hess.tobytes() == reference_hessian(*args, sigmas).tobytes()
 
     def test_fisher_matrix_that_overflows(self, reference_scenario):
         # 1.5e-154 squares to a normal float, but ten times its inverse overflows.

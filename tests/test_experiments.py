@@ -276,6 +276,27 @@ class TestStackedBuild:
         assert np.isfinite(record.nrmse_t_m)
 
 
+class TestSquaredErrors:
+    """_record sums a point's squared position errors in one stacked reduction;
+    each must have the bits of np.sum over that trial's error alone."""
+
+    def test_matches_one_sum_per_trial_bit_for_bit(self):
+        rng = np.random.default_rng(22)
+        # Squares 1, 1e-16, 1e-16 sum to 1 from the left and to 1 + 2^-52 from
+        # the right, so this row pins the order of the additions.
+        batches = [([np.array([1.0, 1e-8, 1e-8])], np.zeros(3))]
+        for _ in range(100):
+            k, m = int(rng.choice([2, 3])), int(rng.choice([1, 7, 100, 2000]))
+            target = rng.uniform(0.0, 5000.0, k)
+            spread = 10.0 ** rng.uniform(-3.0, 4.0)
+            batches.append(([target + spread * rng.standard_normal(k) for _ in range(m)], target))
+        for positions, target in batches:
+            stacked = experiments._squared_errors(positions, target)
+            alone = [float(np.sum((p - target) ** 2)) for p in positions]
+            assert stacked.tobytes() == np.array(alone).tobytes()
+        assert experiments._squared_errors(*batches[0])[0] == 1.0
+
+
 class TestRuntime:
     def test_positive_and_reasonably_stable(self, small_config):
         # The fastest of three readings each: load from other processes only slows a reading.

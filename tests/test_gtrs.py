@@ -2,6 +2,7 @@ import math
 import re
 import warnings
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -519,6 +520,25 @@ class TestRankGate:
         (eigenvalue,) = re.findall(r"normalized Gram eigenvalue (\S+)\)", str(raised.value))
         assert eigenvalue == "0.00e+00"
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("build", [build_system, build_known_power_system])
+    def test_nan_gram_floor_fails_the_gate(self, reference_scenario, build, monkeypatch):
+        # The gate's eigen-solve is LAPACK's gufunc, which gives NaN where it
+        # fails: a NaN floor must read as rank deficient, never pass the gate.
+        scenario, env = reference_scenario, reference_scenario.environment
+        meas = MeasurementSet(
+            np.arange(scenario.n_anchors),
+            uwloc.noiseless_rss(scenario.target_m, scenario.anchors_m, env), env,
+        )
+        weights = equal_weights(scenario.n_anchors)
+        build(meas, weights, scenario.anchors_m, env)  # passes with a working eigen-solve
+        failing = SimpleNamespace(**vars(_umath_linalg))
+        failing.eigvalsh_lo = lambda a, signature: np.full(a.shape[:-1], np.nan)
+        monkeypatch.setattr(gtrs, "_umath_linalg", failing)
+        assert np.isnan(gtrs._gram_floor(np.eye(3)))
+        with pytest.raises(GeometryError, match=r"rank deficient \(normalized Gram eigenvalue nan\)"):
+            build(meas, weights, scenario.anchors_m, env)
+
 
 def solve_each(systems):
     """Reference for solve_many: solve one system at a time."""
@@ -850,8 +870,9 @@ def search_outcome(search, eq):
 
 def stepwise_steps(eq):
     """stepwise_search's outcome, its bisection steps as (midpoint, residual)
-    pairs, and the number of classify calls gtrs._search opens with: one of
-    [0, ||G||_F], then one per further upward probe."""
+    pairs, the number of classify calls gtrs._search opens with (one of
+    [0, ||G||_F], then one per further upward probe) and whether the root
+    lies inside (0, ||G||_F), where the opening call can hold the path."""
     seen = []
 
     def record(eq, lam):
@@ -861,7 +882,7 @@ def stepwise_steps(eq):
 
     outcome = search_outcome(lambda eq: stepwise_search(eq, record), eq)
     probes = len(seen) - outcome[2]  # 0, then each upward b
-    return outcome, seen[probes:], max(probes - 1, 1)
+    return outcome, seen[probes:], max(probes - 1, 1), probes == 2
 
 
 def path_steps(steps, guess):
@@ -884,9 +905,12 @@ def record_calls(monkeypatch, record=len):
 
 def guess_wrong_first(monkeypatch, steps):
     """Make the predictor call the first bisection step's side wrong, so a tree
-    round follows it: a guess of a calls every midpoint high, one of b low."""
+    round follows it: a guess halfway from a to the first midpoint calls that
+    midpoint high, one halfway from it to b calls it low.  Both lie inside the
+    bracket, so the opening of a root inside (0, ||G||_F) holds their path."""
     first_low = steps[0][1] > 0.0
-    monkeypatch.setattr(gtrs, "_predict", lambda eq, a, b: a if first_low else b)
+    monkeypatch.setattr(gtrs, "_predict", lambda eq, a, b: (
+        0.5 * (a + 0.5 * (a + b)) if first_low else 0.5 * (0.5 * (a + b) + b)))
 
 
 # Trials 0-12 and the negative roots of trials 0-299 at sigma = 1 dB, as in
@@ -948,15 +972,45 @@ class TestFreeBound:
 
 class TestOpening:
     """Both drivers open with one classify call that holds 0 and ||G||_F for
-    every row they search, and double upward through classify."""
+    every row they search, and double upward through classify.  A single
+    fix's opening also holds the predicted path where the root lies inside
+    (0, ||G||_F)."""
 
     def test_solve_opens_at_zero_and_the_gram_norm(self, bundled_config, monkeypatch):
         systems = trial_systems(bundled_config, 1.0, SIGMA1_TRIALS)
         calls = record_calls(monkeypatch, np.ndarray.tolist)
+        positive = 0
         for system in systems:
             calls.clear()
-            solve(system)
-            assert calls[0] == [0.0, np.linalg.norm(gtrs._Equilibrated([system]).gram[0])]
+            estimate = solve(system)
+            eq = gtrs._Equilibrated([system])[0]
+            norm = np.linalg.norm(eq.gram)
+            assert calls[0][:2] == [0.0, norm]
+            if estimate.multiplier > 0.0:  # the root lies in (0, ||G||_F) on all 12
+                positive += 1
+                guess = gtrs._lapack_errors(gtrs._predict)(eq, 0.0, norm)
+                assert 0.0 < guess < norm
+                assert calls[0][2:] == gtrs._path(0.0, norm, guess)
+        assert positive == 12
+
+    def test_negative_roots_open_at_zero_and_the_gram_norm_alone(self, bundled_config, monkeypatch):
+        # The guess for (0, ||G||_F) is its low end, so the opening holds no
+        # path; the bracket [bound, 0] gets a guess and a path call of its own.
+        systems = trial_systems(bundled_config, 1.0, SIGMA1_TRIALS)
+        calls = record_calls(monkeypatch, np.ndarray.tolist)
+        predict = gtrs._lapack_errors(gtrs._predict)
+        negative = 0
+        for system in systems:
+            calls.clear()
+            if solve(system).multiplier < 0.0:
+                negative += 1
+                eq = gtrs._Equilibrated([system])[0]
+                norm = np.linalg.norm(eq.gram)
+                assert predict(eq, 0.0, norm) == 0.0
+                assert calls[0] == [0.0, norm]
+                bound = float(eq.bound())
+                assert calls[1] == gtrs._path(bound, 0.0, predict(eq, bound, 0.0))
+        assert negative == 12
 
     def test_solve_many_opens_every_valid_row_in_one_call(self, bundled_config, monkeypatch):
         systems = trial_systems(bundled_config, 1.0, SIGMA1_TRIALS)
@@ -979,7 +1033,8 @@ class TestOpening:
         expected = search_outcome(stepwise_search, eq)
         calls = record_calls(monkeypatch, np.ndarray.tolist)
         assert search_outcome(gtrs._search, eq) == expected
-        assert calls[:4] == [[0.0, 3.0], [6.0], [12.0], [24.0]]
+        # The guess for (0, 3) lies just below 3, so the opening holds its path.
+        assert calls[0][:2] == [0.0, 3.0] and calls[1:4] == [[6.0], [12.0], [24.0]]
         calls.clear()
         outcomes = solve_many([system])
         assert calls[:4] == [[0.0, 3.0], [6.0], [12.0], [24.0]]
@@ -987,10 +1042,11 @@ class TestOpening:
 
 
 class TestSpeculativeSearch:
-    """gtrs._search opens with one classify call at 0 and ||G||_F, then
-    classifies a predicted path, then the midpoints of DEPTH steps per round,
-    in stacked calls and replays the steps; it must match stepwise_search bit
-    for bit whatever the predictor guesses."""
+    """gtrs._search opens with one classify call at 0 and ||G||_F that also
+    holds the predicted path where the root lies inside (0, ||G||_F); else
+    the path gets a call of its own.  Then it classifies the midpoints of
+    DEPTH steps per round, in stacked calls, and replays the steps; it must
+    match stepwise_search bit for bit whatever the predictor guesses."""
 
     @pytest.fixture(scope="class")
     def sigma1(self, bundled_config):
@@ -1003,7 +1059,7 @@ class TestSpeculativeSearch:
 
     @pytest.mark.parametrize("depth", [1, 2, 3, 5])
     def test_matches_stepwise_bisection(self, sigma1, sigma1_steps, monkeypatch, depth):
-        expected = [outcome for outcome, _, _ in sigma1_steps]
+        expected = [outcome for outcome, _, _, _ in sigma1_steps]
         assert sum(lam < 0.0 for lam, _, _ in expected) == 12
         monkeypatch.setattr(gtrs, "DEPTH", depth)
         calls, guesses, paths = record_calls(monkeypatch), [], []
@@ -1013,19 +1069,24 @@ class TestSpeculativeSearch:
         monkeypatch.setattr(gtrs, "_path", lambda a, b, guess: (
             paths.append(path(a, b, guess)) or paths[-1]))
         ends_inside_a_round = 0
-        for eq, (reference, steps, opening) in zip(sigma1, sigma1_steps):
+        for eq, (reference, steps, opening, inside) in zip(sigma1, sigma1_steps):
             calls.clear()
             assert search_outcome(gtrs._search, eq) == reference
             iterations = reference[2]
             taken = path_steps(steps, guesses[-1])
             # The predictor is good enough that the path round takes most steps.
             assert taken >= iterations / 2
-            # The opening at [0, ||G||_F] and any further upward probes, then
-            # one call for the whole path, then one per DEPTH steps; a bracket
-            # that collapses at a tree round's first step costs no call.
-            assert calls[:opening] == [2] + [1] * (opening - 1)
-            assert calls[opening] == len(paths[-1]) > 2**depth - 1
-            assert calls[opening + 1:] == [2**depth - 1] * -(-(iterations - taken) // depth)
+            assert len(paths[-1]) > 2**depth - 1
+            # One call at [0, ||G||_F] and the whole path where the root lies
+            # inside that bracket; else the opening, any further upward probes
+            # and one call for the path.  Then one call per DEPTH steps; a
+            # bracket that collapses at a tree round's first step costs no call.
+            if inside:
+                assert calls[0] == 2 + len(paths[-1])
+            else:
+                assert calls[:opening + 1] == [2] + [1] * (opening - 1) + [len(paths[-1])]
+            lead = 1 if inside else opening + 1
+            assert calls[lead:] == [2**depth - 1] * -(-(iterations - taken) // depth)
             ends_inside_a_round += (iterations - taken) % depth != 0
         if depth > 1:
             assert ends_inside_a_round > 0  # collapses at a node that is not a round's first
@@ -1037,7 +1098,7 @@ class TestSpeculativeSearch:
     ):
         monkeypatch.setattr(gtrs, "DEPTH", depth)
         calls = record_calls(monkeypatch)
-        for eq, (reference, _, opening) in zip(sigma1, sigma1_steps):
+        for eq, (reference, _, opening, _) in zip(sigma1, sigma1_steps):
             root, iterations = reference[0], reference[2]
             monkeypatch.setattr(gtrs, "_predict", lambda eq, a, b: (
                 ADVERSARIAL_GUESSES[guess](a, b, root)))
@@ -1058,7 +1119,7 @@ class TestSpeculativeSearch:
         # estimate.  A negative root's first midpoints can lie below the pole,
         # where there is no solution to return, so those are not counted.
         # A wrong first guess puts steps after the first in tree rounds.
-        (lam, _, _), steps, opening = sigma1_steps[SIGMA1_TRIALS.index(trial)]
+        (lam, _, _), steps, opening, inside = sigma1_steps[SIGMA1_TRIALS.index(trial)]
         eq = sigma1[SIGMA1_TRIALS.index(trial)]
         assert (lam < 0.0) == (trial == 12)
         solved = [count for count, (_, residual) in enumerate(steps, 1) if residual != np.inf]
@@ -1084,10 +1145,11 @@ class TestSpeculativeSearch:
             guess_wrong_first(monkeypatch, steps)
         calls = record_calls(monkeypatch)
         assert search_outcome(gtrs._search, eq) == expected
+        lead = 1 if inside else opening + 1  # calls up to the one that holds the path
         if where == "path" or step == 1:
-            assert len(calls) == opening + 1
+            assert len(calls) == lead
         else:
-            assert calls[opening + 1:] == [2**depth - 1] * -(-(step - 1) // depth)
+            assert calls[lead:] == [2**depth - 1] * -(-(step - 1) // depth)
 
 
 def assert_predictor_quiet(eq):
@@ -1123,7 +1185,10 @@ class TestPredict:
         weights = link_weights(measurements, env)
         system = build(measurements, weights, scenario.anchors_m, env)
         assert np.abs(np.log10(system.normal.diagonal())).max() > 150
-        assert len(assert_predictor_quiet(gtrs._Equilibrated([system])[0])) == 1
+        # One guess for (0, ||G||_F); the shifts up have upward roots, so one
+        # more for the bracket the doubling ends on.
+        guesses = assert_predictor_quiet(gtrs._Equilibrated([system])[0])
+        assert len(guesses) == (1 if shift_db < 0.0 else 2)
 
     def test_quiet_and_total_on_width_4_known_power_systems(self):
         rng = np.random.default_rng(4)
