@@ -244,13 +244,17 @@ class MeasurementSet:
     def anchor_rows(self, anchors_m):
         """The row of ``anchors_m`` each reading was taken at; a ConfigError for a
         reading count other than the anchor count or an index outside the list."""
-        anchors = np.atleast_2d(np.asarray(anchors_m, dtype=float))
-        n = len(anchors)
+        n = len(np.atleast_2d(anchors_m))
         if len(self) != n:
             raise ConfigError(f"{len(self)} measurements for {n} anchors")
-        outside = self.anchor_index[(self.anchor_index < 0) | (self.anchor_index >= n)]
+        return self.subset_rows(anchors_m)
+
+    def subset_rows(self, anchors_m):
+        """:meth:`anchor_rows` for readings at any subset of the anchors."""
+        anchors = np.atleast_2d(np.asarray(anchors_m, dtype=float))
+        outside = self.anchor_index[(self.anchor_index < 0) | (self.anchor_index >= len(anchors))]
         if outside.size:
-            raise ConfigError(f"anchor_index {outside[0]} is outside [0, {n - 1}]")
+            raise ConfigError(f"anchor_index {outside[0]} is outside [0, {len(anchors) - 1}]")
         return anchors[self.anchor_index]
 
 

@@ -21,16 +21,17 @@ For any probe [x; y] the quadratic form collapses to a sum of squares,
 which is the executable form of the positive-definiteness argument (the
 minus sign on y is forced by the sign of the cross block b).
 
-The bounds take c_i from ``Scenario.gradient`` and d_i^2, d_i^4 from
-``Scenario.range_powers``, computed once when the Scenario was validated,
-and invert through the LAPACK gufuncs behind
-``np.linalg.eigh`` and ``np.linalg.inv``: the same bits without the
-wrappers' cost.  A gufunc returns NaN where its wrapper raised, so a
-Fisher matrix with an entry that is not finite is a NumericalError raised
-before the eigen-solve, as is a sigma whose square overflows or
-underflows, or one so large that an anchor's position term falls below
-the normal range (also in :func:`hessian_loglik`); a sigma that is not
-positive and finite is a ValueError.
+Each bound is one assembly step and one report step.
+:func:`_position_block` builds A from c_i of ``Scenario.gradient`` and
+d_i^4 of ``Scenario.range_powers``, kept since the Scenario was validated,
+and the unknown-power bound adds b and c.  :func:`_report` gates and
+inverts through the LAPACK gufuncs behind ``np.linalg.eigh`` and
+``np.linalg.inv``, the same bits without the wrappers' cost.  A gufunc
+returns NaN where its wrapper raised, so a Fisher entry that is not finite
+is a NumericalError raised before the eigen-solve, as is a sigma whose
+square overflows or underflows, or one so large that an anchor's position
+term falls below the normal range (also in :func:`hessian_loglik`); a
+sigma that is not positive and finite is a ValueError.
 """
 
 import math
@@ -40,7 +41,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from . import numerics
 from .channel import LN10, gradient_directions
 from .errors import GeometryError, NumericalError
 
@@ -98,11 +98,11 @@ def residuals(measurements, anchors_m, position_m, transmit_power_dbm, env):
     """Mean-removed residuals f_i of all measurements at the given parameters.
 
     Each entry is zero in expectation at the true parameters and decreases
-    one-for-one when the assumed transmit power increases.
+    one-for-one when the assumed transmit power increases.  The readings may
+    be at any subset of the anchors; an index outside the list is a ConfigError.
     """
-    anchors_m = np.atleast_2d(np.asarray(anchors_m, dtype=float))
     position_m = np.asarray(position_m, dtype=float)
-    d = np.linalg.norm(position_m - anchors_m[measurements.anchor_index], axis=1)
+    d = np.linalg.norm(position_m - measurements.subset_rows(anchors_m), axis=1)
     if np.any(d == 0.0):
         raise ValueError("position coincides with an anchor")
     alpha = env.absorption_db_per_m
@@ -135,16 +135,13 @@ def hessian_loglik(measurements, anchors_m, position_m, transmit_power_dbm, env,
     Fisher information matrix.  The curvature of c_i is
     D_i = (10*beta + alpha*ln10*d_i)*I + alpha*ln10*(t - s_i)(t - s_i)^T/d_i.
     """
-    anchors_m = np.atleast_2d(np.asarray(anchors_m, dtype=float))
     position_m = np.asarray(position_m, dtype=float)
     k = position_m.shape[0]
     sig2 = np.full(len(measurements), _noise_variances(sigmas, len(measurements)))
     f = residuals(measurements, anchors_m, position_m, transmit_power_dbm, env)
-    diff, d, c = gradient_directions(position_m, anchors_m[measurements.anchor_index], env)
-    with np.errstate(over="ignore"):  # checked next
-        scale = sig2 * LN10**2 * d**4
-    if not np.maximum.reduce(scale) <= _NORMAL_INVERSE:
-        raise _sigma_error(_HESSIAN, sigmas, _UNDERFLOW)
+    diff, d, c = gradient_directions(position_m, measurements.subset_rows(anchors_m), env)
+    with np.errstate(over="ignore"):  # checked in _term_scale
+        scale = _term_scale(sig2, d**4, sigmas, "log-likelihood Hessian")
     s = 1.0 / scale
     g = s * LN10 * d**2 * f  # weight of D_i
     alpha_ln10 = env.absorption_db_per_m * LN10
@@ -168,83 +165,74 @@ def _sigma_error(matrix, sigmas, fault):
     return NumericalError(f"{matrix} at noise sigma {named} dB {fault}")
 
 
-_HESSIAN = "log-likelihood Hessian"
-_UNDERFLOW = "underflows: an anchor's term is below the smallest normal float"
-
-
-@np.errstate(over="ignore", divide="ignore", invalid="ignore")  # see _checked_inverse
-def _fim_blocks(scenario, sigmas, context):
-    n = scenario.n_anchors
-    sig2 = _noise_variances(sigmas, n)
-    _, c = scenario.gradient
-    d2, d4, d4_max = scenario.range_powers
+def _term_scale(sig2, d4, sigmas, matrix, d4_max=None):
+    """sigma_i^2 ln10^2 d_i^4, the divisor of anchor i's position term c_i c_i^T;
+    past 1/tiny the term is below the normal range, a NumericalError naming
+    ``sigmas``.  One sigma (a float ``sig2``) takes the largest from ``d4_max``."""
     scale = sig2 * LN10**2 * d4
-    # The Scenario's regular geometry makes every anchor's position term
-    # c_i c_i^T / scale_i count; past 1/tiny it falls below the normal range.
-    # One sigma scales every d_i^4 alike, so the largest term is one float product.
     top = sig2 * LN10**2 * d4_max if type(sig2) is float else np.maximum.reduce(scale)
     if not top <= _NORMAL_INVERSE:
-        raise _sigma_error(f"{context}: Fisher matrix", sigmas, _UNDERFLOW)
-    a_block = (c / scale[:, None]).T @ c
-    b_block = -np.add.reduce(c / (sig2 * LN10 * d2)[:, None], axis=0)
-    return a_block, b_block, np.add.reduce(np.full(n, 1.0 / sig2))
+        raise _sigma_error(
+            matrix, sigmas, "underflows: an anchor's term is below the smallest normal float"
+        )
+    return scale
 
 
-def _invert_reported(fim, context):
-    """Inverse of a Fisher matrix that passes a positive-definiteness gate,
-    with its eigenvalue ratio."""
-    w, _ = numerics.sym_eig(fim)
-    if w[0] <= DEFINITENESS_TOL * w[-1]:
+def _position_block(scenario, sigmas, context):
+    """The Fisher position block A and the noise variances; the Scenario's regular
+    geometry makes every anchor's term count, so one that underflows is a noise fault."""
+    sig2 = _noise_variances(sigmas, scenario.n_anchors)
+    _, c = scenario.gradient
+    _, d4, d4_max = scenario.range_powers
+    scale = _term_scale(sig2, d4, sigmas, f"{context}: Fisher matrix", d4_max)
+    return (c / scale[:, None]).T @ c, sig2
+
+
+def _report(fim, k, context, sigmas):
+    """The bounds of a Fisher matrix built at ``sigmas``, with k position rows.
+
+    An entry that is not finite is a NumericalError naming the sigmas; a
+    smallest eigenvalue at or below DEFINITENESS_TOL times the largest
+    (NaN too) is a GeometryError.  ``eigh_lo`` reads the lower triangle.
+    """
+    if not np.isfinite(fim).all():
+        raise _sigma_error(f"{context}: Fisher matrix", sigmas, "is not finite")
+    w = _umath_linalg.eigh_lo(fim, signature="d->dd")[0]
+    if not w[0] > DEFINITENESS_TOL * w[-1]:
         raise GeometryError(
             f"{context}: Fisher matrix is not positive definite"
             f" (smallest eigenvalue {w[0]:.3e}, largest {w[-1]:.3e})"
         )
-    return _umath_linalg.inv(fim, signature="d->d"), float(w[-1] / w[0])
+    inv = _umath_linalg.inv(fim, signature="d->d")
+    return FimReport(
+        fim=fim,
+        crlb_t_m=math.sqrt(inv[:k, :k].trace()),
+        crlb_p_db=math.sqrt(inv[k, k]) if k < len(fim) else None,
+        condition_estimate=float(w[-1] / w[0]),
+    )
 
 
-def _checked_inverse(fim, context, sigmas):
-    """:func:`_invert_reported` of a Fisher matrix built at ``sigmas``.
-
-    A non-finite entry, which the eigen-solve would turn into NaN, is a
-    NumericalError naming the sigmas.
-    """
-    if not np.isfinite(fim).all():
-        raise _sigma_error(f"{context}: Fisher matrix", sigmas, "is not finite")
-    return _invert_reported(fim, context)
-
-
-_UNKNOWN, _KNOWN = "unknown-power bound", "known-power bound"
-
-
+# Both bounds assemble quietly: _report names an entry that is not finite.
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def fim_unknown_power(scenario, sigmas):
     """Fisher information and bounds for joint position/power estimation.
 
     CRLB_t is the square root of the position-block trace of the inverse;
     CRLB_p the square root of the power diagonal entry.
     """
-    a_block, b_block, c_block = _fim_blocks(scenario, sigmas, _UNKNOWN)
-    k = scenario.dimension
+    k, context = scenario.dimension, "unknown-power bound"
     fim = np.empty((k + 1, k + 1))
-    fim[:k, :k] = a_block
-    fim[:k, k] = b_block
-    fim[k, :k] = b_block
-    fim[k, k] = c_block
-    inv, condition = _checked_inverse(fim, _UNKNOWN, sigmas)
-    return FimReport(
-        fim=fim,
-        crlb_t_m=math.sqrt(inv[:k, :k].trace()),
-        crlb_p_db=math.sqrt(inv[k, k]),
-        condition_estimate=condition,
-    )
+    fim[:k, :k], sig2 = _position_block(scenario, sigmas, context)
+    _, c = scenario.gradient
+    d2 = scenario.range_powers[0]
+    fim[:k, k] = fim[k, :k] = -np.add.reduce(c / (sig2 * LN10 * d2)[:, None], axis=0)
+    fim[k, k] = np.add.reduce(np.full(scenario.n_anchors, 1.0 / sig2))
+    return _report(fim, k, context, sigmas)
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def fim_known_power(scenario, sigmas):
     """Fisher information and position bound when the transmit power is known."""
-    a_block, _, _ = _fim_blocks(scenario, sigmas, _KNOWN)
-    inv, condition = _checked_inverse(a_block, _KNOWN, sigmas)
-    return FimReport(
-        fim=a_block,
-        crlb_t_m=math.sqrt(inv.trace()),
-        crlb_p_db=None,
-        condition_estimate=condition,
-    )
+    context = "known-power bound"
+    a_block, _ = _position_block(scenario, sigmas, context)
+    return _report(a_block, scenario.dimension, context, sigmas)

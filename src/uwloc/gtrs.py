@@ -185,10 +185,11 @@ def _check_rank(system, q2):
             "design matrix has a zero column; add anchors or spread them out"
         )
     smallest = _gram_floor(system.normal)
-    if not smallest > RANK_TOL:  # NaN where LAPACK failed
+    if not smallest > RANK_TOL:  # NaN where LAPACK failed, for no cause it names
+        cause = "its eigen-solve failed" if smallest != smallest else _rank_loss_cause(system, q2)
         raise GeometryError(  # an exactly singular Gram matrix can read -1e-17
             "design matrix is rank deficient (normalized Gram eigenvalue"
-            f" {max(smallest, 0.0):.2e}): {_rank_loss_cause(system, q2)}"
+            f" {max(smallest, 0.0):.2e}): {cause}"
         )
 
 
@@ -486,7 +487,9 @@ def _predict(eq, a, b):
     (Moré & Sorensen 1983).  So a Newton step on phi or on psi, and l's own
     root, all land at or below the root, and each step takes the largest of
     them; a step that leaves the bracket it narrows halves it instead.
-    Returns None where a factorization fails or a value is not finite.
+    Returns None where a factorization fails or a value is not finite, or
+    where the steps end against an end of (a, b) that no step crossed: the
+    root may lie past it.
     """
     factor = _umath_linalg.cholesky_lo(eq.gram, signature="d->d")
     inverse = _umath_linalg.inv(factor, signature="d->d")
@@ -500,7 +503,7 @@ def _predict(eq, a, b):
     if not (min(mu) > 0.0 and math.isfinite(alpha + beta + sum(g2mu) + sum(g2))):
         return None
     terms = list(zip(mu, g2mu, g2))
-    lam = a
+    lam, ends = a, (a, b)
     for _ in range(PREDICT_STEPS):
         n = dn = 0.0  # n and -n'/2, each summed in order
         for m, h, h2 in terms:
@@ -535,8 +538,9 @@ def _predict(eq, a, b):
             return new
         lam = new if a < new < b else 0.5 * (a + b)
         if not a < b:  # collapsed, so each further step lands here again
-            return lam
-    return lam
+            break
+    # b is the lowest step above the root: none if at the top end, the first at the bottom.
+    return lam if ends[0] < b < ends[1] else None
 
 
 @_lapack_errors
@@ -546,8 +550,8 @@ def _search(eq):
     Returns (multiplier, z_hat, iterations).  Each step looks its midpoint
     up by value in the memo of the current round: the multipliers that one
     classify call classified.  The opening call holds 0 and ||G||_F and,
-    where :func:`_predict`'s guess for the bracket (0, ||G||_F) lies inside
-    it, the midpoints :func:`_path` lays out for that guess.  A negative
+    where :func:`_predict` has a guess for the bracket (0, ||G||_F), the
+    midpoints :func:`_path` lays out for that guess.  A negative
     root's bracket [bound, 0] and an upward one (one call per further
     probe) take a guess of their own and classify its path in one more
     call.  Later rounds, and the first where the opening holds no path,
@@ -559,9 +563,7 @@ def _search(eq):
     """
     b = float(eq.gram_norm()[0])
     guess = _predict(eq, 0.0, b)
-    mids = [0.0, b]
-    if guess is not None and 0.0 < guess < b:
-        mids += _path(0.0, b, guess)
+    mids = [0.0, b] if guess is None else [0.0, b, *_path(0.0, b, guess)]
     f, z_hat, solved = eq.classify(np.array(mids))
     if not solved[0]:
         raise GeometryError("normal matrix is not positive definite")

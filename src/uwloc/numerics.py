@@ -1,8 +1,8 @@
 """Small dense symmetric linear-algebra kernels.
 
-All routines operate on square symmetric matrices of modest order (the
-solver and bound calculators never need more than order k + 2 = 5, and
-nothing here is intended beyond order 16).  Contracts are expressed as
+All routines operate on square symmetric matrices of modest order (their
+one caller, :func:`uwloc.gtrs.lambda_interval`, needs at most k + 2 = 5,
+and nothing here is intended beyond order 16).  Contracts are expressed as
 residual bounds, not method choices.  :func:`sym_eig` calls the LAPACK
 gufunc behind ``np.linalg.eigh`` directly: the same bits without the
 wrapper's cost.

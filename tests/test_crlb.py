@@ -1,9 +1,13 @@
 import dataclasses
+import inspect
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from numpy.linalg import _umath_linalg
 
 import uwloc
+from uwloc import crlb, numerics
 from uwloc.channel import (
     LN10,
     Environment,
@@ -19,7 +23,8 @@ from uwloc.crlb import (
     hessian_loglik,
     residuals,
 )
-from uwloc.errors import GeometryError, NumericalError
+from uwloc.errors import ConfigError, GeometryError, NumericalError
+from uwloc.gtrs import build_system
 
 # Reference-topology position bound at sigma = 1 dB, frozen after the first
 # run verified against the negated-Hessian oracle below.
@@ -109,6 +114,31 @@ class TestResiduals:
         env = reference_scenario.environment
         with pytest.raises(ValueError):
             residuals(meas, reference_scenario.anchors_m, reference_scenario.anchors_m[0], 0.0, env)
+
+    @pytest.mark.parametrize("index", [-1, 10])
+    def test_anchor_index_outside_the_list_is_a_config_error(self, reference_scenario, index):
+        # Index -1 would read the last anchor; the error is build_system's.
+        scenario, env = reference_scenario, reference_scenario.environment
+        meas = noiseless_set(scenario)
+        bad = MeasurementSet(np.r_[np.arange(9), index], meas.rss_dbm, env)
+        args = (bad, scenario.anchors_m, scenario.target_m, env.transmit_power_dbm, env)
+        for call in (
+            lambda: residuals(*args),
+            lambda: hessian_loglik(*args, 1.0),
+            lambda: build_system(bad, np.ones(10), scenario.anchors_m, env),
+        ):
+            with pytest.raises(ConfigError) as err:
+                call()
+            assert str(err.value) == f"anchor_index {index} is outside [0, 9]"
+
+    def test_readings_at_a_subset_of_the_anchors(self, reference_scenario):
+        scenario, env = reference_scenario, reference_scenario.environment
+        meas = noiseless_set(scenario)
+        subset = MeasurementSet(np.arange(1, 10), meas.rss_dbm[1:], env)
+        args = (scenario.anchors_m, scenario.target_m + 40.0, env.transmit_power_dbm, env)
+        assert residuals(subset, *args).tobytes() == residuals(meas, *args)[1:].tobytes()
+        fast, ref = hessian_loglik(subset, *args, 2.0), loop_hessian(subset, *args, 2.0)
+        assert np.max(np.abs(fast - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestCVector:
@@ -273,10 +303,40 @@ class TestDegenerateGeometry:
             Scenario(anchors, np.array([8000.0, 0.0, 0.0]), env)
 
     def test_singular_information_matrix_reported(self):
-        from uwloc.crlb import _invert_reported
+        with pytest.raises(GeometryError, match="^test: Fisher matrix is not positive definite"):
+            crlb._report(np.diag([1.0, 0.0]), 2, "test", 1.0)
 
-        with pytest.raises(GeometryError):
-            _invert_reported(np.diag([1.0, 0.0]), "test")
+
+def counting(functions, calls):
+    """Each of ``functions`` (name -> callable) recording its name in ``calls``."""
+
+    def wrap(name, function):
+        return lambda *args, **kwargs: calls.append(name) or function(*args, **kwargs)
+
+    return {name: wrap(name, function) for name, function in functions.items()}
+
+
+class TestOneLapackPath:
+    """A bound goes from its Fisher matrix to LAPACK's gufuncs with no layer
+    between: one eigen-solve, one inverse, nothing from uwloc.numerics."""
+
+    @pytest.mark.parametrize("bound", [fim_unknown_power, fim_known_power])
+    def test_one_eigh_and_one_inv_call_per_bound(self, reference_scenario, bound, monkeypatch):
+        scalar, per_anchor = bound(reference_scenario, 2.0), bound(reference_scenario, np.full(10, 2.0))
+        lapack, helpers = [], []
+        gufuncs = {name: value for name, value in vars(_umath_linalg).items() if callable(value)}
+        monkeypatch.setattr(crlb, "_umath_linalg", SimpleNamespace(**counting(gufuncs, lapack)))
+        kernels = {name: value for name, value in vars(numerics).items() if inspect.isfunction(value)}
+        assert {"check_symmetric", "sym_eig", "solve_spd", "inv_sqrt_sym"} <= set(kernels)
+        for name, wrapped in counting(kernels, helpers).items():
+            monkeypatch.setattr(numerics, name, wrapped)
+        for sigmas, before in ((2.0, scalar), (np.full(10, 2.0), per_anchor)):
+            lapack.clear()
+            report = bound(reference_scenario, sigmas)
+            assert lapack == ["eigh_lo", "inv"] and helpers == []
+            assert report.fim.tobytes() == before.fim.tobytes()
+            assert (report.crlb_t_m, report.crlb_p_db) == (before.crlb_t_m, before.crlb_p_db)
+            assert report.condition_estimate == before.condition_estimate
 
 
 def reference_report(scenario, sigmas, known_power):

@@ -536,8 +536,12 @@ class TestRankGate:
         failing.eigvalsh_lo = lambda a, signature: np.full(a.shape[:-1], np.nan)
         monkeypatch.setattr(gtrs, "_umath_linalg", failing)
         assert np.isnan(gtrs._gram_floor(np.eye(3)))
-        with pytest.raises(GeometryError, match=r"rank deficient \(normalized Gram eigenvalue nan\)"):
+        with pytest.raises(GeometryError) as raised:
             build(meas, weights, scenario.anchors_m, env)
+        # The failed solve is named, not a range or collinearity cause it cannot see.
+        assert str(raised.value) == (
+            "design matrix is rank deficient (normalized Gram eigenvalue nan): its eigen-solve failed"
+        )
 
 
 def solve_each(systems):
@@ -973,8 +977,8 @@ class TestFreeBound:
 class TestOpening:
     """Both drivers open with one classify call that holds 0 and ||G||_F for
     every row they search, and double upward through classify.  A single
-    fix's opening also holds the predicted path where the root lies inside
-    (0, ||G||_F)."""
+    fix's opening also holds the predicted path where the predictor has a
+    guess for (0, ||G||_F)."""
 
     def test_solve_opens_at_zero_and_the_gram_norm(self, bundled_config, monkeypatch):
         systems = trial_systems(bundled_config, 1.0, SIGMA1_TRIALS)
@@ -994,8 +998,9 @@ class TestOpening:
         assert positive == 12
 
     def test_negative_roots_open_at_zero_and_the_gram_norm_alone(self, bundled_config, monkeypatch):
-        # The guess for (0, ||G||_F) is its low end, so the opening holds no
-        # path; the bracket [bound, 0] gets a guess and a path call of its own.
+        # The predictor's first step, at 0, lies above the root, so it has no
+        # guess for (0, ||G||_F) and the opening holds no path; the bracket
+        # [bound, 0] gets a guess and a path call of its own.
         systems = trial_systems(bundled_config, 1.0, SIGMA1_TRIALS)
         calls = record_calls(monkeypatch, np.ndarray.tolist)
         predict = gtrs._lapack_errors(gtrs._predict)
@@ -1006,7 +1011,7 @@ class TestOpening:
                 negative += 1
                 eq = gtrs._Equilibrated([system])[0]
                 norm = np.linalg.norm(eq.gram)
-                assert predict(eq, 0.0, norm) == 0.0
+                assert predict(eq, 0.0, norm) is None
                 assert calls[0] == [0.0, norm]
                 bound = float(eq.bound())
                 assert calls[1] == gtrs._path(bound, 0.0, predict(eq, bound, 0.0))
@@ -1033,8 +1038,10 @@ class TestOpening:
         expected = search_outcome(stepwise_search, eq)
         calls = record_calls(monkeypatch, np.ndarray.tolist)
         assert search_outcome(gtrs._search, eq) == expected
-        # The guess for (0, 3) lies just below 3, so the opening holds its path.
-        assert calls[0][:2] == [0.0, 3.0] and calls[1:4] == [[6.0], [12.0], [24.0]]
+        # Every predictor step on (0, 3) lies below the root, so it has no
+        # guess there and the opening holds no path.
+        assert gtrs._lapack_errors(gtrs._predict)(eq, 0.0, 3.0) is None
+        assert calls[:4] == [[0.0, 3.0], [6.0], [12.0], [24.0]]
         calls.clear()
         outcomes = solve_many([system])
         assert calls[:4] == [[0.0, 3.0], [6.0], [12.0], [24.0]]
