@@ -1,10 +1,12 @@
 """Deterministic Monte Carlo harness.
 
-Every trial draws its noise from a dedicated generator spawned as
+Every trial draws its noise from a dedicated generator seeded by
 ``SeedSequence(master_seed, spawn_key=(trial_index,))``, so results are
 independent of execution order and batch size, and trials with the same
 index share their underlying draws across sweep coordinates (common random
-numbers, which makes fixed-seed trend comparisons sharp).
+numbers, which makes fixed-seed trend comparisons sharp).  A sweep builds
+each trial's sequence once and seeds a new generator from it at each
+coordinate.
 
 Accuracy is summarized per sweep coordinate as
 
@@ -15,6 +17,8 @@ estimate exists (a nonpositive auxiliary variable has no dB read-out);
 the count of such failures is published alongside.
 """
 
+import functools
+import itertools
 import time
 from dataclasses import dataclass, replace
 
@@ -40,7 +44,10 @@ DEFAULT_BIAS_SCENARIOS = (
 
 # Most trials one solve_many call takes: a sweep's coordinates are batched
 # in order while a batch stays within it, so small coordinates share one
-# lockstep solve and a bundled 3000-trial coordinate is solved alone.
+# lockstep solve and a bundled 3000-trial coordinate is solved alone.  It
+# also sizes trial_rng's memo of seed sequences, which then holds every
+# trial index of a sweep up to this many trials per coordinate; a larger
+# coordinate cycles through more indices than the memo keeps, so it misses.
 SWEEP_BATCH_TRIALS = 4096
 
 DEFAULT_PLE_GRID = (1.5, 1.75, 2.0, 2.25, 2.5)
@@ -149,9 +156,25 @@ class _TrialSetting:
     solve_env: Environment
 
 
+@functools.lru_cache(maxsize=SWEEP_BATCH_TRIALS)
+def _seed_sequence(master_seed, trial_index):
+    return np.random.SeedSequence(master_seed, spawn_key=(trial_index,))
+
+
 def trial_rng(master_seed, trial_index):
-    """Generator for one trial; depends only on (master_seed, trial_index)."""
-    return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(trial_index,)))
+    """Generator for one trial; depends only on (master_seed, trial_index).
+
+    Each call returns a new generator, whose draws are those of
+    ``default_rng(SeedSequence(master_seed, spawn_key=(trial_index,)))``.
+    The SeedSequence itself is memoized and shared by every generator of
+    that trial (:func:`run_sweep` clears the memo when it starts), since
+    building one costs about three times what seeding from it does.  A
+    generator only reads its sequence, so the memo changes no draw, but
+    spawning from one (``Generator.spawn``) advances the shared sequence's
+    child counter: two generators of one trial spawn different children.
+    Nothing in uwloc spawns from it.
+    """
+    return np.random.default_rng(_seed_sequence(master_seed, trial_index))
 
 
 def _systems(config, measurements, anchors_m, env):
@@ -175,18 +198,57 @@ def locate(config, measurements, anchors_m, env):
     return gtrs.solve(gtrs._only(_systems(config, measurements, anchors_m, env)))
 
 
-def _point_systems(setting, config, trials):
-    """:func:`_systems` of ``trials`` at one sweep point, built as one stack: the clean
-    RSS once, plus each trial's noise from its own generator, as ``generate_measurements``."""
+def _readings(setting, config, trials):
+    """The RSS of ``trials`` at one sweep point, one row each: the clean RSS once, plus
+    each trial's noise from its own generator, as ``generate_measurements`` draws it."""
     scenario, seed, n = setting.scenario, config.master_seed, setting.scenario.n_anchors
     clean = noiseless_rss(scenario.target_m, scenario.anchors_m, scenario.environment)
-    noise = np.array([sample_noise(setting.noise, trial_rng(seed, trial), n) for trial in trials])
-    measurements = MeasurementSet(np.arange(n), clean + noise, scenario.environment)
-    return _systems(config, measurements, scenario.anchors_m, setting.solve_env)
+    return clean + np.array([sample_noise(setting.noise, trial_rng(seed, t), n) for t in trials])
+
+
+def _shared_builds(settings):
+    """``settings`` in runs of consecutive points that share one Scenario object and
+    one solver Environment object, which :func:`_point_systems` builds as one stack."""
+    runs = itertools.groupby(settings, key=lambda s: (id(s.scenario), id(s.solve_env)))
+    return [list(run) for _, run in runs]
+
+
+def _point_systems(settings, config, trials):
+    """Per trial of ``trials`` at each point of ``settings``, point after point, its
+    :func:`_systems` outcome: the GtrsSystem or the UwlocError that drops it.
+
+    The points share one Scenario and one solver Environment
+    (:func:`_shared_builds`).  Each point's readings are drawn alone
+    (:func:`_readings`), then all are built as one stack: one weighting and
+    one ``gtrs._build``, whose rows get a one-row build's bits.  A check on
+    what the stack's rows share can fail on one point's readings alone (the
+    weighting exponent overflows where any reading is too large), so where
+    the stack raises, each point is built alone, and a point whose own build
+    raises gets that error for each of its trials.
+    """
+    return _stacked_systems(settings, config, [_readings(s, config, trials) for s in settings])
+
+
+def _stacked_systems(settings, config, readings):
+    """:func:`_point_systems` of the points' drawn ``readings``, one array per point."""
+    scenario = settings[0].scenario
+    measurements = MeasurementSet(
+        np.arange(scenario.n_anchors), np.concatenate(readings), scenario.environment
+    )
+    try:
+        return _systems(config, measurements, scenario.anchors_m, settings[0].solve_env)
+    except UwlocError as exc:
+        if len(settings) == 1:
+            return [exc] * len(readings[0])
+    return [
+        outcome
+        for setting, rss in zip(settings, readings)
+        for outcome in _stacked_systems([setting], config, [rss])
+    ]
 
 
 def _trial_system(setting, config, trial_index):
-    return gtrs._only(_point_systems(setting, config, [trial_index]))
+    return gtrs._only(_point_systems([setting], config, [trial_index]))
 
 
 def run_trial(config, trial_index):
@@ -324,18 +386,16 @@ def _record(setting, config, outcomes, bounds, seconds_per_solve):
 def _run_group(settings, bounds, config):
     """Sweep coordinates solved as one batch, with their :func:`point_bounds`.
 
-    Each coordinate's trials are built as one stack, then every system
-    that passed its checks is solved by one ``solve_many`` call, and each
-    coordinate's record is aggregated from its own slice.  Each record's
+    Each coordinate draws its trials' readings, and each run of consecutive
+    coordinates that share their scenario and solver environment is built
+    as one stack (:func:`_point_systems`).  Every system that passed its
+    checks is then solved by one ``solve_many`` call, and each coordinate's
+    record is aggregated from its own slice.  Each record's
     ``seconds_per_solve`` is the group's wall time divided by its trials.
     """
     start = time.perf_counter()
-    outcomes = []
-    for setting in settings:
-        try:
-            outcomes += _point_systems(setting, config, range(config.mc_trials))
-        except UwlocError as exc:  # every trial of the point fails the same check
-            outcomes += [exc] * config.mc_trials
+    trials = range(config.mc_trials)
+    outcomes = [o for run in _shared_builds(settings) for o in _point_systems(run, config, trials)]
     slots = [slot for slot, outcome in enumerate(outcomes) if isinstance(outcome, gtrs.GtrsSystem)]
     for slot, outcome in zip(slots, gtrs.solve_many([outcomes[slot] for slot in slots])):
         outcomes[slot] = outcome
@@ -356,8 +416,10 @@ def run_sweep(config):
     bit-identical to solving the trials one by one, so results depend
     only on (config, master_seed); only the recorded wall time varies.
     Every coordinate is bounded before any trial is drawn, so a sweep
-    whose bound fails raises at once.
+    whose bound fails raises at once.  The memo of trial seed sequences
+    (:func:`trial_rng`) is cleared first, so each sweep builds its own.
     """
+    _seed_sequence.cache_clear()
     settings = _sweep_settings(config)
     bounds = [point_bounds(s.scenario, s.noise.sigma_db, config.known_power) for s in settings]
     per_group = max(1, SWEEP_BATCH_TRIALS // config.mc_trials)

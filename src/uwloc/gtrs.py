@@ -112,6 +112,11 @@ class GtrsSystem:
         this 2-D product's bits on numpy 2.4.6 (guarded by the stacked-build tests)."""
         return self.design.T @ self.design
 
+    @functools.cached_property
+    def moment(self):
+        """R^T v; :func:`_build` stores its stacked product's row here, as for :attr:`normal`."""
+        return self.design.T @ self.target
+
 
 @dataclass(frozen=True)
 class Estimate:
@@ -236,6 +241,7 @@ def _build(measurements, weights, anchors_m, env, estimates_power):
     flat = np.concatenate([design.reshape(len(design), -1), target], axis=1)
     finite = np.isfinite((flat[:, None, :] @ flat[:, :, None])[:, 0, 0])
     normal = np.swapaxes(design, 1, 2) @ design
+    moment = (np.swapaxes(design, 1, 2) @ target[:, :, None])[:, :, 0]
     # Normal-double N_ii keep the Jacobi scale finite; _check_rank sorts out the other rows.
     passed = finite & (normal.diagonal(axis1=1, axis2=2) >= _TINY).all(axis=1)
     rows = slice(None) if passed.all() else passed  # no copy in the usual case
@@ -243,7 +249,7 @@ def _build(measurements, weights, anchors_m, env, estimates_power):
     outcomes = []
     for row in range(len(design)):
         outcomes.append(GtrsSystem(design[row], target[row], k, beta))
-        vars(outcomes[-1])["normal"] = normal[row]
+        vars(outcomes[-1]).update(normal=normal[row], moment=moment[row])
         try:
             if not finite[row]:
                 raise NumericalError(
@@ -318,7 +324,7 @@ class _Equilibrated:
     @np.errstate(divide="ignore", invalid="ignore")  # rows that are not valid get inf or NaN
     def __init__(self, systems):
         self.normal = np.array([system.normal for system in systems])
-        self.moment = np.array([system.design.T @ system.target for system in systems])
+        self.moment = np.array([system.moment for system in systems])
         self.dimension = np.array([system.dimension for system in systems])
         self.ple = np.array([system.ple for system in systems])
         lifts = [_lifting(system.design.shape[1], system.dimension) for system in systems]
@@ -766,15 +772,17 @@ def solve_many(systems):
         a[rows], b[rows] = b[rows], 2.0 * b[rows]
         f, z_hat, solved = eq.kernel(rows).classify(b[rows])
 
-    # Bisection: keep the best, stop on a zero residual, else halve.  The live
-    # rows' brackets and best points are compact arrays, written back as rows finish.
+    # Bisection: keep the best, else halve.  A zero residual closes its bracket
+    # at the midpoint, so one collapse test ends both exits.  The live rows'
+    # brackets and best points are compact arrays, written back as rows finish.
     rows = np.concatenate(bracketed)
     lower, upper, lam, least, z = a[rows], b[rows], best_lam[rows], best_abs[rows], best_z[rows]
-    live, zero, count = None, np.zeros(rows.size, dtype=bool), 0
+    mid, live, count = np.empty_like(lower), None, 0
     while True:
-        mid = 0.5 * (lower + upper)
-        go = ~zero & (mid != lower) & (mid != upper)
-        if live is None or not go.all():  # collapsed brackets and zero residuals end here
+        np.add(lower, upper, out=mid)
+        mid *= 0.5
+        go = (mid != lower) & (mid != upper)
+        if live is None or not go.all():  # the collapsed brackets end here
             done = rows[~go]
             iterations[done], best_lam[done], best_z[done] = count, lam[~go], z[~go]
             rows, lower, upper, mid, lam, least, z = (
@@ -789,9 +797,8 @@ def solve_many(systems):
         np.copyto(lam, mid, where=better)
         np.copyto(least, size, where=better)
         np.copyto(z, z_hat, where=better[:, None])
-        low, zero = f > 0.0, f == 0.0
-        np.copyto(lower, mid, where=low)
-        np.copyto(upper, mid, where=~low)
+        np.copyto(lower, mid, where=f >= 0.0)  # a zero residual moves both ends
+        np.copyto(upper, mid, where=~(f > 0.0))
 
     if not errors:  # the usual case: the whole stack, with no copy
         return _finalize(eq, best_lam, best_z, iterations)

@@ -1,4 +1,5 @@
 import io
+import json
 import time
 from dataclasses import replace
 
@@ -8,7 +9,9 @@ import pytest
 import uwloc
 from uwloc import experiments, gtrs
 from uwloc.channel import Environment, MeasurementSet, NoiseModel, Scenario, generate_measurements
-from uwloc.errors import ConfigError, GeometryError, UwlocError
+from uwloc.cli import main
+from uwloc.config import bundled_scenario_path, parse_scenario
+from uwloc.errors import ConfigError, GeometryError, NumericalError, UwlocError
 from uwloc.experiments import (
     CSV_COLUMNS,
     SWEEP_KINDS,
@@ -58,6 +61,38 @@ class TestRunTrial:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
+    def test_draws_do_not_depend_on_the_seed_sequence_memo(self, small_config):
+        keys = [(99, 4), (99, 5), (0, 0), (2**40, 4095)]
+
+        def assert_fresh_draws():
+            for seed, trial in keys:
+                fresh = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(trial,)))
+                drawn = trial_rng(seed, trial)
+                assert drawn.standard_normal(7).tobytes() == fresh.standard_normal(7).tobytes()
+                assert drawn.random(3).tobytes() == fresh.random(3).tobytes()
+
+        experiments._seed_sequence.cache_clear()
+        assert_fresh_draws()  # cold
+        assert_fresh_draws()  # warm
+        assert experiments._seed_sequence.cache_info().hits == len(keys)
+        experiments._seed_sequence.cache_clear()
+        assert_fresh_draws()
+        run_sweep(replace(small_config, master_seed=99, mc_trials=6))  # fills (99, 0..5)
+        assert_fresh_draws()
+        earlier = trial_rng(99, 4)
+        earlier.spawn(2)
+        assert_fresh_draws()
+        # The sequence is shared, so a later generator of the trial spawns the next children.
+        assert trial_rng(99, 4).spawn(1)[0].bit_generator.seed_seq.spawn_key == (4, 2)
+
+    def test_a_sweep_builds_each_trials_seed_sequence_once(self, small_config):
+        config = replace(small_config, mc_trials=6)
+        for _ in range(2):
+            run_sweep(config)
+            info = experiments._seed_sequence.cache_info()
+            # Five sigma points of six trials: the first point misses, the other four hit.
+            assert (info.misses, info.hits, info.currsize) == (6, 24, 6)
+
     @pytest.mark.parametrize("weighted", [True, False], ids=["weighted", "unweighted"])
     @pytest.mark.parametrize("known_power", [False, True], ids=["joint", "known"])
     def test_locate_takes_one_fix(self, bundled_config, known_power, weighted):
@@ -101,6 +136,12 @@ class TestRunSweep:
         assert record.nrmse_t_m == pytest.approx(expected, rel=1e-12)
         assert record.nrmse_p_db == pytest.approx(abs(power - 0.0), rel=1e-12)
         assert record.trials == 1
+
+    def test_two_sweeps_in_one_process_give_equal_records(self, small_config):
+        config = replace(small_config, sweep_kind="noise_scenarios", mc_trials=8)
+        first, second = run_sweep(config), run_sweep(config)
+        untimed = [[replace(r, seconds_per_solve=0.0) for r in records] for records in (first, second)]
+        assert untimed[0] == untimed[1] and len(first) == 15
 
     def test_records_carry_bounds_and_labels(self, small_config):
         config = replace(small_config, sigma_grid_db=(1.0, 3.0))
@@ -243,7 +284,21 @@ def assert_same_builds(stacked, alone):
         assert same_bits(got.design, expected.design)
         assert same_bits(got.target, expected.target)
         assert same_bits(got.normal, expected.design.T @ expected.design)
+        assert same_bits(got.moment, expected.design.T @ expected.target)
         assert (got.dimension, got.ple) == (expected.dimension, expected.ple)
+
+
+# Points per run of experiments._shared_builds at sigma_grid_db (3, 9): a sigma
+# or noise-scenario sweep shares one scenario and environment throughout, a
+# sensitivity sweep within each of its six biases, and the other kinds not at all.
+SHARED_RUNS = {
+    "sigma": [2],
+    "anchor_count": [1] * 5,
+    "ple": [1] * 5,
+    "frequency": [1] * 3,
+    "noise_scenarios": [6],
+    "sensitivity": [2] * 6,
+}
 
 
 class TestStackedBuild:
@@ -255,18 +310,62 @@ class TestStackedBuild:
             bundled_config, sweep_kind=kind, known_power=known_power, weighted=weighted,
             mc_trials=8, sigma_grid_db=(3.0, 9.0),
         )
-        for setting in experiments._sweep_settings(config):
-            trials = range(config.mc_trials)
+        settings = experiments._sweep_settings(config)
+        trials = range(config.mc_trials)
+        alone = [[build_alone(setting, config, trial) for trial in trials] for setting in settings]
+        for setting, builds in zip(settings, alone):
+            assert_same_builds(experiments._point_systems([setting], config, trials), builds)
+        # The group's merged stacks: each run of points that share a build, as _run_group builds it.
+        runs = experiments._shared_builds(settings)
+        assert [len(run) for run in runs] == SHARED_RUNS[kind]
+        assert [s for run in runs for s in run] == settings
+        first = 0
+        for run in runs:
             assert_same_builds(
-                experiments._point_systems(setting, config, trials),
-                [build_alone(setting, config, trial) for trial in trials],
+                experiments._point_systems(run, config, trials),
+                [build for builds in alone[first : first + len(run)] for build in builds],
             )
+            first += len(run)
+
+    def test_failing_group_build_keeps_each_points_error(self, tmp_path, capsys):
+        # At ple 1e-164 the sigma = 1 readings underflow the weighted system,
+        # row by row, while the sigma = 1e146 ones overflow the weighting
+        # exponent, which fails a whole stack: the merged build of the two
+        # points raises, and each point is then built alone.
+        doc = json.loads(bundled_scenario_path().read_text())
+        doc.update(ple=1e-164, sigma_grid_db=[1, 1e146], mc_trials=3)
+        path = tmp_path / "underflow_overflow.json"
+        path.write_text(json.dumps(doc))
+        underflow = "the weighted system underflows: readings or anchor coordinates are too small"
+        overflow = "the link weighting exponent overflows: readings are too large"
+        config = parse_scenario(path)
+        settings = experiments._sweep_settings(config)
+        readings = [experiments._readings(s, config, range(3)) for s in settings]
+        merged = MeasurementSet(np.arange(10), np.concatenate(readings), config.scenario.environment)
+        with pytest.raises(NumericalError, match=overflow):
+            uwloc.link_weights(merged, settings[0].solve_env)
+        records = run_sweep(config)
+        assert [(r.sweep_coord, r.solve_failures, r.failures) for r in records] == [
+            ("sigma=1", 3, (("NumericalError", (0, 1, 2), underflow),)),
+            ("sigma=1e+146", 3, (("NumericalError", (0, 1, 2), overflow),)),
+        ]
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert err[:4] == [
+            "sigma=1: 3 of 3 trials dropped from the averages"
+            " (NumericalError in 3, first trials 0, 1, 2)",
+            f"  NumericalError, first at trial 0: {underflow}",
+            "sigma=1e+146: 3 of 3 trials dropped from the averages"
+            " (NumericalError in 3, first trials 0, 1, 2)",
+            f"  NumericalError, first at trial 0: {overflow}",
+        ]
+        assert len(err) == 5 and err[4].startswith("seconds_per_solve=")
 
     def test_rank_gate_drops_only_its_trial(self, bundled_config):
         # On the bundled sigma = 9 dB point, trial 210 alone fails the rank gate.
         config = replace(bundled_config, sigma_grid_db=(9.0,), mc_trials=211)
         (setting,) = experiments._sweep_settings(config)
-        stacked = experiments._point_systems(setting, config, range(211))
+        stacked = experiments._point_systems([setting], config, range(211))
         assert_same_builds(stacked, [build_alone(setting, config, trial) for trial in range(211)])
         assert [i for i, outcome in enumerate(stacked) if isinstance(outcome, UwlocError)] == [210]
         assert isinstance(stacked[210], GeometryError)
