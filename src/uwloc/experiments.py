@@ -6,7 +6,9 @@ independent of execution order and batch size, and trials with the same
 index share their underlying draws across sweep coordinates (common random
 numbers, which makes fixed-seed trend comparisons sharp).  A sweep builds
 each trial's sequence once and seeds a new generator from it at each
-coordinate.
+coordinate.  A group of coordinates stays one stack from build to record
+(a ``gtrs._Stack`` solved into a ``gtrs._Solved``), and each coordinate's
+record reduces its slice of those arrays: no per-trial object is made.
 
 Accuracy is summarized per sweep coordinate as
 
@@ -42,12 +44,10 @@ DEFAULT_BIAS_SCENARIOS = (
     ("ple_10pct_absorption_10pct", 0.10, 0.10),
 )
 
-# Most trials one solve_many call takes: a sweep's coordinates are batched
-# in order while a batch stays within it, so small coordinates share one
-# lockstep solve and a bundled 3000-trial coordinate is solved alone.  It
-# also sizes trial_rng's memo of seed sequences, which then holds every
-# trial index of a sweep up to this many trials per coordinate; a larger
-# coordinate cycles through more indices than the memo keeps, so it misses.
+# Most trials one stacked solve takes: a sweep's coordinates are batched in
+# order while a batch stays within it, so small coordinates share one lockstep
+# solve and a bundled 3000-trial coordinate is solved alone.  It also bounds
+# trial_rng's memo of seed sequences outside a sweep.
 SWEEP_BATCH_TRIALS = 4096
 
 DEFAULT_PLE_GRID = (1.5, 1.75, 2.0, 2.25, 2.5)
@@ -166,9 +166,10 @@ def trial_rng(master_seed, trial_index):
 
     Each call returns a new generator, whose draws are those of
     ``default_rng(SeedSequence(master_seed, spawn_key=(trial_index,)))``.
-    The SeedSequence itself is memoized and shared by every generator of
-    that trial (:func:`run_sweep` clears the memo when it starts), since
-    building one costs about three times what seeding from it does.  A
+    The SeedSequence is memoized and shared by every generator of that
+    trial, since building one costs about three times what seeding from it
+    does; each :func:`run_sweep` starts an empty memo sized to hold every
+    trial index of its sweep.  A
     generator only reads its sequence, so the memo changes no draw, but
     spawning from one (``Generator.spawn``) advances the shared sequence's
     child counter: two generators of one trial spawn different children.
@@ -178,8 +179,8 @@ def trial_rng(master_seed, trial_index):
 
 
 def _systems(config, measurements, anchors_m, env):
-    """Per fix in ``measurements`` (one, or a stack), the weighted GTRS built with
-    the options of ``config``, or the UwlocError that drops it (``gtrs._build``)."""
+    """The ``gtrs._build`` stack of each fix in ``measurements`` (one, or a stack),
+    weighted with the options of ``config``."""
     measurements.anchor_rows(anchors_m)  # checked before link_weights sees the readings
     if config.weighted:
         w = weighting.link_weights(measurements, env)
@@ -214,14 +215,13 @@ def _shared_builds(settings):
 
 
 def _point_systems(settings, config, trials):
-    """Per trial of ``trials`` at each point of ``settings``, point after point, its
-    :func:`_systems` outcome: the GtrsSystem or the UwlocError that drops it.
+    """The ``gtrs._Stack`` of ``trials`` at each point of ``settings``, point after point.
 
     The points share one Scenario and one solver Environment
     (:func:`_shared_builds`).  Each point's readings are drawn alone
     (:func:`_readings`), then all are built as one stack: one weighting and
     one ``gtrs._build``, whose rows get a one-row build's bits.  A check on
-    what the stack's rows share can fail on one point's readings alone (the
+    what the rows share can fail on one point's readings alone (the
     weighting exponent overflows where any reading is too large), so where
     the stack raises, each point is built alone, and a point whose own build
     raises gets that error for each of its trials.
@@ -239,12 +239,10 @@ def _stacked_systems(settings, config, readings):
         return _systems(config, measurements, scenario.anchors_m, settings[0].solve_env)
     except UwlocError as exc:
         if len(settings) == 1:
-            return [exc] * len(readings[0])
-    return [
-        outcome
-        for setting, rss in zip(settings, readings)
-        for outcome in _stacked_systems([setting], config, [rss])
-    ]
+            return gtrs._dropped(exc, len(readings[0]), scenario.dimension, not config.known_power)
+    return gtrs._join(
+        [_stacked_systems([setting], config, [rss]) for setting, rss in zip(settings, readings)]
+    )
 
 
 def _trial_system(setting, config, trial_index):
@@ -339,22 +337,22 @@ def _squared_errors(positions, true_t):
     return np.add.reduce((np.array(positions) - true_t) ** 2, axis=1)
 
 
-def _record(setting, config, outcomes, bounds, seconds_per_solve):
-    """One sweep coordinate's ResultRecord from its trials' outcomes, each
-    an Estimate or the UwlocError that dropped the trial, and its
-    :func:`point_bounds`."""
+def _record(setting, config, solved, rows, bounds, seconds_per_solve):
+    """One sweep coordinate's ResultRecord from the slice ``rows`` of its group's
+    ``gtrs._Solved`` stack, a row per trial, and its :func:`point_bounds`."""
     true_t = setting.scenario.target_m
     true_p = setting.scenario.environment.transmit_power_dbm
-    positions, power_err2, failures = [], [], {}
-    for trial, outcome in enumerate(outcomes):
-        if isinstance(outcome, UwlocError):
-            trials, _ = failures.setdefault(type(outcome).__name__, ([], str(outcome)))
-            trials.append(trial)
-            continue
-        positions.append(outcome.position_m)
-        if outcome.power_valid:
-            power_err2.append((outcome.transmit_power_dbm - true_p) ** 2)
-    m = len(outcomes)
+    errors, failures = solved.errors[rows], {}
+    for trial, error in enumerate(errors):
+        if error is not None:
+            failures.setdefault(type(error).__name__, ([], str(error)))[0].append(trial)
+    kept = np.array([error is None for error in errors])
+    positions = solved.z[rows][kept, : setting.scenario.dimension]
+    # Python floats square through pow() as an Estimate's power does; an array's x*x
+    # differs from it in about one value of 1300 (TestSquaredErrors).
+    power = solved.power[rows][solved.power_valid[rows]].tolist()
+    power_err2 = [(p - true_p) ** 2 for p in power]
+    m = len(errors)
     n_solved = len(positions)
     nrmse_t = (
         float(np.sqrt(np.mean(_squared_errors(positions, true_t)))) if n_solved else float("nan")
@@ -386,23 +384,18 @@ def _record(setting, config, outcomes, bounds, seconds_per_solve):
 def _run_group(settings, bounds, config):
     """Sweep coordinates solved as one batch, with their :func:`point_bounds`.
 
-    Each coordinate draws its trials' readings, and each run of consecutive
-    coordinates that share their scenario and solver environment is built
-    as one stack (:func:`_point_systems`).  Every system that passed its
-    checks is then solved by one ``solve_many`` call, and each coordinate's
-    record is aggregated from its own slice.  Each record's
-    ``seconds_per_solve`` is the group's wall time divided by its trials.
+    Each run of coordinates that share a build is one stack (:func:`_point_systems`);
+    the runs' stacks are joined and solved as one, and each record reduces its
+    coordinate's slice.  ``seconds_per_solve`` is the group's wall time per trial.
     """
     start = time.perf_counter()
     trials = range(config.mc_trials)
-    outcomes = [o for run in _shared_builds(settings) for o in _point_systems(run, config, trials)]
-    slots = [slot for slot, outcome in enumerate(outcomes) if isinstance(outcome, gtrs.GtrsSystem)]
-    for slot, outcome in zip(slots, gtrs.solve_many([outcomes[slot] for slot in slots])):
-        outcomes[slot] = outcome
-    seconds = (time.perf_counter() - start) / len(outcomes)
+    runs = [_point_systems(run, config, trials) for run in _shared_builds(settings)]
+    solved = gtrs._solve_stack(gtrs._join(runs))
+    seconds = (time.perf_counter() - start) / len(solved.errors)
     m = config.mc_trials
     return [
-        _record(setting, config, outcomes[j * m : (j + 1) * m], bound, seconds)
+        _record(setting, config, solved, slice(j * m, (j + 1) * m), bound, seconds)
         for j, (setting, bound) in enumerate(zip(settings, bounds))
     ]
 
@@ -417,9 +410,11 @@ def run_sweep(config):
     only on (config, master_seed); only the recorded wall time varies.
     Every coordinate is bounded before any trial is drawn, so a sweep
     whose bound fails raises at once.  The memo of trial seed sequences
-    (:func:`trial_rng`) is cleared first, so each sweep builds its own.
+    (:func:`trial_rng`) starts empty, so each sweep builds its own.
     """
-    _seed_sequence.cache_clear()
+    global _seed_sequence  # sized to hold every trial index, so no lookup evicts another
+    _seed_sequence = functools.lru_cache(max(SWEEP_BATCH_TRIALS, config.mc_trials))(
+        _seed_sequence.__wrapped__)
     settings = _sweep_settings(config)
     bounds = [point_bounds(s.scenario, s.noise.sigma_db, config.known_power) for s in settings]
     per_group = max(1, SWEEP_BATCH_TRIALS // config.mc_trials)

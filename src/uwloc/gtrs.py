@@ -51,11 +51,14 @@ upward doubling and each bisection step.  A single fix's search guesses
 the root from the secular equation of the scaled pencil and classifies
 the bisection's likely path in one call; every step is still decided by
 the shifted solve, so the secular function sets only the speed, never the
-multiplier, z or the step count.
+multiplier, z or the step count.  A sweep's systems stay arrays from build
+to solution (a _Stack, solved into a _Solved); GtrsSystem and Estimate
+objects are made only by the one-fix builders, :func:`solve` and :func:`solve_many`.
 """
 
 import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,6 +144,17 @@ class Estimate:
     kkt_min_eig_ratio: float
 
 
+# Systems stacked one per row, as a sweep keeps them from build to solve: R^T R,
+# R^T v, k, ple and the UwlocError that drops the row, or None.  A _build's own
+# stack keeps its design and target, and one k and ple for all its rows.
+_Stack = namedtuple("_Stack", "normal moment dimension ple errors design target",
+                    defaults=(None, None))
+# A _Stack's solutions: Estimate fields as arrays (the position is z[:k]; power
+# holds only where power_valid) and the errors; a dropped row holds zeros.
+_Solved = namedtuple("_Solved", "multiplier z iterations kkt_stationarity kkt_constraint"
+                     " kkt_min_eig_ratio power power_valid dimension errors")
+
+
 def _gram_floor(normal):
     """Smallest eigenvalue of each ``normal`` scaled to a unit diagonal, as _Equilibrated.gram.
 
@@ -152,15 +166,14 @@ def _gram_floor(normal):
     return _umath_linalg.eigvalsh_lo(scaled, signature="d->d").min(axis=-1)
 
 
-def _rank_loss_cause(system, q2):
+def _rank_loss_cause(design, normal, k, q2):
     """Why a design failed the rank gate, for the GeometryError message.
 
     Columns k and k + 1 of a joint design are q^2 and the constant; a
     known-power design has no constant column, so its slice from k on is
     one column and never singular.
     """
-    design, k = system.design, system.dimension
-    if not _gram_floor(system.normal[k:, k:]) > RANK_TOL:
+    if not _gram_floor(normal[k:, k:]) > RANK_TOL:
         return (
             "every reading implies the same range, so the q^2 column is parallel"
             " to the constant column; place anchors at different ranges or give"
@@ -177,11 +190,11 @@ def _rank_loss_cause(system, q2):
     return "the anchors lie close to one line or plane; add anchors or move them off it"
 
 
-def _check_rank(system, q2):
+def _check_rank(design, normal, k, q2):
     """Raise what dropped a row that failed :func:`_build`'s quick gate, if anything."""
-    diag = system.normal.diagonal()
+    diag = normal.diagonal()
     # A nonzero column whose N_ii leaves the Jacobi scale 1/sqrt(N_ii N_jj) infinite underflowed.
-    if (~np.isfinite((1.0 / np.sqrt(diag)) ** 2) & system.design.any(axis=0)).any():
+    if (~np.isfinite((1.0 / np.sqrt(diag)) ** 2) & design.any(axis=0)).any():
         raise NumericalError(
             "the weighted system underflows: readings or anchor coordinates are too small"
         )
@@ -189,9 +202,10 @@ def _check_rank(system, q2):
         raise GeometryError(
             "design matrix has a zero column; add anchors or spread them out"
         )
-    smallest = _gram_floor(system.normal)
+    smallest = _gram_floor(normal)
     if not smallest > RANK_TOL:  # NaN where LAPACK failed, for no cause it names
-        cause = "its eigen-solve failed" if smallest != smallest else _rank_loss_cause(system, q2)
+        failed = smallest != smallest
+        cause = "its eigen-solve failed" if failed else _rank_loss_cause(design, normal, k, q2)
         raise GeometryError(  # an exactly singular Gram matrix can read -1e-17
             "design matrix is rank deficient (normalized Gram eigenvalue"
             f" {max(smallest, 0.0):.2e}): {cause}"
@@ -204,8 +218,8 @@ def _build(measurements, weights, anchors_m, env, estimates_power):
 
     ``measurements`` and ``weights`` hold one fix or a stack at the same
     anchors, and each row gets a one-row build's bits.  A check on what the
-    rows share raises; per row, the list returned holds its GtrsSystem or
-    the UwlocError (overflow, underflow, rank gate) that drops it.
+    rows share raises; the _Stack returned holds every row, with
+    the UwlocError (overflow, underflow, rank gate) that drops one in ``errors``.
     """
     anchors = measurements.anchor_rows(anchors_m)
     weights = np.asarray(weights, dtype=float)
@@ -246,29 +260,50 @@ def _build(measurements, weights, anchors_m, env, estimates_power):
     passed = finite & (normal.diagonal(axis1=1, axis2=2) >= _TINY).all(axis=1)
     rows = slice(None) if passed.all() else passed  # no copy in the usual case
     passed[rows] = _gram_floor(normal[rows]) > RANK_TOL
-    outcomes = []
-    for row in range(len(design)):
-        outcomes.append(GtrsSystem(design[row], target[row], k, beta))
-        vars(outcomes[-1]).update(normal=normal[row], moment=moment[row])
+    errors = [None] * len(design)
+    for row in (~passed).nonzero()[0].tolist():
         try:
             if not finite[row]:
                 raise NumericalError(
                     "the weighted system overflows: readings or anchor coordinates are too large"
                 )
-            if not passed[row]:
-                _check_rank(outcomes[-1], q2[row])
+            _check_rank(design[row], normal[row], k, q2[row])
         except UwlocError as exc:
-            outcomes[-1] = exc
-    return outcomes
+            errors[row] = exc
+    return _Stack(normal, moment, k, beta, errors, design, target)
 
 
-def _only(outcomes):
+def _only(stack):
     """The system of a one-row :func:`_build`; raises the error that dropped it."""
-    if len(outcomes) != 1:
-        raise ConfigError(f"measurements stack {len(outcomes)} fixes; this function takes one fix")
-    if isinstance(outcomes[0], UwlocError):
-        raise outcomes[0]
-    return outcomes[0]
+    fixes = len(stack.errors)
+    if fixes != 1:
+        raise ConfigError(f"measurements stack {fixes} fixes; this function takes one fix")
+    if stack.errors[0] is not None:
+        raise stack.errors[0]
+    system = GtrsSystem(stack.design[0], stack.target[0], stack.dimension, stack.ple)
+    vars(system).update(normal=stack.normal[0], moment=stack.moment[0])  # the stacked products
+    return system
+
+
+def _stack(systems):
+    """GtrsSystems as one _Stack, in order, none dropped, with a k and ple per row."""
+    return _Stack(np.array([s.normal for s in systems]), np.array([s.moment for s in systems]),
+                  np.array([s.dimension for s in systems]), np.array([s.ple for s in systems]),
+                  [None] * len(systems))
+
+
+def _join(stacks):
+    """The rows of equal-width ``stacks`` as one _Stack, in order, with a k and ple per row."""
+    per_row = [(s.normal, s.moment, np.broadcast_to(s.dimension, len(s.errors)),
+                np.broadcast_to(s.ple, len(s.errors))) for s in stacks]
+    return _Stack(*map(np.concatenate, zip(*per_row)), [e for s in stacks for e in s.errors])
+
+
+def _dropped(error, rows, k, estimates_power):
+    """A _Stack of ``rows`` k-dimensional fixes, each dropped by ``error``."""
+    width = k + 2 if estimates_power else k + 1
+    nan = np.full((rows, width, width), np.nan)
+    return _Stack(nan, nan[:, 0], k, np.nan, [error] * rows)
 
 
 def build_system(measurements, weights, anchors_m, env):
@@ -299,10 +334,10 @@ def build_known_power_system(measurements, weights, anchors_m, env):
 
 
 @functools.cache
-def _lifting(width, k):
-    """The lifting constraint H = diag(I_k, 0), h = -e_k/2 of a ``width``-column system."""
-    column = np.arange(width)
-    return np.diag((column < k) * 1.0), np.where(column == k, -0.5, 0.0)
+def _liftings(width):
+    """H = diag(I_k, 0) and h = -e_k/2 of a ``width``-column system, stacked by k."""
+    column, k = np.arange(width), np.arange(width)[:, None]
+    return np.eye(width) * (column < k)[:, None, :], np.where(column == k, -0.5, 0.0)
 
 
 class _Equilibrated:
@@ -313,22 +348,21 @@ class _Equilibrated:
     ``constraint_lin`` its unscaled H = diag(I_k, 0) and h = -e_k/2,
     derived from its ``dimension`` k and the width, and ``gram``, ``quad``,
     ``lin`` and ``rhs0`` their scaled copies; ``ple`` is its path-loss
-    exponent.  ``valid`` is False where the normal matrix has a
-    nonpositive diagonal entry; such a row has no scaling and is never
-    searched.  :meth:`classify` takes the stack, ``take(rows)`` a compact
-    stack of some rows, ``kernel(rows)`` one with only the arrays classify
-    reads, and ``eq[i]`` is system i alone, with 2-D arrays, for the
-    one-system methods.
+    exponent.  It takes GtrsSystems, or a _Stack with a k and ple per row
+    (:func:`_join`, :func:`_stack`).  ``valid`` is False where the normal
+    matrix has a nonpositive diagonal entry; such a row has no scaling and
+    is never searched.  :meth:`classify` takes the stack, ``take(rows)`` a
+    compact stack of some rows, ``kernel(rows)`` one with only the arrays
+    classify reads, and ``eq[i]`` is system i alone.
     """
 
     @np.errstate(divide="ignore", invalid="ignore")  # rows that are not valid get inf or NaN
     def __init__(self, systems):
-        self.normal = np.array([system.normal for system in systems])
-        self.moment = np.array([system.moment for system in systems])
-        self.dimension = np.array([system.dimension for system in systems])
-        self.ple = np.array([system.ple for system in systems])
-        lifts = [_lifting(system.design.shape[1], system.dimension) for system in systems]
-        self.constraint_quad, self.constraint_lin = (np.array(part) for part in zip(*lifts))
+        stack = systems if isinstance(systems, _Stack) else _stack(systems)
+        self.normal, self.moment, self.dimension, self.ple = stack[:4]
+        quads, lins = _liftings(self.normal.shape[-1])
+        self.constraint_quad = quads.take(self.dimension, axis=0)
+        self.constraint_lin = lins.take(self.dimension, axis=0)
         diag = self.normal.diagonal(axis1=1, axis2=2)
         self.valid = ~(diag <= 0.0).any(axis=1)
         self.scale = 1.0 / np.sqrt(diag)
@@ -617,8 +651,8 @@ def _search(eq):
 
 
 def _power_dbm(u, ple):
-    """Power read-out 5*beta*log10(u), or None for a nonpositive ``u``."""
-    return 5.0 * ple * np.log10(u) if u > 0.0 else None
+    """Power read-out 5*beta*log10(u) of each ``u`` > 0, with its scalar read-out's bits."""
+    return 5.0 * ple * np.log10(u)
 
 
 def _norms(rows):
@@ -640,18 +674,24 @@ def _quadratic(z, quad, lin2):
 def _stationarity(shifted, z, rhs):
     """||M z - rhs|| / (||M||_F ||z|| + ||rhs||) of each row, and where its norms are finite."""
     residual = _norms((shifted @ z[:, :, None])[:, :, 0] - rhs)
-    scale = _norms(shifted.reshape(len(z), -1)) * _norms(z) + _norms(rhs)
+    scale = _norms(shifted.reshape(len(z), z.shape[1] ** 2)) * _norms(z) + _norms(rhs)
     return np.where(scale > 0, residual / scale, residual), np.isfinite(residual + scale)
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def _finalize(eq, lam, z_hat, iterations):
-    """Estimates of the finished searches of the stack ``eq``, one per row.
-
-    ``lam``, ``z_hat`` and ``iterations`` hold one entry per row.  One
-    stacked pass puts each matrix through the arithmetic it would get
-    alone, so an estimate does not depend on the batch it was finalized in.
+def _finalize(eq, lam, z_hat, iterations, errors):
+    """The _Solved stack of the finished searches of ``eq``, one entry per row in
+    each argument.  One stacked pass over the rows ``errors`` keeps gives each
+    matrix its arithmetic alone, so a row does not depend on its batch.
     """
+    done = [row for row, error in enumerate(errors) if error is None]
+    if len(done) < len(errors):  # the solved rows alone, spread back to their rows
+        part = _finalize(
+            eq.take(done), lam[done], z_hat[done], iterations[done], [None] * len(done))
+        spread = [np.zeros((len(errors), *values.shape[1:]), values.dtype) for values in part[:-1]]
+        for whole, values in zip(spread, part):
+            whole[done] = values
+        return _Solved(*spread, errors)
     quad, lin, normal = eq.constraint_quad, eq.constraint_lin, eq.normal
     z = z_hat * eq.scale
     rhs = eq.moment - lam[:, None] * lin
@@ -665,26 +705,20 @@ def _finalize(eq, lam, z_hat, iterations):
     constraint = _quadratic(z, quad, 2.0 * lin)
     min_eig = _umath_linalg.eigvalsh_lo(shifted, signature="d->d").min(axis=1)
     min_eig_ratio = min_eig / _umath_linalg.svd(normal, signature="d->d").max(axis=1)
-    estimates = []
-    for k, ple, z_row, multiplier, steps, stat, cons, ratio in zip(
-        eq.dimension.tolist(), eq.ple.tolist(), z, lam.tolist(), iterations,
-        stationarity.tolist(), constraint.tolist(), min_eig_ratio.tolist(),
-    ):
-        power = _power_dbm(z_row[k + 1], ple) if z_row.shape[0] == k + 2 else None
-        estimates.append(
-            Estimate(
-                z=z_row,
-                position_m=z_row[:k].copy(),
-                transmit_power_dbm=power,
-                power_valid=power is not None,
-                multiplier=multiplier,
-                iterations=int(steps),
-                kkt_stationarity=stat,
-                kkt_constraint=cons,
-                kkt_min_eig_ratio=ratio,
-            )
-        )
-    return estimates
+    u = z[:, -1]  # u, in a joint system
+    valid = (u > 0.0) & (eq.dimension == normal.shape[-1] - 2)
+    return _Solved(lam, z, iterations, stationarity, constraint, min_eig_ratio,
+                   _power_dbm(u, eq.ple), valid, eq.dimension, errors)
+
+
+def _estimates(solved):
+    """Per row of a _Solved stack, its Estimate or the UwlocError that dropped it."""
+    rows = zip(solved.errors, solved.z, solved.power, solved.power_valid.tolist(),
+               solved.dimension.tolist(), solved.multiplier.tolist(), solved.iterations.tolist(),
+               solved.kkt_stationarity.tolist(), solved.kkt_constraint.tolist(),
+               solved.kkt_min_eig_ratio.tolist())
+    return [error or Estimate(z, z[:k].copy(), power if valid else None, valid, lam, steps, *kkt)
+            for error, z, power, valid, k, lam, steps, *kkt in rows]
 
 
 def solve(system):
@@ -699,42 +733,44 @@ def solve(system):
     """
     eq = _Equilibrated([system])
     lam, z_hat, iterations = _search(eq[0])
-    return _finalize(eq, np.array([lam]), z_hat[None], [iterations])[0]
+    solved = _finalize(eq, np.array([lam]), z_hat[None], np.array([iterations]), [None])
+    return _estimates(solved)[0]
 
 
 # The known-power system needs no solver of its own; the name stays public.
 solve_known_power = solve
 
 
-@_lapack_errors
 def solve_many(systems):
-    """:func:`solve` applied to every system, with bit-identical results.
-
-    Every system must have the same design width, as the trials of one
-    sweep do; a stack of mixed widths is a ValueError.  One
-    :class:`_Equilibrated` holds them all, and the stages of :func:`_search`
-    run over it in order, as array state with one row per system: one call
-    classifies every row at 0 and at ||G||_F, the rows with a negative
-    residual at 0 take the bracket [bound, 0], those with a positive one
-    expand upward together from ||G||_F, and every bracketed row then
-    bisects in one stack, one step per round.  Each later round classifies
-    a compact stack of its unfinished rows in one classify call: the
-    upward rounds take their rows anew, the bisection only after a round in
-    which a row finished.  The finished searches are finalized in one
-    stacked pass.  Returns one entry per system, in order: its Estimate, or
-    the UwlocError instance that :func:`solve` would have raised for it alone.
-    """
+    """:func:`solve` of every system, bit for bit, by one :func:`_solve_stack`: in
+    order, its Estimate or the UwlocError solve raises.  Mixed design widths
+    are a ValueError."""
     if not systems:
         return []
     widths = sorted({system.design.shape[1] for system in systems})
     if len(widths) > 1:
         raise ValueError(f"solve_many takes systems of one design width, got widths {widths}")
-    eq = _Equilibrated(systems)
-    n = len(systems)
+    return _estimates(_solve_stack(_stack(systems)))
+
+
+@_lapack_errors
+def _solve_stack(stack):
+    """The _Solved stack of the _Stack ``stack``: each row as :func:`solve` solves it.
+
+    The stages of :func:`_search` run over one :class:`_Equilibrated` as array
+    state: one call classifies every row at 0 and at ||G||_F, rows negative at
+    0 take the bracket [bound, 0], positive ones expand upward together, and
+    every bracketed row then bisects, one step per round on a compact stack
+    of its unfinished rows (taken anew after a round in which a row finished).
+    A dropped row is not searched; a failed search gets the error solve raises.
+    """
+    eq = _Equilibrated(stack)
+    n = len(stack.errors)
     a, b = np.zeros(n), np.zeros(n)
     best_lam, best_abs, best_z = np.zeros(n), np.zeros(n), np.empty_like(eq.rhs0)
     iterations = np.zeros(n, dtype=int)
-    errors = {}  # row -> the UwlocError that ends its search
+    errors = list(stack.errors)
+    built = np.array([error is None for error in errors])
 
     def fail(rows, error):
         for row in rows.tolist():
@@ -744,8 +780,8 @@ def solve_many(systems):
         """Record the multipliers ``lams`` classified at ``rows`` as their best."""
         best_lam[rows], best_abs[rows], best_z[rows] = lams, np.abs(residual), z_hat
 
-    fail(np.flatnonzero(~eq.valid), lambda r: GeometryError(_NONPOSITIVE_DIAGONAL))
-    rows = np.flatnonzero(eq.valid)
+    fail(np.flatnonzero(built & ~eq.valid), lambda r: GeometryError(_NONPOSITIVE_DIAGONAL))
+    rows = np.flatnonzero(built & eq.valid)
     start = eq.gram_norm()[rows]
     opening = eq.kernel(np.tile(rows, 2)).classify(np.concatenate([a[rows], start]))
     (f, up_f), (z_hat, up_z), (solved, up_solved) = (np.split(x, 2) for x in opening)
@@ -800,12 +836,4 @@ def solve_many(systems):
         np.copyto(lower, mid, where=f >= 0.0)  # a zero residual moves both ends
         np.copyto(upper, mid, where=~(f > 0.0))
 
-    if not errors:  # the usual case: the whole stack, with no copy
-        return _finalize(eq, best_lam, best_z, iterations)
-    done = [row for row in range(n) if row not in errors]
-    results = dict(errors)
-    if done:
-        rows = np.array(done)
-        results.update(zip(done, _finalize(
-            eq.take(rows), best_lam[rows], best_z[rows], iterations[rows])))
-    return [results[row] for row in range(n)]
+    return _finalize(eq, best_lam, best_z, iterations, errors)

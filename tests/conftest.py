@@ -6,7 +6,7 @@ import pytest
 import uwloc
 from uwloc.channel import LN10
 from uwloc.config import bundled_scenario_path, parse_scenario
-from uwloc.errors import GeometryError
+from uwloc.errors import GeometryError, UwlocError
 
 
 @pytest.fixture(scope="session")
@@ -28,6 +28,20 @@ def zero_absorption_scenario(reference_scenario):
     return uwloc.Scenario(
         reference_scenario.anchors_m, reference_scenario.target_m, env
     )
+
+
+def built_outcomes(stack):
+    """Per row of a stack from gtrs._build, what a one-row build gives for it: its
+    GtrsSystem (gtrs._only of the row), or the UwlocError that drops it."""
+    outcomes = []
+    for row in range(len(stack.errors)):
+        rows = {name: getattr(stack, name)[row : row + 1]
+                for name in ("normal", "moment", "errors", "design", "target")}
+        try:
+            outcomes.append(uwloc.gtrs._only(stack._replace(**rows)))
+        except UwlocError as exc:
+            outcomes.append(exc)
+    return outcomes
 
 
 def normalized_gram_floor(design):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import uwloc
+from conftest import built_outcomes
 from uwloc import experiments, gtrs
 from uwloc.channel import Environment, MeasurementSet, NoiseModel, Scenario, generate_measurements
 from uwloc.cli import main
@@ -93,6 +94,19 @@ class TestRunTrial:
             # Five sigma points of six trials: the first point misses, the other four hit.
             assert (info.misses, info.hits, info.currsize) == (6, 24, 6)
 
+    def test_the_memo_holds_a_point_larger_than_the_batch_bound(self, small_config, monkeypatch):
+        # Points of bound + 1 trials are groups of their own; a memo of only `bound`
+        # sequences would evict each trial's entry before the next point reads it.
+        bound = 8
+        monkeypatch.setattr(experiments, "SWEEP_BATCH_TRIALS", bound)
+        run_sweep(replace(small_config, mc_trials=bound + 1, sigma_grid_db=(3.0, 9.0)))
+        info = experiments._seed_sequence.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (bound + 1, bound + 1, bound + 1)
+        # Outside a sweep the memo stays bounded: by the batch bound, or the last sweep's trials.
+        assert info.maxsize == bound + 1
+        run_sweep(replace(small_config, mc_trials=2, sigma_grid_db=(3.0,)))
+        assert experiments._seed_sequence.cache_info().maxsize == bound
+
     @pytest.mark.parametrize("weighted", [True, False], ids=["weighted", "unweighted"])
     @pytest.mark.parametrize("known_power", [False, True], ids=["joint", "known"])
     def test_locate_takes_one_fix(self, bundled_config, known_power, weighted):
@@ -125,6 +139,51 @@ class TestValidation:
     def test_errors_raised_before_any_trial(self, bundled_config):
         with pytest.raises(ConfigError):
             run_sweep(replace(bundled_config, mc_trials=-1))
+
+
+def solve_alone(setting, config, trial):
+    """Trial ``trial`` of ``setting`` built and solved by itself: its Estimate, or the
+    UwlocError that drops it."""
+    try:
+        return gtrs.solve(experiments._trial_system(setting, config, trial))
+    except UwlocError as exc:
+        return exc
+
+
+def sweep_with_stacks(config, monkeypatch):
+    """run_sweep's records and the gtrs._Solved stack of each of its groups."""
+    stacks, solve_stack = [], gtrs._solve_stack
+
+    def spy(stack):
+        stacks.append(solve_stack(stack))
+        return stacks[-1]
+
+    monkeypatch.setattr(gtrs, "_solve_stack", spy)
+    return run_sweep(config), stacks
+
+
+def bits(value):
+    return np.float64(value).tobytes()
+
+
+def assert_rows_match_solve(solved, alone):
+    """Each row of a gtrs._Solved stack holds its one-by-one outcome: the Estimate's
+    fields, bit for bit, or the class and message of the error that dropped it."""
+    assert len(solved.errors) == len(alone)
+    for row, expected in enumerate(alone):
+        if isinstance(expected, UwlocError):
+            assert type(solved.errors[row]) is type(expected)
+            assert str(solved.errors[row]) == str(expected)
+            continue
+        assert solved.errors[row] is None
+        assert same_bits(solved.z[row], expected.z)
+        assert same_bits(solved.z[row, : solved.dimension[row]], expected.position_m)
+        for field in ("multiplier", "kkt_stationarity", "kkt_constraint", "kkt_min_eig_ratio"):
+            assert bits(getattr(solved, field)[row]) == bits(getattr(expected, field)), field
+        assert solved.iterations[row] == expected.iterations
+        assert solved.power_valid[row] == expected.power_valid
+        if expected.power_valid:
+            assert bits(solved.power[row]) == bits(expected.transmit_power_dbm)
 
 
 class TestRunSweep:
@@ -192,9 +251,9 @@ class TestRunSweep:
 
         whole = csv_bytes()
         sizes = []
-        solve_many = gtrs.solve_many
+        solve_stack = gtrs._solve_stack
         monkeypatch.setattr(
-            gtrs, "solve_many", lambda systems: sizes.append(len(systems)) or solve_many(systems)
+            gtrs, "_solve_stack", lambda stack: sizes.append(len(stack.errors)) or solve_stack(stack)
         )
         monkeypatch.setattr(experiments, "SWEEP_BATCH_TRIALS", batch_trials)
         assert csv_bytes() == whole
@@ -251,6 +310,35 @@ class TestRunSweep:
         )
         bound = uwloc.fim_unknown_power(scenario50, 2.0)
         assert records[1].crlb_t_m == pytest.approx(bound.crlb_t_m, rel=1e-12)
+
+
+    @pytest.mark.parametrize("weighted", [True, False], ids=["weighted", "unweighted"])
+    @pytest.mark.parametrize("known_power", [False, True], ids=["joint", "known"])
+    @pytest.mark.parametrize("kind", SWEEP_KINDS)
+    def test_stacked_result_equals_per_row_solve(
+        self, bundled_config, monkeypatch, kind, known_power, weighted
+    ):
+        config = replace(
+            bundled_config, sweep_kind=kind, known_power=known_power, weighted=weighted,
+            mc_trials=8, sigma_grid_db=(3.0, 9.0),
+        )
+        _, (solved,) = sweep_with_stacks(config, monkeypatch)  # every point in one group
+        settings = experiments._sweep_settings(config)
+        trials = range(config.mc_trials)
+        assert_rows_match_solve(
+            solved, [solve_alone(setting, config, t) for setting in settings for t in trials]
+        )
+
+    def test_a_rank_gate_drop_keeps_its_row(self, bundled_config, monkeypatch):
+        # On the bundled sigma = 9 dB point, trial 210 alone fails the rank gate.
+        config = replace(bundled_config, sigma_grid_db=(9.0,), mc_trials=211)
+        (record,), (solved,) = sweep_with_stacks(config, monkeypatch)
+        (setting,) = experiments._sweep_settings(config)
+        alone = [solve_alone(setting, config, trial) for trial in range(211)]
+        assert [i for i, outcome in enumerate(alone) if isinstance(outcome, UwlocError)] == [210]
+        assert isinstance(alone[210], GeometryError)
+        assert_rows_match_solve(solved, alone)
+        assert record.failures == (("GeometryError", (210,), str(alone[210])),)
 
 
 def build_alone(setting, config, trial):
@@ -314,7 +402,7 @@ class TestStackedBuild:
         trials = range(config.mc_trials)
         alone = [[build_alone(setting, config, trial) for trial in trials] for setting in settings]
         for setting, builds in zip(settings, alone):
-            assert_same_builds(experiments._point_systems([setting], config, trials), builds)
+            assert_same_builds(built_outcomes(experiments._point_systems([setting], config, trials)), builds)
         # The group's merged stacks: each run of points that share a build, as _run_group builds it.
         runs = experiments._shared_builds(settings)
         assert [len(run) for run in runs] == SHARED_RUNS[kind]
@@ -322,7 +410,7 @@ class TestStackedBuild:
         first = 0
         for run in runs:
             assert_same_builds(
-                experiments._point_systems(run, config, trials),
+                built_outcomes(experiments._point_systems(run, config, trials)),
                 [build for builds in alone[first : first + len(run)] for build in builds],
             )
             first += len(run)
@@ -361,11 +449,26 @@ class TestStackedBuild:
         ]
         assert len(err) == 5 and err[4].startswith("seconds_per_solve=")
 
+    def test_failing_group_build_drops_its_rows_from_the_search(self, tmp_path, monkeypatch):
+        # The points of the test above: in the solved stack every row is
+        # dropped with its point's error, and holds zeros.
+        doc = json.loads(bundled_scenario_path().read_text())
+        doc.update(ple=1e-164, sigma_grid_db=[1, 1e146], mc_trials=3)
+        path = tmp_path / "underflow_overflow.json"
+        path.write_text(json.dumps(doc))
+        config = parse_scenario(path)
+        _, (solved,) = sweep_with_stacks(config, monkeypatch)
+        settings = experiments._sweep_settings(config)
+        alone = [solve_alone(setting, config, t) for setting in settings for t in range(3)]
+        assert all(isinstance(outcome, NumericalError) for outcome in alone)
+        assert_rows_match_solve(solved, alone)
+        assert not solved.power_valid.any() and not solved.z.any()
+
     def test_rank_gate_drops_only_its_trial(self, bundled_config):
         # On the bundled sigma = 9 dB point, trial 210 alone fails the rank gate.
         config = replace(bundled_config, sigma_grid_db=(9.0,), mc_trials=211)
         (setting,) = experiments._sweep_settings(config)
-        stacked = experiments._point_systems([setting], config, range(211))
+        stacked = built_outcomes(experiments._point_systems([setting], config, range(211)))
         assert_same_builds(stacked, [build_alone(setting, config, trial) for trial in range(211)])
         assert [i for i, outcome in enumerate(stacked) if isinstance(outcome, UwlocError)] == [210]
         assert isinstance(stacked[210], GeometryError)
@@ -377,7 +480,9 @@ class TestStackedBuild:
 
 class TestSquaredErrors:
     """_record sums a point's squared position errors in one stacked reduction;
-    each must have the bits of np.sum over that trial's error alone."""
+    each must have the bits of np.sum over that trial's error alone.  It reads
+    the powers, their validity and the positions from slices of the solved
+    stack; each must have the bits an Estimate of that trial alone held."""
 
     def test_matches_one_sum_per_trial_bit_for_bit(self):
         rng = np.random.default_rng(22)
@@ -394,6 +499,114 @@ class TestSquaredErrors:
             alone = [float(np.sum((p - target) ** 2)) for p in positions]
             assert stacked.tobytes() == np.array(alone).tobytes()
         assert experiments._squared_errors(*batches[0])[0] == 1.0
+
+    @staticmethod
+    def power_alone(u, ple):
+        """An Estimate's power read-out of its u alone: the per-Estimate reference."""
+        return 5.0 * ple * np.log10(u) if u > 0.0 else None
+
+    def test_power_read_out_of_a_slice_matches_one_u_at_a_time(self):
+        # The read-out is read where u > 0 (_finalize's power_valid, tested below).
+        rng = np.random.default_rng(23)
+        u = np.concatenate([10.0 ** rng.uniform(-300.0, 300.0, 2000), rng.uniform(0.0, 3.0, 400),
+                            [1.0, 10.0, 5e-324, np.inf]])
+        u = u[u > 0.0]
+        rng.shuffle(u)
+        for ple in (1.5, 2.0, 2.2, 3.7):
+            # Slices of odd lengths and offsets, so no SIMD tail is left untried.
+            for first, last in ((0, len(u)), (1, 18), (3, 4), (7, 40), (11, 111), (5, 5)):
+                part = u[first:last]
+                stacked = gtrs._power_dbm(part, np.full(len(part), ple))
+                for x, got in zip(part, stacked):
+                    assert bits(got) == bits(self.power_alone(x, ple))
+
+    @pytest.mark.parametrize("known_power", [False, True], ids=["joint", "known"])
+    def test_finalize_flags_and_reads_each_row_as_its_estimate_did(self, bundled_config, known_power):
+        # A solved stack of bundled sigma = 3 trials, finalized again with u of
+        # either sign written into its solutions.  Each row's validity is the
+        # scalar test u > 0 of a joint system, its power the scalar read-out and
+        # its position the copy z[:k], as one Estimate's were.
+        config = replace(
+            bundled_config, known_power=known_power, sigma_grid_db=(3.0,), mc_trials=40
+        )
+        (setting,) = experiments._sweep_settings(config)
+        stack = gtrs._join([experiments._point_systems([setting], config, range(40))])
+        solved, eq = gtrs._solve_stack(stack), gtrs._Equilibrated(stack)
+        z_hat = solved.z / eq.scale
+        z_hat[::3, -1] *= -1.0
+        z_hat[1::7, -1] = 0.0
+        again = gtrs._finalize(eq, solved.multiplier, z_hat, solved.iterations, stack.errors)
+        k, ple = setting.scenario.dimension, setting.solve_env.ple
+        for row in range(40):
+            z = z_hat[row] * eq.scale[row]
+            assert same_bits(again.z[row, :k], z[:k].copy())
+            expected = None if known_power else self.power_alone(z[-1], ple)
+            assert again.power_valid[row] == (expected is not None)
+            if expected is not None:
+                assert bits(again.power[row]) == bits(expected)
+        assert not again.power_valid.all() and (known_power or again.power_valid.any())
+
+    def test_record_reduces_a_slice_as_it_reduced_its_estimates(self, small_config):
+        # A synthetic solved stack: positions about the target, u of either sign,
+        # and dropped rows.  The reference reduces the per-Estimate fields, one
+        # trial at a time, as the records did before they read arrays: the
+        # position z[:k].copy() and (power - true_p) ** 2 of an np.float64 power.
+        rng = np.random.default_rng(24)
+        setting = experiments._sweep_settings(small_config)[0]
+        true_t = setting.scenario.target_m
+        true_p = setting.scenario.environment.transmit_power_dbm + rng.uniform(-3.0, 3.0)
+        setting = replace(setting, scenario=replace(setting.scenario, environment=replace(
+            setting.scenario.environment, transmit_power_dbm=true_p)))
+        k, ple = len(true_t), setting.solve_env.ple
+        for _ in range(40):
+            m = int(rng.choice([1, 7, 300]))
+            z = np.zeros((3 * m, k + 2))
+            z[:, :k] = true_t + 10.0 ** rng.uniform(-3.0, 3.0) * rng.standard_normal((3 * m, k))
+            sign = rng.choice([-1.0, 1.0], 3 * m, p=[0.1, 0.9])
+            z[:, -1] = sign * 10.0 ** rng.uniform(-2.0, 2.0, 3 * m)
+            errors = [GeometryError("dropped") if rng.random() < 0.05 else None
+                      for _ in range(3 * m)]
+            z[[error is not None for error in errors]] = 0.0  # as _finalize leaves a dropped row
+            zeros = np.zeros(3 * m)
+            with np.errstate(divide="ignore", invalid="ignore"):  # read only where u > 0
+                power = gtrs._power_dbm(z[:, -1], np.full(3 * m, ple))
+            solved = gtrs._Solved(zeros, z, zeros.astype(int), zeros, zeros, zeros, power,
+                                  z[:, -1] > 0.0, np.full(3 * m, k), errors)
+            record = experiments._record(
+                setting, small_config, solved, slice(m, 2 * m), (1.0, 2.0), 0.0)
+            positions, power_err2 = [], []
+            for row in range(m, 2 * m):
+                if errors[row] is None:
+                    positions.append(z[row, :k].copy())
+                    power = self.power_alone(z[row, -1], ple)
+                    if power is not None:
+                        power_err2.append((power - true_p) ** 2)
+            squared = experiments._squared_errors(positions, true_t) if positions else [np.nan]
+            nrmse_t = np.sqrt(np.mean(squared))
+            nrmse_p = float(np.sqrt(np.mean(np.array(power_err2)))) if power_err2 else None
+            assert repr(record.nrmse_t_m) == repr(float(nrmse_t))
+            assert record.nrmse_p_db == nrmse_p
+            assert (record.power_failures, record.solve_failures) == (
+                len(positions) - len(power_err2), m - len(positions))
+
+    def test_record_squares_each_power_error_as_an_estimate_did(self, small_config):
+        # Where the platform's pow(x, 2) and x * x round apart, records of two
+        # such powers each show which of the two a record squared with (one
+        # power would not: sqrt undoes either square to the same |x|).
+        setting = experiments._sweep_settings(small_config)[0]
+        true_p = setting.scenario.environment.transmit_power_dbm
+        power = np.random.default_rng(25).uniform(-30.0, 30.0, 60000)
+        estimate_squares = np.array([(p - true_p) ** 2 for p in power])  # np.float64 scalars
+        apart = power[(power - true_p) ** 2 != estimate_squares]
+        n = len(apart) // 2 * 2
+        zeros = np.zeros(n)
+        solved = gtrs._Solved(zeros, np.ones((n, 5)), zeros.astype(int), zeros, zeros, zeros,
+                              apart[:n], np.full(n, True), np.full(n, 3), [None] * n)
+        for first in range(0, n, 2):
+            rows = slice(first, first + 2)
+            record = experiments._record(setting, small_config, solved, rows, (1.0, 2.0), 0.0)
+            squares = [(p - true_p) ** 2 for p in apart[rows]]
+            assert record.nrmse_p_db == float(np.sqrt(np.mean(np.array(squares))))
 
 
 class TestRuntime:

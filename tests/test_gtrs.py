@@ -10,7 +10,7 @@ import scipy.linalg
 from numpy.linalg import _umath_linalg
 
 import uwloc
-from conftest import brute_force_objective, gtrs_objective, random_solver_instance
+from conftest import brute_force_objective, built_outcomes, gtrs_objective, random_solver_instance
 from uwloc import experiments, gtrs
 from uwloc.channel import Environment, MeasurementSet, NoiseModel, generate_measurements
 from uwloc.errors import ConfigError, GeometryError, NumericalError, UwlocError
@@ -123,7 +123,8 @@ class TestBuildSystem:
         rows = np.array([clean, drawn[0], np.full(10, -1e5), np.full(10, 1e308), drawn[1]])
         stacked = MeasurementSet(np.arange(10), rows, env)
         weights = link_weights(stacked, env)
-        outcomes = gtrs._build(stacked, weights, scenario.anchors_m, env, estimates_power)
+        outcomes = built_outcomes(
+            gtrs._build(stacked, weights, scenario.anchors_m, env, estimates_power))
         build = build_system if estimates_power else build_known_power_system
         messages = ["design matrix is rank deficient", "design matrix has a zero column",
                     "the weighted system overflows"]
@@ -1300,11 +1301,11 @@ class TestUnderflow:
         rss = uwloc.noiseless_rss(scenario.target_m, scenario.anchors_m, env)
         rows = rss + np.random.default_rng(1).standard_normal(scenario.n_anchors) + shifts[:, None]
         weights = link_weights(MeasurementSet(np.arange(10), rows, env), env)
-        outcomes = gtrs._build(MeasurementSet(np.arange(10), rows, env), weights,
-                               scenario.anchors_m, env, estimates_power)
+        outcomes = built_outcomes(gtrs._build(MeasurementSet(np.arange(10), rows, env), weights,
+                                              scenario.anchors_m, env, estimates_power))
         for shift, row, weight, outcome in zip(shifts, rows, weights, outcomes):
-            (alone,) = gtrs._build(MeasurementSet(np.arange(10), row, env), weight,
-                                   scenario.anchors_m, env, estimates_power)
+            (alone,) = built_outcomes(gtrs._build(MeasurementSet(np.arange(10), row, env), weight,
+                                                  scenario.anchors_m, env, estimates_power))
             if shift <= -1489.0:
                 assert type(outcome) is type(alone) is NumericalError
                 assert str(outcome) == str(alone) == self.UNDERFLOWS
@@ -1322,6 +1323,16 @@ class TestPowerDbm:
     def test_ten_gives_ten_dbm(self):
         assert gtrs._power_dbm(10.0, 2.0) == pytest.approx(10.0, rel=1e-12)
 
-    def test_negative_auxiliary_flags_power(self):
-        assert gtrs._power_dbm(-0.3, 2.0) is None
-        assert gtrs._power_dbm(0.0, 2.0) is None
+    def test_negative_auxiliary_flags_power(self, reference_scenario):
+        # The read-out holds where u > 0; _finalize flags every other u as no power.
+        meas = noiseless_measurements(reference_scenario)
+        env = reference_scenario.environment
+        system = build_system(meas, equal_weights(10), reference_scenario.anchors_m, env)
+        eq = gtrs._Equilibrated([system])
+        lam, z_hat, steps = gtrs._search(eq[0])
+        for u in (-0.3, 0.0, -0.0):
+            flagged = z_hat.copy()
+            flagged[-1] = u / eq.scale[0, -1]
+            solved = gtrs._finalize(eq, np.array([lam]), flagged[None], np.array([steps]), [None])
+            (estimate,) = gtrs._estimates(solved)
+            assert estimate.transmit_power_dbm is None and not estimate.power_valid
