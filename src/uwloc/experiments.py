@@ -169,7 +169,7 @@ def trial_rng(master_seed, trial_index):
     The SeedSequence is memoized and shared by every generator of that
     trial, since building one costs about three times what seeding from it
     does; each :func:`run_sweep` starts an empty memo sized to hold every
-    trial index of its sweep.  A
+    trial index of its sweep and frees it when the sweep ends.  A
     generator only reads its sequence, so the memo changes no draw, but
     spawning from one (``Generator.spawn``) advances the shared sequence's
     child counter: two generators of one trial spawn different children.
@@ -347,11 +347,11 @@ def _record(setting, config, solved, rows, bounds, seconds_per_solve):
         if error is not None:
             failures.setdefault(type(error).__name__, ([], str(error)))[0].append(trial)
     kept = np.array([error is None for error in errors])
-    positions = solved.z[rows][kept, : setting.scenario.dimension]
-    # Python floats square through pow() as an Estimate's power does; an array's x*x
-    # differs from it in about one value of 1300 (TestSquaredErrors).
-    power = solved.power[rows][solved.power_valid[rows]].tolist()
-    power_err2 = [(p - true_p) ** 2 for p in power]
+    z = solved.z[rows]
+    positions = z[kept, : setting.scenario.dimension]
+    # The power read out with the ple _build used for these rows; a dropped row has none.
+    power = gtrs._power_dbm(z[solved.power_valid[rows], -1], setting.solve_env.ple)
+    power_err2 = (power - true_p) * (power - true_p)
     m = len(errors)
     n_solved = len(positions)
     nrmse_t = (
@@ -361,7 +361,7 @@ def _record(setting, config, solved, rows, bounds, seconds_per_solve):
         nrmse_p = None
         power_failures = 0
     else:
-        nrmse_p = float(np.sqrt(np.mean(np.array(power_err2)))) if power_err2 else None
+        nrmse_p = float(np.sqrt(np.mean(power_err2))) if len(power_err2) else None
         power_failures = n_solved - len(power_err2)
     crlb_t, crlb_p = bounds
     return ResultRecord(
@@ -410,21 +410,25 @@ def run_sweep(config):
     only on (config, master_seed); only the recorded wall time varies.
     Every coordinate is bounded before any trial is drawn, so a sweep
     whose bound fails raises at once.  The memo of trial seed sequences
-    (:func:`trial_rng`) starts empty, so each sweep builds its own.
+    (:func:`trial_rng`) starts empty, so each sweep builds its own, and is
+    freed when the sweep ends.
     """
     global _seed_sequence  # sized to hold every trial index, so no lookup evicts another
     _seed_sequence = functools.lru_cache(max(SWEEP_BATCH_TRIALS, config.mc_trials))(
         _seed_sequence.__wrapped__)
-    settings = _sweep_settings(config)
-    bounds = [point_bounds(s.scenario, s.noise.sigma_db, config.known_power) for s in settings]
-    per_group = max(1, SWEEP_BATCH_TRIALS // config.mc_trials)
-    return [
-        record
-        for first in range(0, len(settings), per_group)
-        for record in _run_group(
-            settings[first : first + per_group], bounds[first : first + per_group], config
-        )
-    ]
+    try:
+        settings = _sweep_settings(config)
+        bounds = [point_bounds(s.scenario, s.noise.sigma_db, config.known_power) for s in settings]
+        per_group = max(1, SWEEP_BATCH_TRIALS // config.mc_trials)
+        return [
+            record
+            for first in range(0, len(settings), per_group)
+            for record in _run_group(
+                settings[first : first + per_group], bounds[first : first + per_group], config
+            )
+        ]
+    finally:
+        _seed_sequence = functools.lru_cache(SWEEP_BATCH_TRIALS)(_seed_sequence.__wrapped__)
 
 
 def measure_runtime(config):

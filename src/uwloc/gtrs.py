@@ -54,6 +54,8 @@ the shifted solve, so the secular function sets only the speed, never the
 multiplier, z or the step count.  A sweep's systems stay arrays from build
 to solution (a _Stack, solved into a _Solved); GtrsSystem and Estimate
 objects are made only by the one-fix builders, :func:`solve` and :func:`solve_many`.
+The search never reads beta: :func:`_estimates` and a sweep's records read
+the power 5*beta*log10(u) out of z with the beta the system was built with.
 """
 
 import functools
@@ -145,14 +147,14 @@ class Estimate:
 
 
 # Systems stacked one per row, as a sweep keeps them from build to solve: R^T R,
-# R^T v, k, ple and the UwlocError that drops the row, or None.  A _build's own
-# stack keeps its design and target, and one k and ple for all its rows.
-_Stack = namedtuple("_Stack", "normal moment dimension ple errors design target",
-                    defaults=(None, None))
-# A _Stack's solutions: Estimate fields as arrays (the position is z[:k]; power
-# holds only where power_valid) and the errors; a dropped row holds zeros.
+# R^T v, k and the UwlocError that drops the row, or None.  A _build's own stack
+# keeps one k for all its rows, its design and target, and the ple of :func:`_only`.
+_Stack = namedtuple("_Stack", "normal moment dimension errors design target ple",
+                    defaults=(None, None, None))
+# A _Stack's solutions: Estimate fields as arrays and the errors.  The position is
+# z[:k] and the power 5*ple*log10(z[-1]) where power_valid; a dropped row's z is 0.
 _Solved = namedtuple("_Solved", "multiplier z iterations kkt_stationarity kkt_constraint"
-                     " kkt_min_eig_ratio power power_valid dimension errors")
+                     " kkt_min_eig_ratio power_valid errors")
 
 
 def _gram_floor(normal):
@@ -270,7 +272,7 @@ def _build(measurements, weights, anchors_m, env, estimates_power):
             _check_rank(design[row], normal[row], k, q2[row])
         except UwlocError as exc:
             errors[row] = exc
-    return _Stack(normal, moment, k, beta, errors, design, target)
+    return _Stack(normal, moment, k, errors, design, target, beta)
 
 
 def _only(stack):
@@ -286,16 +288,14 @@ def _only(stack):
 
 
 def _stack(systems):
-    """GtrsSystems as one _Stack, in order, none dropped, with a k and ple per row."""
+    """GtrsSystems as one _Stack, in order, none dropped, with a k per row."""
     return _Stack(np.array([s.normal for s in systems]), np.array([s.moment for s in systems]),
-                  np.array([s.dimension for s in systems]), np.array([s.ple for s in systems]),
-                  [None] * len(systems))
+                  np.array([s.dimension for s in systems]), [None] * len(systems))
 
 
 def _join(stacks):
-    """The rows of equal-width ``stacks`` as one _Stack, in order, with a k and ple per row."""
-    per_row = [(s.normal, s.moment, np.broadcast_to(s.dimension, len(s.errors)),
-                np.broadcast_to(s.ple, len(s.errors))) for s in stacks]
+    """The rows of equal-width ``stacks`` as one _Stack, in order, with a k per row."""
+    per_row = [(s.normal, s.moment, np.broadcast_to(s.dimension, len(s.errors))) for s in stacks]
     return _Stack(*map(np.concatenate, zip(*per_row)), [e for s in stacks for e in s.errors])
 
 
@@ -303,7 +303,7 @@ def _dropped(error, rows, k, estimates_power):
     """A _Stack of ``rows`` k-dimensional fixes, each dropped by ``error``."""
     width = k + 2 if estimates_power else k + 1
     nan = np.full((rows, width, width), np.nan)
-    return _Stack(nan, nan[:, 0], k, np.nan, [error] * rows)
+    return _Stack(nan, nan[:, 0], k, [error] * rows)
 
 
 def build_system(measurements, weights, anchors_m, env):
@@ -347,19 +347,18 @@ class _Equilibrated:
     are its unscaled R^T R and R^T v, ``constraint_quad`` and
     ``constraint_lin`` its unscaled H = diag(I_k, 0) and h = -e_k/2,
     derived from its ``dimension`` k and the width, and ``gram``, ``quad``,
-    ``lin`` and ``rhs0`` their scaled copies; ``ple`` is its path-loss
-    exponent.  It takes GtrsSystems, or a _Stack with a k and ple per row
-    (:func:`_join`, :func:`_stack`).  ``valid`` is False where the normal
-    matrix has a nonpositive diagonal entry; such a row has no scaling and
-    is never searched.  :meth:`classify` takes the stack, ``take(rows)`` a
-    compact stack of some rows, ``kernel(rows)`` one with only the arrays
-    classify reads, and ``eq[i]`` is system i alone.
+    ``lin`` and ``rhs0`` their scaled copies.  It takes GtrsSystems, or a
+    _Stack with a k per row (:func:`_join`, :func:`_stack`).  ``valid`` is
+    False where the normal matrix has a nonpositive diagonal entry; such a
+    row has no scaling and is never searched.  :meth:`classify` takes the
+    stack, ``take(rows)`` a compact stack of some rows, ``kernel(rows)`` one
+    with only the arrays classify reads, and ``eq[i]`` is system i alone.
     """
 
     @np.errstate(divide="ignore", invalid="ignore")  # rows that are not valid get inf or NaN
     def __init__(self, systems):
         stack = systems if isinstance(systems, _Stack) else _stack(systems)
-        self.normal, self.moment, self.dimension, self.ple = stack[:4]
+        self.normal, self.moment, self.dimension = stack[:3]
         quads, lins = _liftings(self.normal.shape[-1])
         self.constraint_quad = quads.take(self.dimension, axis=0)
         self.constraint_lin = lins.take(self.dimension, axis=0)
@@ -680,20 +679,12 @@ def _stationarity(shifted, z, rhs):
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _finalize(eq, lam, z_hat, iterations, errors):
-    """The _Solved stack of the finished searches of ``eq``, one entry per row in
-    each argument.  One stacked pass over the rows ``errors`` keeps gives each
-    matrix its arithmetic alone, so a row does not depend on its batch.
-    """
-    done = [row for row, error in enumerate(errors) if error is None]
-    if len(done) < len(errors):  # the solved rows alone, spread back to their rows
-        part = _finalize(
-            eq.take(done), lam[done], z_hat[done], iterations[done], [None] * len(done))
-        spread = [np.zeros((len(errors), *values.shape[1:]), values.dtype) for values in part[:-1]]
-        for whole, values in zip(spread, part):
-            whole[done] = values
-        return _Solved(*spread, errors)
+    """The _Solved stack of the finished searches of ``eq``, one entry per row in each
+    argument.  One stacked pass gives each matrix its arithmetic alone, so a row does
+    not depend on its batch; a row that ``errors`` drops gets z = 0, so no power."""
     quad, lin, normal = eq.constraint_quad, eq.constraint_lin, eq.normal
     z = z_hat * eq.scale
+    z[[error is not None for error in errors]] = 0.0
     rhs = eq.moment - lam[:, None] * lin
     shifted = normal + lam[:, None, None] * quad
     stationarity, finite = _stationarity(shifted, z, rhs)
@@ -705,20 +696,20 @@ def _finalize(eq, lam, z_hat, iterations, errors):
     constraint = _quadratic(z, quad, 2.0 * lin)
     min_eig = _umath_linalg.eigvalsh_lo(shifted, signature="d->d").min(axis=1)
     min_eig_ratio = min_eig / _umath_linalg.svd(normal, signature="d->d").max(axis=1)
-    u = z[:, -1]  # u, in a joint system
-    valid = (u > 0.0) & (eq.dimension == normal.shape[-1] - 2)
-    return _Solved(lam, z, iterations, stationarity, constraint, min_eig_ratio,
-                   _power_dbm(u, eq.ple), valid, eq.dimension, errors)
+    valid = (z[:, -1] > 0.0) & (eq.dimension == normal.shape[-1] - 2)  # u > 0, in a joint system
+    return _Solved(lam, z, iterations, stationarity, constraint, min_eig_ratio, valid, errors)
 
 
-def _estimates(solved):
-    """Per row of a _Solved stack, its Estimate or the UwlocError that dropped it."""
-    rows = zip(solved.errors, solved.z, solved.power, solved.power_valid.tolist(),
-               solved.dimension.tolist(), solved.multiplier.tolist(), solved.iterations.tolist(),
+def _estimates(solved, systems):
+    """Per row of the _Solved stack of ``systems``, its Estimate, with the power read
+    out with that system's ple, or the UwlocError that dropped it."""
+    rows = zip(systems, solved.errors, solved.z, solved.power_valid.tolist(),
+               solved.multiplier.tolist(), solved.iterations.tolist(),
                solved.kkt_stationarity.tolist(), solved.kkt_constraint.tolist(),
                solved.kkt_min_eig_ratio.tolist())
-    return [error or Estimate(z, z[:k].copy(), power if valid else None, valid, lam, steps, *kkt)
-            for error, z, power, valid, k, lam, steps, *kkt in rows]
+    return [error or Estimate(z, z[: s.dimension].copy(),
+                              _power_dbm(z[-1], s.ple) if valid else None, valid, lam, steps, *kkt)
+            for s, error, z, valid, lam, steps, *kkt in rows]
 
 
 def solve(system):
@@ -734,7 +725,7 @@ def solve(system):
     eq = _Equilibrated([system])
     lam, z_hat, iterations = _search(eq[0])
     solved = _finalize(eq, np.array([lam]), z_hat[None], np.array([iterations]), [None])
-    return _estimates(solved)[0]
+    return _estimates(solved, [system])[0]
 
 
 # The known-power system needs no solver of its own; the name stays public.
@@ -750,7 +741,7 @@ def solve_many(systems):
     widths = sorted({system.design.shape[1] for system in systems})
     if len(widths) > 1:
         raise ValueError(f"solve_many takes systems of one design width, got widths {widths}")
-    return _estimates(_solve_stack(_stack(systems)))
+    return _estimates(_solve_stack(_stack(systems)), systems)
 
 
 @_lapack_errors
@@ -767,7 +758,7 @@ def _solve_stack(stack):
     eq = _Equilibrated(stack)
     n = len(stack.errors)
     a, b = np.zeros(n), np.zeros(n)
-    best_lam, best_abs, best_z = np.zeros(n), np.zeros(n), np.empty_like(eq.rhs0)
+    best_lam, best_abs, best_z = np.zeros(n), np.zeros(n), np.zeros_like(eq.rhs0)
     iterations = np.zeros(n, dtype=int)
     errors = list(stack.errors)
     built = np.array([error is None for error in errors])

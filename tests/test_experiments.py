@@ -78,7 +78,7 @@ class TestRunTrial:
         assert experiments._seed_sequence.cache_info().hits == len(keys)
         experiments._seed_sequence.cache_clear()
         assert_fresh_draws()
-        run_sweep(replace(small_config, master_seed=99, mc_trials=6))  # fills (99, 0..5)
+        run_sweep(replace(small_config, master_seed=99, mc_trials=6))  # built (99, 0..5), then freed
         assert_fresh_draws()
         earlier = trial_rng(99, 4)
         earlier.spawn(2)
@@ -86,26 +86,31 @@ class TestRunTrial:
         # The sequence is shared, so a later generator of the trial spawns the next children.
         assert trial_rng(99, 4).spawn(1)[0].bit_generator.seed_seq.spawn_key == (4, 2)
 
-    def test_a_sweep_builds_each_trials_seed_sequence_once(self, small_config):
+    def test_a_sweep_builds_each_trials_seed_sequence_once(self, small_config, monkeypatch):
         config = replace(small_config, mc_trials=6)
+        infos = memo_after_each_group(monkeypatch)
         for _ in range(2):
             run_sweep(config)
-            info = experiments._seed_sequence.cache_info()
-            # Five sigma points of six trials: the first point misses, the other four hit.
+            # Five sigma points of six trials, one group: the first point misses, the other four hit.
+            (info,) = infos
             assert (info.misses, info.hits, info.currsize) == (6, 24, 6)
+            assert_memo_freed()
+            infos.clear()
 
     def test_the_memo_holds_a_point_larger_than_the_batch_bound(self, small_config, monkeypatch):
         # Points of bound + 1 trials are groups of their own; a memo of only `bound`
         # sequences would evict each trial's entry before the next point reads it.
         bound = 8
         monkeypatch.setattr(experiments, "SWEEP_BATCH_TRIALS", bound)
+        infos = memo_after_each_group(monkeypatch)
         run_sweep(replace(small_config, mc_trials=bound + 1, sigma_grid_db=(3.0, 9.0)))
-        info = experiments._seed_sequence.cache_info()
+        info = infos[-1]
         assert (info.misses, info.hits, info.currsize) == (bound + 1, bound + 1, bound + 1)
-        # Outside a sweep the memo stays bounded: by the batch bound, or the last sweep's trials.
         assert info.maxsize == bound + 1
+        # Outside a sweep the memo is empty and bounded by the batch bound.
+        assert_memo_freed()
         run_sweep(replace(small_config, mc_trials=2, sigma_grid_db=(3.0,)))
-        assert experiments._seed_sequence.cache_info().maxsize == bound
+        assert_memo_freed()
 
     @pytest.mark.parametrize("weighted", [True, False], ids=["weighted", "unweighted"])
     @pytest.mark.parametrize("known_power", [False, True], ids=["joint", "known"])
@@ -141,6 +146,25 @@ class TestValidation:
             run_sweep(replace(bundled_config, mc_trials=-1))
 
 
+def memo_after_each_group(monkeypatch):
+    """The seed memo's cache_info() after each group of the sweeps to come, read
+    inside the sweep (run_sweep frees the memo as it returns)."""
+    infos, run_group = [], experiments._run_group
+
+    def spy(*args):
+        records = run_group(*args)
+        infos.append(experiments._seed_sequence.cache_info())
+        return records
+
+    monkeypatch.setattr(experiments, "_run_group", spy)
+    return infos
+
+
+def assert_memo_freed():
+    info = experiments._seed_sequence.cache_info()
+    assert (info.currsize, info.maxsize) == (0, experiments.SWEEP_BATCH_TRIALS)
+
+
 def solve_alone(setting, config, trial):
     """Trial ``trial`` of ``setting`` built and solved by itself: its Estimate, or the
     UwlocError that drops it."""
@@ -166,24 +190,30 @@ def bits(value):
     return np.float64(value).tobytes()
 
 
-def assert_rows_match_solve(solved, alone):
-    """Each row of a gtrs._Solved stack holds its one-by-one outcome: the Estimate's
-    fields, bit for bit, or the class and message of the error that dropped it."""
+def assert_rows_match_solve(solved, settings, config, trials):
+    """Each row of the gtrs._Solved stack of ``trials`` at each point of ``settings``
+    holds its one-by-one outcome: the Estimate's fields, bit for bit, the power read
+    out of z with the ple of the row's point, or the class and message of the error
+    that dropped it.  Returns those outcomes, row by row."""
+    points = [setting for setting in settings for _ in trials]
+    alone = [solve_alone(setting, config, t) for setting in settings for t in trials]
     assert len(solved.errors) == len(alone)
-    for row, expected in enumerate(alone):
+    for row, (setting, expected) in enumerate(zip(points, alone)):
         if isinstance(expected, UwlocError):
             assert type(solved.errors[row]) is type(expected)
             assert str(solved.errors[row]) == str(expected)
             continue
         assert solved.errors[row] is None
         assert same_bits(solved.z[row], expected.z)
-        assert same_bits(solved.z[row, : solved.dimension[row]], expected.position_m)
+        assert same_bits(solved.z[row, : setting.scenario.dimension], expected.position_m)
         for field in ("multiplier", "kkt_stationarity", "kkt_constraint", "kkt_min_eig_ratio"):
             assert bits(getattr(solved, field)[row]) == bits(getattr(expected, field)), field
         assert solved.iterations[row] == expected.iterations
         assert solved.power_valid[row] == expected.power_valid
         if expected.power_valid:
-            assert bits(solved.power[row]) == bits(expected.transmit_power_dbm)
+            power = gtrs._power_dbm(solved.z[row, -1], setting.solve_env.ple)
+            assert bits(power) == bits(expected.transmit_power_dbm)
+    return alone
 
 
 class TestRunSweep:
@@ -230,7 +260,8 @@ class TestRunSweep:
                     continue
                 err2.append(float(np.sum((estimate.position_m - true_t) ** 2)))
                 if estimate.power_valid:
-                    power_err2.append((estimate.transmit_power_dbm - true_p) ** 2)
+                    error = estimate.transmit_power_dbm - true_p
+                    power_err2.append(error * error)
             nrmse_t = float(np.sqrt(np.mean(np.array(err2)))) if err2 else float("nan")
             nrmse_p = float(np.sqrt(np.mean(np.array(power_err2)))) if power_err2 else None
             assert repr(record.nrmse_t_m) == repr(nrmse_t)
@@ -324,20 +355,16 @@ class TestRunSweep:
         )
         _, (solved,) = sweep_with_stacks(config, monkeypatch)  # every point in one group
         settings = experiments._sweep_settings(config)
-        trials = range(config.mc_trials)
-        assert_rows_match_solve(
-            solved, [solve_alone(setting, config, t) for setting in settings for t in trials]
-        )
+        assert_rows_match_solve(solved, settings, config, range(config.mc_trials))
 
     def test_a_rank_gate_drop_keeps_its_row(self, bundled_config, monkeypatch):
         # On the bundled sigma = 9 dB point, trial 210 alone fails the rank gate.
         config = replace(bundled_config, sigma_grid_db=(9.0,), mc_trials=211)
         (record,), (solved,) = sweep_with_stacks(config, monkeypatch)
-        (setting,) = experiments._sweep_settings(config)
-        alone = [solve_alone(setting, config, trial) for trial in range(211)]
+        settings = experiments._sweep_settings(config)
+        alone = assert_rows_match_solve(solved, settings, config, range(211))
         assert [i for i, outcome in enumerate(alone) if isinstance(outcome, UwlocError)] == [210]
         assert isinstance(alone[210], GeometryError)
-        assert_rows_match_solve(solved, alone)
         assert record.failures == (("GeometryError", (210,), str(alone[210])),)
 
 
@@ -459,9 +486,8 @@ class TestStackedBuild:
         config = parse_scenario(path)
         _, (solved,) = sweep_with_stacks(config, monkeypatch)
         settings = experiments._sweep_settings(config)
-        alone = [solve_alone(setting, config, t) for setting in settings for t in range(3)]
+        alone = assert_rows_match_solve(solved, settings, config, range(3))
         assert all(isinstance(outcome, NumericalError) for outcome in alone)
-        assert_rows_match_solve(solved, alone)
         assert not solved.power_valid.any() and not solved.z.any()
 
     def test_rank_gate_drops_only_its_trial(self, bundled_config):
@@ -481,8 +507,9 @@ class TestStackedBuild:
 class TestSquaredErrors:
     """_record sums a point's squared position errors in one stacked reduction;
     each must have the bits of np.sum over that trial's error alone.  It reads
-    the powers, their validity and the positions from slices of the solved
-    stack; each must have the bits an Estimate of that trial alone held."""
+    the validity and the positions from slices of the solved stack and the
+    powers out of its u; each must have the bits an Estimate of that trial
+    alone held."""
 
     def test_matches_one_sum_per_trial_bit_for_bit(self):
         rng = np.random.default_rng(22)
@@ -524,33 +551,37 @@ class TestSquaredErrors:
     def test_finalize_flags_and_reads_each_row_as_its_estimate_did(self, bundled_config, known_power):
         # A solved stack of bundled sigma = 3 trials, finalized again with u of
         # either sign written into its solutions.  Each row's validity is the
-        # scalar test u > 0 of a joint system, its power the scalar read-out and
-        # its position the copy z[:k], as one Estimate's were.
+        # scalar test u > 0 of a joint system, and its Estimate's power the
+        # scalar read-out with its system's ple and its position the copy z[:k].
         config = replace(
             bundled_config, known_power=known_power, sigma_grid_db=(3.0,), mc_trials=40
         )
         (setting,) = experiments._sweep_settings(config)
-        stack = gtrs._join([experiments._point_systems([setting], config, range(40))])
+        built = experiments._point_systems([setting], config, range(40))
+        stack = gtrs._join([built])
         solved, eq = gtrs._solve_stack(stack), gtrs._Equilibrated(stack)
         z_hat = solved.z / eq.scale
         z_hat[::3, -1] *= -1.0
         z_hat[1::7, -1] = 0.0
         again = gtrs._finalize(eq, solved.multiplier, z_hat, solved.iterations, stack.errors)
+        estimates = gtrs._estimates(again, built_outcomes(built))
         k, ple = setting.scenario.dimension, setting.solve_env.ple
-        for row in range(40):
+        for row, estimate in enumerate(estimates):
             z = z_hat[row] * eq.scale[row]
-            assert same_bits(again.z[row, :k], z[:k].copy())
+            assert same_bits(again.z[row], z) and same_bits(estimate.position_m, z[:k].copy())
             expected = None if known_power else self.power_alone(z[-1], ple)
-            assert again.power_valid[row] == (expected is not None)
-            if expected is not None:
-                assert bits(again.power[row]) == bits(expected)
+            assert again.power_valid[row] == estimate.power_valid == (expected is not None)
+            if expected is None:
+                assert estimate.transmit_power_dbm is None
+            else:
+                assert bits(estimate.transmit_power_dbm) == bits(expected)
         assert not again.power_valid.all() and (known_power or again.power_valid.any())
 
     def test_record_reduces_a_slice_as_it_reduced_its_estimates(self, small_config):
         # A synthetic solved stack: positions about the target, u of either sign,
         # and dropped rows.  The reference reduces the per-Estimate fields, one
-        # trial at a time, as the records did before they read arrays: the
-        # position z[:k].copy() and (power - true_p) ** 2 of an np.float64 power.
+        # trial at a time: the position z[:k].copy() and (power - true_p) squared
+        # as x * x of an np.float64 power read out with the point's ple.
         rng = np.random.default_rng(24)
         setting = experiments._sweep_settings(small_config)[0]
         true_t = setting.scenario.target_m
@@ -568,10 +599,8 @@ class TestSquaredErrors:
                       for _ in range(3 * m)]
             z[[error is not None for error in errors]] = 0.0  # as _finalize leaves a dropped row
             zeros = np.zeros(3 * m)
-            with np.errstate(divide="ignore", invalid="ignore"):  # read only where u > 0
-                power = gtrs._power_dbm(z[:, -1], np.full(3 * m, ple))
-            solved = gtrs._Solved(zeros, z, zeros.astype(int), zeros, zeros, zeros, power,
-                                  z[:, -1] > 0.0, np.full(3 * m, k), errors)
+            solved = gtrs._Solved(zeros, z, zeros.astype(int), zeros, zeros, zeros,
+                                  z[:, -1] > 0.0, errors)
             record = experiments._record(
                 setting, small_config, solved, slice(m, 2 * m), (1.0, 2.0), 0.0)
             positions, power_err2 = [], []
@@ -580,7 +609,7 @@ class TestSquaredErrors:
                     positions.append(z[row, :k].copy())
                     power = self.power_alone(z[row, -1], ple)
                     if power is not None:
-                        power_err2.append((power - true_p) ** 2)
+                        power_err2.append((power - true_p) * (power - true_p))
             squared = experiments._squared_errors(positions, true_t) if positions else [np.nan]
             nrmse_t = np.sqrt(np.mean(squared))
             nrmse_p = float(np.sqrt(np.mean(np.array(power_err2)))) if power_err2 else None
@@ -590,23 +619,29 @@ class TestSquaredErrors:
                 len(positions) - len(power_err2), m - len(positions))
 
     def test_record_squares_each_power_error_as_an_estimate_did(self, small_config):
-        # Where the platform's pow(x, 2) and x * x round apart, records of two
-        # such powers each show which of the two a record squared with (one
-        # power would not: sqrt undoes either square to the same |x|).
+        # Where the platform's pow(x, 2) and x * x round apart, a record of two
+        # such powers can show which of the two it squared with (one power
+        # would not: sqrt undoes either square to the same |x|).  Each record
+        # must reduce x * x; some must differ from the pow reduction.
         setting = experiments._sweep_settings(small_config)[0]
-        true_p = setting.scenario.environment.transmit_power_dbm
-        power = np.random.default_rng(25).uniform(-30.0, 30.0, 60000)
-        estimate_squares = np.array([(p - true_p) ** 2 for p in power])  # np.float64 scalars
-        apart = power[(power - true_p) ** 2 != estimate_squares]
-        n = len(apart) // 2 * 2
-        zeros = np.zeros(n)
-        solved = gtrs._Solved(zeros, np.ones((n, 5)), zeros.astype(int), zeros, zeros, zeros,
-                              apart[:n], np.full(n, True), np.full(n, 3), [None] * n)
+        true_p, ple = setting.scenario.environment.transmit_power_dbm, setting.solve_env.ple
+        u = 10.0 ** (np.random.default_rng(25).uniform(-30.0, 30.0, 60000) / (5.0 * ple))
+        power = gtrs._power_dbm(u, ple)  # about +-30 dB
+        pow_squares = np.array([(p - true_p) ** 2 for p in power])  # np.float64 scalars: C pow
+        apart = (power - true_p) * (power - true_p) != pow_squares
+        n = np.count_nonzero(apart) // 2 * 2
+        z, zeros = np.ones((n, 5)), np.zeros(n)
+        z[:, -1] = u[apart][:n]
+        solved = gtrs._Solved(zeros, z, zeros.astype(int), zeros, zeros, zeros,
+                              np.full(n, True), [None] * n)
+        told_apart = 0
         for first in range(0, n, 2):
             rows = slice(first, first + 2)
             record = experiments._record(setting, small_config, solved, rows, (1.0, 2.0), 0.0)
-            squares = [(p - true_p) ** 2 for p in apart[rows]]
-            assert record.nrmse_p_db == float(np.sqrt(np.mean(np.array(squares))))
+            errors = power[apart][rows] - true_p
+            assert record.nrmse_p_db == float(np.sqrt(np.mean(errors * errors)))
+            told_apart += record.nrmse_p_db != float(np.sqrt(np.mean(pow_squares[apart][rows])))
+        assert told_apart > 0
 
 
 class TestRuntime:

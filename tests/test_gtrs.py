@@ -1334,5 +1334,5 @@ class TestPowerDbm:
             flagged = z_hat.copy()
             flagged[-1] = u / eq.scale[0, -1]
             solved = gtrs._finalize(eq, np.array([lam]), flagged[None], np.array([steps]), [None])
-            (estimate,) = gtrs._estimates(solved)
+            (estimate,) = gtrs._estimates(solved, [system])
             assert estimate.transmit_power_dbm is None and not estimate.power_valid
