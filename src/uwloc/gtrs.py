@@ -56,6 +56,23 @@ to solution (a _Stack, solved into a _Solved); GtrsSystem and Estimate
 objects are made only by the one-fix builders, :func:`solve` and :func:`solve_many`.
 The search never reads beta: :func:`_estimates` and a sweep's records read
 the power 5*beta*log10(u) out of z with the beta the system was built with.
+
+A sweep's stack skips its far steps, and its bits rest on one assumption: a
+class is monotone in lam farther than the margin from the root.  Each row
+with a guess g (Moré & Sorensen 1983's Newton, as for a single fix) moves
+(a, b) along its path's leading steps more than the margin 1e-6*|g| from g,
+and one classify call checks the two ends they reach.  Where a reads low and
+b high, the root lies between them, so each skipped midpoint had the class
+its side of g gave it; phi decreases, so each end has the least |phi| of the
+skipped midpoints on its side, and the best-point rule on the two ends, in
+the order the steps reached them, keeps the stepwise best.  Any other row
+bisects from its opening bracket.  LU's forward error sizes the margin
+(Higham 2002, ch. 9): phi is read at a solution with relative error about
+kappa*w*u, so its sign can flip only about that near the root, and kappa <=
+w/floor of the unit-diagonal Gram matrix, under 3e-8 relative at a floor of
+1e-7; below that the margin widens by 1e-7/f, f = 1/||L^-1||_F^2 <= floor
+(under 1000*w times, by the rank gate).  On 6000 bundled sweep rows a class
+disagreed with its side only within 5.6e-8 relative of the root.
 """
 
 import functools
@@ -83,6 +100,11 @@ DEPTH = 3
 # Cap on the Newton steps of the root predictor (:func:`_predict`); on random
 # fixes it stops after 3 to 9.
 PREDICT_STEPS = 30
+
+# A sweep row skips the bisection steps more than SKIP_MARGIN*|guess| from its
+# predicted root, the margin widened below a Gram floor of SKIP_FLOOR (module
+# docstring); at most SCALAR_FINISH unconverged guesses finish in Python floats.
+SKIP_MARGIN, SKIP_FLOOR, SCALAR_FINISH = 1e-6, 1e-7, 8
 
 _NONPOSITIVE_DIAGONAL = "normal matrix has a nonpositive diagonal entry"
 _TINY = np.finfo(float).tiny  # the smallest normal double
@@ -541,9 +563,14 @@ def _predict(eq, a, b):
     g2mu, mu, g2 = (g2 / mu).tolist(), mu.tolist(), g2.tolist()
     if not (min(mu) > 0.0 and math.isfinite(alpha + beta + sum(g2mu) + sum(g2))):
         return None
-    terms = list(zip(mu, g2mu, g2))
-    lam, ends = a, (a, b)
-    for _ in range(PREDICT_STEPS):
+    return _newton(list(zip(mu, g2mu, g2)), alpha, beta, (a, b), (a, a, b))
+
+
+def _newton(terms, alpha, beta, ends, at, steps=PREDICT_STEPS):
+    """:func:`_predict`'s safeguarded Newton on the bracket ``ends``, from ``at``, the
+    step lam in (a, b) with ``steps`` steps left: the guess or None."""
+    lam, a, b = at
+    for _ in range(steps):
         n = dn = 0.0  # n and -n'/2, each summed in order
         for m, h, h2 in terms:
             d = 1.0 + lam * m
@@ -582,6 +609,73 @@ def _predict(eq, a, b):
     return lam if ends[0] < b < ends[1] else None
 
 
+def _guesses(eq, k, a, b):
+    """:func:`_predict` of each row of the stack ``eq`` of one ``k`` on its bracket (a, b),
+    NaN where it has none, and 1/||L^-1||_F^2, at most the row's Gram floor.  It runs
+    in t = s*lam, s the largest of the row's k nonzero mu, where no term overflows.
+    The steps run over arrays while more than SCALAR_FINISH rows take plain ones (no
+    pole, finite values, inside the narrowed bracket); :func:`_newton` finishes the rest."""
+    inverse = _umath_linalg.inv(_umath_linalg.cholesky_lo(eq.gram, signature="d->d"),
+                                signature="d->d")
+    inverse_t = inverse.transpose(0, 2, 1)
+    pencil = (inverse * eq.quad.diagonal(axis1=1, axis2=2)[:, None]) @ inverse_t
+    mu, u = _umath_linalg.eigh_lo(pencil, signature="d->dd")
+    c, e = (np.stack([eq.rhs0, eq.lin], axis=1) @ inverse_t @ u).transpose(1, 0, 2)
+    free = mu.shape[1] - k
+    mu, c0, e0, c, e = mu[:, free:], c[:, :free], e[:, :free], c[:, free:], e[:, free:]
+    s, root = mu.max(axis=1), np.sqrt(mu)
+    e_mu, e0_s = e / root, e0 / np.sqrt(s)[:, None]  # so that no square overflows
+    h, nu = (root * c + e_mu) ** 2, mu / s[:, None]
+    h_nu, floor = h * nu, 1.0 / (inverse * inverse).sum(axis=(1, 2))
+    alpha, beta = (e_mu * e_mu).sum(1) - 2.0 * (e0 * c0).sum(1), 2.0 * (e0_s * e0_s).sum(1)
+    usable = (mu.min(axis=1) > 0.0) & np.isfinite(alpha + beta + h.sum(1) + s)
+    ends, live = (a * s, b * s), usable.copy()
+    lam, (lo, hi) = ends[0], ends
+    guess, left = np.full(len(a), np.nan), np.full(len(a), PREDICT_STEPS)
+    while np.count_nonzero(live) > SCALAR_FINISH:
+        d = 1.0 + lam[:, None] * nu
+        n, dn = (h / (d * d)).sum(axis=1), 2.0 * (h_nu / (d * d * d)).sum(axis=1)
+        level = alpha + beta * lam
+        f = n - level
+        root_n, root_l = np.sqrt(n), np.sqrt(level)
+        slope = 0.5 * (dn / n / root_n + beta / level / root_l)
+        psi = (level > 0.0) & (n > 0.0)
+        new = np.where(psi & (slope > 0.0), lam - (1.0 / root_n - 1.0 / root_l) / slope, -np.inf)
+        new = np.fmax(lam + f / (dn + beta), np.where(~psi & (beta > 0.0), -alpha / beta, new))
+        plain = live & (d > 0.0).all(axis=1) & np.isfinite(f + new) & (dn + beta > 0.0)
+        done = plain & (np.abs(new - lam) <= 1e-12 * np.abs(new))
+        guess[done] = new[done]
+        low, high = np.where(f > 0.0, lam, lo), np.where(f < 0.0, lam, hi)
+        step = plain & ~done & (low < new) & (new < high)
+        lam, lo, hi = np.where(step, new, lam), np.where(step, low, lo), np.where(step, high, hi)
+        left, live = left - step, step & (left > 1)
+    state = np.stack([*ends, lam, lo, hi, alpha, beta])
+    for row in (usable & np.isnan(guess)).nonzero()[0].tolist():
+        start, end, *at, row_alpha, row_beta = state[:, row].tolist()
+        terms = list(zip(nu[row].tolist(), h[row].tolist(), h_nu[row].tolist()))
+        found = _newton(terms, row_alpha, row_beta, (start, end), at, int(left[row]))
+        guess[row] = np.nan if found is None else found
+    return guess / s, floor
+
+
+def _far_steps(a, b, guess, margin):
+    """:func:`_path`'s steps from each bracket (a, b) toward ``guess``, in lockstep, up to the
+    first whose midpoint lies within ``margin`` of it: the brackets they reach, their
+    counts and whether the last of them moved a."""
+    a, b, steps = a.copy(), b.copy(), np.zeros(len(a), dtype=int)
+    far, last_low = np.ones(len(a), dtype=bool), np.zeros(len(a), dtype=bool)
+    while True:
+        mid = 0.5 * (a + b)
+        far &= (np.abs(mid - guess) > margin) & (mid != a) & (mid != b)
+        if not far.any():
+            return a, b, steps, last_low
+        low = mid < guess
+        steps += far
+        np.copyto(last_low, low, where=far)
+        np.copyto(a, mid, where=far & low)
+        np.copyto(b, mid, where=far & ~low)
+
+
 @_lapack_errors
 def _search(eq):
     """Root of the constraint residual of one system by classification bisection.
@@ -597,8 +691,8 @@ def _search(eq):
     classify the midpoints the next DEPTH steps can reach (:func:`_midpoints`).
     A class depends on the multiplier alone, so the steps and exits are
     those of a bisection that classifies one midpoint per step, whatever
-    the guess.  :func:`solve_many` takes the same steps over a stack,
-    pinned bit for bit.
+    the guess.  :func:`solve_many` takes the same steps over a stack, skipping
+    its far steps and counting them in its iterations, pinned bit for bit.
     """
     b = float(eq.gram_norm()[0])
     guess = _predict(eq, 0.0, b)
@@ -744,6 +838,35 @@ def solve_many(systems):
     return _estimates(_solve_stack(_stack(systems)), systems)
 
 
+def _skip_far_steps(eq, rows, lower, upper, lam, least, z):
+    """Predict, advance, check (module docstring): the steps each stack row of ``rows``
+    skipped, 0 where it bisects from (lower, upper); a row that skips has its bracket
+    and best point (lam, least, z) updated in place."""
+    skipped = np.zeros(len(rows), dtype=int)
+    if not rows.size:
+        return skipped
+    k = eq.dimension[rows[0]]
+    at = np.flatnonzero(eq.dimension[rows] == k)
+    guess, floor = _guesses(eq.kernel(rows[at]), k, lower[at], upper[at])
+    margin = SKIP_MARGIN * np.abs(guess) * np.maximum(1.0, SKIP_FLOOR / floor)
+    a, b, steps, last_low = _far_steps(lower[at], upper[at], guess, margin)
+    moved = steps > 0
+    at, a, b, steps, last_low = (x[moved] for x in (at, a, b, steps, last_low))
+    if not at.size:
+        return skipped
+    f, z_hat, _ = eq.kernel(np.tile(rows[at], 2)).classify(np.concatenate([a, b]))
+    (f_a, f_b), (z_a, z_b) = np.split(f, 2), np.split(z_hat, 2)
+    held = (f_a > 0.0) & (f_b < 0.0)  # a reads low and b high
+    for end_a in (~last_low, last_low):  # the end the last step moved was reached last
+        size = np.abs(np.where(end_a, f_a, f_b))
+        better = held & np.where(end_a, a != lower[at], b != upper[at]) & (size < least[at])
+        lam[at[better]], least[at[better]] = np.where(end_a, a, b)[better], size[better]
+        z[at[better]] = np.where(end_a[:, None], z_a, z_b)[better]
+    at = at[held]
+    lower[at], upper[at], skipped[at] = a[held], b[held], steps[held]
+    return skipped
+
+
 @_lapack_errors
 def _solve_stack(stack):
     """The _Solved stack of the _Stack ``stack``: each row as :func:`solve` solves it.
@@ -751,9 +874,11 @@ def _solve_stack(stack):
     The stages of :func:`_search` run over one :class:`_Equilibrated` as array
     state: one call classifies every row at 0 and at ||G||_F, rows negative at
     0 take the bracket [bound, 0], positive ones expand upward together, and
-    every bracketed row then bisects, one step per round on a compact stack
-    of its unfinished rows (taken anew after a round in which a row finished).
-    A dropped row is not searched; a failed search gets the error solve raises.
+    every bracketed row skips its far steps where :func:`_skip_far_steps` vouches
+    for them (module docstring) and then bisects, one step per round on a
+    compact stack of its unfinished rows (taken anew after a round in which a
+    row finished); its iterations count the skipped steps.  A dropped row is
+    not searched; a failed search gets the error solve raises.
     """
     eq = _Equilibrated(stack)
     n = len(stack.errors)
@@ -804,6 +929,7 @@ def _solve_stack(stack):
     # brackets and best points are compact arrays, written back as rows finish.
     rows = np.concatenate(bracketed)
     lower, upper, lam, least, z = a[rows], b[rows], best_lam[rows], best_abs[rows], best_z[rows]
+    skipped = _skip_far_steps(eq, rows, lower, upper, lam, least, z)
     mid, live, count = np.empty_like(lower), None, 0
     while True:
         np.add(lower, upper, out=mid)
@@ -811,9 +937,9 @@ def _solve_stack(stack):
         go = (mid != lower) & (mid != upper)
         if live is None or not go.all():  # the collapsed brackets end here
             done = rows[~go]
-            iterations[done], best_lam[done], best_z[done] = count, lam[~go], z[~go]
-            rows, lower, upper, mid, lam, least, z = (
-                x[go] for x in (rows, lower, upper, mid, lam, least, z))
+            iterations[done], best_lam[done], best_z[done] = count + skipped[~go], lam[~go], z[~go]
+            rows, lower, upper, mid, lam, least, z, skipped = (
+                x[go] for x in (rows, lower, upper, mid, lam, least, z, skipped))
             if not rows.size:
                 break
             live = eq.kernel(rows)

@@ -908,6 +908,21 @@ def record_calls(monkeypatch, record=len):
     return calls
 
 
+def record_skips(monkeypatch):
+    """Per gtrs._skip_far_steps call from now on: its stack ``rows``, their ``opening``
+    brackets, the brackets they ``enter`` the bisection with and the steps each ``skipped``."""
+    skips, skip = [], gtrs._skip_far_steps
+
+    def spy(eq, rows, lower, upper, *best):
+        skips.append(SimpleNamespace(rows=rows, opening=(lower.copy(), upper.copy())))
+        skips[-1].skipped = skip(eq, rows, lower, upper, *best)
+        skips[-1].enter = (lower.copy(), upper.copy())
+        return skips[-1].skipped
+
+    monkeypatch.setattr(gtrs, "_skip_far_steps", spy)
+    return skips
+
+
 def guess_wrong_first(monkeypatch, steps):
     """Make the predictor call the first bisection step's side wrong, so a tree
     round follows it: a guess halfway from a to the first midpoint calls that
@@ -967,12 +982,132 @@ class TestFreeBound:
         systems = trial_systems(bundled_config, 1.0, SIGMA1_TRIALS)
         reference = solve_each(systems)
         assert sum(estimate.multiplier < 0.0 for estimate in reference) == 12
-        calls = record_calls(monkeypatch)
+        calls, skips = record_calls(monkeypatch), record_skips(monkeypatch)
         monkeypatch.setattr(gtrs, "_search", None)  # no row is searched alone
         assert_bit_identical(solve_many(systems), reference)
         # The opening holds all 24 rows at 0 and at ||G||_F, which brackets
-        # the 12 positive roots, and the first bisection round holds all 24.
-        assert len(systems) == 24 and calls[:2] == [48, 24]
+        # the 12 positive roots.  The check round holds both ends of every row
+        # that skipped its far steps, the 12 negative ones among them, and
+        # each bisection round then holds all 24 until the first finishes.
+        (skip,) = skips
+        skipped = skip.rows[skip.skipped > 0].tolist()
+        assert {row for row, e in enumerate(reference) if e.multiplier < 0.0} <= set(skipped)
+        shared = min(reference[row].iterations - steps
+                     for row, steps in zip(skip.rows.tolist(), skip.skipped.tolist()))
+        assert len(systems) == 24 and calls[:2] == [48, 2 * len(skipped)]
+        assert shared > 0 and calls[2 : 2 + shared] == [24] * shared
+
+
+# Guesses that must not change a bit, from the root: 1e-4 off on the side the
+# predictor's steps land on, 1e-4 off on the other side, and none.
+BAD_GUESSES = {
+    "off": lambda root: root - 1e-4 * abs(root),
+    "wrong-side": lambda root: root + 1e-4 * abs(root),
+    "nan": lambda root: math.nan,
+}
+
+
+class TestSkipFarSteps:
+    """_solve_stack moves each row's bracket past the far steps of its predicted
+    path where one classify round of the two ends it reaches holds; every
+    other row bisects from its opening bracket.  Either way the bits are those
+    of the stepwise bisection."""
+
+    @pytest.mark.parametrize("kind", [*BAD_GUESSES, "mix"])
+    def test_bad_guesses_fall_back_with_the_same_bits(self, bundled_config, monkeypatch, kind):
+        systems = trial_systems(bundled_config, 1.0, SIGMA1_TRIALS)
+        reference = solve_each(systems)
+        roots = [estimate.multiplier for estimate in reference]
+        assert sum(root < 0.0 for root in roots) == 12
+        # "mix" gives each row in turn a guess of each bad kind or its own.
+        kinds = [kind if kind != "mix" else [*BAD_GUESSES, None][row % 4] for row in range(24)]
+        calls, skips, guesses = record_calls(monkeypatch), record_skips(monkeypatch), gtrs._guesses
+
+        def adversary(eq, k, a, b):
+            guess, floor = guesses(eq, k, a, b)
+            rows = skips[-1].rows.tolist()
+            assert len(rows) == len(guess)  # one k: every row is predicted
+            return np.array([g if kinds[row] is None else BAD_GUESSES[kinds[row]](roots[row])
+                             for row, g in zip(rows, guess.tolist())]), floor
+
+        monkeypatch.setattr(gtrs, "_guesses", adversary)
+        assert_bit_identical(solve_many(systems), reference)
+        (skip,) = skips
+        bad = np.array([kinds[row] is not None for row in skip.rows.tolist()])
+        assert bad.any() and (skip.skipped[bad] == 0).all() and (skip.skipped[~bad] > 0).all()
+        for opening, enter in zip(skip.opening, skip.enter):  # the bad rows bisect from it
+            assert np.array_equal(enter[bad], opening[bad])
+        # The check round holds both ends of every row with a guess: the bad
+        # guesses move their brackets too, and only the check sends them back.
+        guessed = sum(kinds[row] != "nan" for row in range(24))
+        assert calls[1] == (2 * guessed if guessed else 24)
+
+    @pytest.mark.parametrize("trial", [0, 12], ids=["positive", "negative"])
+    def test_tied_ends_keep_the_one_reached_first(self, bundled_config, monkeypatch, trial):
+        # Both ends the far steps reach read a residual of the same size,
+        # smaller than any other, so the best point is the first of them the
+        # stepwise bisection met; its strict < keeps it past the second.
+        (system,) = trial_systems(bundled_config, 1.0, [trial])
+        skips = record_skips(monkeypatch)
+        solve_many([system])
+        (skip,) = skips
+        (low,), (high,) = skip.enter
+        assert skip.skipped[0] > 0 and low != skip.opening[0][0] and high != skip.opening[1][0]
+        classify = gtrs._Equilibrated.classify
+
+        def tied(self, lams):
+            residual, z_hat, solved = classify(self, lams)
+            tie = np.where(lams == low, 1e-300, np.where(lams == high, -1e-300, residual))
+            return tie, z_hat, solved
+
+        monkeypatch.setattr(gtrs._Equilibrated, "classify", tied)
+        reference = solve_each([system])
+        assert reference[0].multiplier in (low, high)
+        assert_bit_identical(solve_many([system]), reference)
+
+    def test_a_sweep_stack_skips_on_nearly_every_row(self, bundled_config, monkeypatch):
+        # perfbench's sweep_sigma call: the bundled scenario at 5 sigma x 20
+        # trials, one stack of 100 rows, with the master seed of its seed 0.
+        # The parent schedule took 84 classify calls there.
+        config = replace(bundled_config, sigma_grid_db=(1.0, 3.0, 5.0, 7.0, 9.0), mc_trials=20,
+                         master_seed=2103381652, known_power=False, sweep_kind="sigma")
+        calls, skips = record_calls(monkeypatch), record_skips(monkeypatch)
+        experiments.run_sweep(config)
+        (skip,) = skips
+        assert len(skip.rows) == 100 and np.count_nonzero(skip.skipped) >= 95
+        assert len(calls) <= 50
+
+    @pytest.mark.parametrize("finish", [0, 8, 100])
+    def test_stacked_guesses_are_the_scalar_predictors(self, bundled_config, monkeypatch, finish):
+        # Over arrays, in Python floats from where the arrays left off, or all
+        # in Python floats: each row's guess is _predict's on the same bracket,
+        # up to rounding, since the stacked one runs in t = s*lam (2.5e-12 apart
+        # at most on these rows).
+        monkeypatch.setattr(gtrs, "SCALAR_FINISH", finish)
+        systems = trial_systems(bundled_config, 1.0, SIGMA1_TRIALS)
+        systems += sigma9_trial_systems(bundled_config, range(12))
+        eq = gtrs._Equilibrated(systems)
+        negative = np.array([estimate.multiplier < 0.0 for estimate in solve_each(systems)])
+        a = np.where(negative, eq.bound(), 0.0)
+        b = np.where(negative, 0.0, eq.gram_norm())
+        guess, _ = gtrs._lapack_errors(gtrs._guesses)(eq.kernel(np.arange(len(systems))), 3, a, b)
+        predict = gtrs._lapack_errors(gtrs._predict)
+        scalar = [predict(eq[row], a[row], b[row]) for row in range(len(systems))]
+        assert None not in scalar
+        assert np.allclose(guess, scalar, rtol=1e-10, atol=0.0)
+
+    @pytest.mark.parametrize("a, b, guess, margin", [
+        (0.0, 4.25, 1e-3, 1e-9), (-3e-3, 0.0, -2e-4, 2e-10), (0.0, 4.25, 3e-207, 3e-213),
+        (0.0, 1.0, 2.0, 0.0), (0.0, 1.0, 0.0, 0.0), (0.0, 1.0, 0.3, 1.0),
+    ], ids=["positive", "negative", "far-below", "past-b", "at-a", "all-near"])
+    def test_far_steps_are_the_paths_leading_far_midpoints(self, a, b, guess, margin):
+        path = gtrs._path(a, b, guess)
+        far = next((i for i, mid in enumerate(path) if not abs(mid - guess) > margin), len(path))
+        lows = [mid for mid in path[:far] if mid < guess]
+        highs = [mid for mid in path[:far] if not mid < guess]
+        expected = ((lows or [a])[-1], (highs or [b])[-1], far, far > 0 and path[far - 1] < guess)
+        got = gtrs._far_steps(*(np.array([x]) for x in (a, b, guess, margin)))
+        assert tuple(x[0] for x in got) == expected
 
 
 class TestOpening:
@@ -1263,15 +1398,19 @@ class TestFarBelow:
             assert usual.iterations < shifted.iterations < BISECTION_BOUND
 
     @pytest.mark.parametrize("known_power", [False, True], ids=["joint", "known"])
-    def test_stacked_with_the_sigma1_trials(self, bundled_config, known_power):
+    def test_stacked_with_the_sigma1_trials(self, bundled_config, known_power, monkeypatch):
         systems = trial_systems(replace(bundled_config, known_power=known_power), 1.0, SIGMA1_TRIALS)
         build = build_known_power_system if known_power else build_system
         systems[3:3] = [shifted_system(bundled_config.scenario, build, shift)
                         for shift in FAR_BELOW_DB + [-1480.0]]
         reference = solve_each(systems)
         assert all(isinstance(outcome, gtrs.Estimate) for outcome in reference)
+        calls = record_calls(monkeypatch)
         assert_bit_identical(solve_many(systems), reference)
-        assert max(estimate.iterations for estimate in reference) < BISECTION_BOUND
+        assert 700 < max(estimate.iterations for estimate in reference) < BISECTION_BOUND
+        # Each row skips its far steps, so the stack takes tens of classify rounds,
+        # not one per step of its slowest row.
+        assert len(calls) <= 80
 
 
 class TestUnderflow:
