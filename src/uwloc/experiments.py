@@ -156,9 +156,20 @@ class _TrialSetting:
     solve_env: Environment
 
 
+class _SeedWords(np.random.SeedSequence):
+    """A SeedSequence that hashes its state words once per (n_words, dtype) and
+    hands each caller a copy: seeding a generator from it draws no new words."""
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        memo = vars(self).setdefault("words", {})
+        if (n_words, dtype) not in memo:
+            memo[n_words, dtype] = super().generate_state(n_words, dtype)
+        return memo[n_words, dtype].copy()
+
+
 @functools.lru_cache(maxsize=SWEEP_BATCH_TRIALS)
 def _seed_sequence(master_seed, trial_index):
-    return np.random.SeedSequence(master_seed, spawn_key=(trial_index,))
+    return _SeedWords(master_seed, spawn_key=(trial_index,))
 
 
 def trial_rng(master_seed, trial_index):
@@ -167,13 +178,14 @@ def trial_rng(master_seed, trial_index):
     Each call returns a new generator, whose draws are those of
     ``default_rng(SeedSequence(master_seed, spawn_key=(trial_index,)))``.
     The SeedSequence is memoized and shared by every generator of that
-    trial, since building one costs about three times what seeding from it
-    does; each :func:`run_sweep` starts an empty memo sized to hold every
-    trial index of its sweep and frees it when the sweep ends.  A
-    generator only reads its sequence, so the memo changes no draw, but
-    spawning from one (``Generator.spawn``) advances the shared sequence's
-    child counter: two generators of one trial spawn different children.
-    Nothing in uwloc spawns from it.
+    trial, and so are the state words it hashes for a generator's seed
+    (most of what seeding costs); each :func:`run_sweep` starts an empty
+    memo sized to hold every trial index of its sweep and frees it when the
+    sweep ends.  A generator only reads its sequence, so the memo changes
+    no draw, but spawning from one (``Generator.spawn``) advances the
+    shared sequence's child counter: two generators of one trial spawn
+    different children, each with its own spawn key.  Nothing in uwloc
+    spawns from it.
     """
     return np.random.default_rng(_seed_sequence(master_seed, trial_index))
 

@@ -72,7 +72,14 @@ kappa*w*u, so its sign can flip only about that near the root, and kappa <=
 w/floor of the unit-diagonal Gram matrix, under 3e-8 relative at a floor of
 1e-7; below that the margin widens by 1e-7/f, f = 1/||L^-1||_F^2 <= floor
 (under 1000*w times, by the rank gate).  On 6000 bundled sweep rows a class
-disagreed with its side only within 5.6e-8 relative of the root.
+disagreed with its side only within 5.6e-8 relative of the root.  From (0, b)
+a midpoint is 0.5*(0 + x) = x/2, exact in the normal range, so the leading
+steps above g + margin reach b*2^-j (from (a, 0), those below g - margin reach
+a*2^-j), and the advance jumps all but the last of them with one ldexp.  In
+the bisection a row whose bracket collapsed rides along in the compact stack,
+its midpoint (an end, which the stepwise search never classifies again) kept
+out of the best-point rule, until a quarter of the stack has finished: taking
+the arrays anew costs more than classifying a few finished rows.
 """
 
 import functools
@@ -550,7 +557,8 @@ def _predict(eq, a, b):
     them; a step that leaves the bracket it narrows halves it instead.
     Returns None where a factorization fails or a value is not finite, or
     where the steps end against an end of (a, b) that no step crossed: the
-    root may lie past it.
+    root may lie past it.  Where a term overflows unscaled (mu near 1e303 at
+    readings 1480 dB down), the one-row :func:`_guesses` in t = s*lam predicts.
     """
     factor = _umath_linalg.cholesky_lo(eq.gram, signature="d->d")
     inverse = _umath_linalg.inv(factor, signature="d->d")
@@ -561,7 +569,10 @@ def _predict(eq, a, b):
     g2 = (mu * c + e) ** 2
     alpha, beta = float(e @ (e / mu) - 2.0 * e0 @ c0), 2.0 * float(e0 @ e0)
     g2mu, mu, g2 = (g2 / mu).tolist(), mu.tolist(), g2.tolist()
-    if not (min(mu) > 0.0 and math.isfinite(alpha + beta + sum(g2mu) + sum(g2))):
+    if not math.isfinite(alpha + beta + sum(g2mu) + sum(g2)):
+        guess = _guesses(eq.kernel(np.newaxis), eq.dimension, np.array([a]), np.array([b]))[0][0]
+        return None if math.isnan(guess) else float(guess)
+    if not min(mu) > 0.0:
         return None
     return _newton(list(zip(mu, g2mu, g2)), alpha, beta, (a, b), (a, a, b))
 
@@ -629,22 +640,25 @@ def _guesses(eq, k, a, b):
     h_nu, floor = h * nu, 1.0 / (inverse * inverse).sum(axis=(1, 2))
     alpha, beta = (e_mu * e_mu).sum(1) - 2.0 * (e0 * c0).sum(1), 2.0 * (e0_s * e0_s).sum(1)
     usable = (mu.min(axis=1) > 0.0) & np.isfinite(alpha + beta + h.sum(1) + s)
-    ends, live = (a * s, b * s), usable.copy()
+    ends, live, h_nu2 = (a * s, b * s), usable.copy(), 2.0 * h_nu
     lam, (lo, hi) = ends[0], ends
     guess, left = np.full(len(a), np.nan), np.full(len(a), PREDICT_STEPS)
+    l_root = np.where(beta > 0.0, -alpha / beta, -np.inf)
     while np.count_nonzero(live) > SCALAR_FINISH:
         d = 1.0 + lam[:, None] * nu
-        n, dn = (h / (d * d)).sum(axis=1), 2.0 * (h_nu / (d * d * d)).sum(axis=1)
+        d2 = d * d
+        n, dn = (h / d2).sum(axis=1), (h_nu2 / (d2 * d)).sum(axis=1)
         level = alpha + beta * lam
-        f = n - level
+        f, slope_f = n - level, dn + beta
         root_n, root_l = np.sqrt(n), np.sqrt(level)
         slope = 0.5 * (dn / n / root_n + beta / level / root_l)
         psi = (level > 0.0) & (n > 0.0)
         new = np.where(psi & (slope > 0.0), lam - (1.0 / root_n - 1.0 / root_l) / slope, -np.inf)
-        new = np.fmax(lam + f / (dn + beta), np.where(~psi & (beta > 0.0), -alpha / beta, new))
-        plain = live & (d > 0.0).all(axis=1) & np.isfinite(f + new) & (dn + beta > 0.0)
+        new = np.fmax(lam + f / slope_f, np.where(psi, new, l_root))
+        # No pole: nu peaks at exactly 1, so every d > 0 where lam > -1.
+        plain = live & (lam > -1.0) & np.isfinite(f + new) & (slope_f > 0.0)
         done = plain & (np.abs(new - lam) <= 1e-12 * np.abs(new))
-        guess[done] = new[done]
+        np.copyto(guess, new, where=done)
         low, high = np.where(f > 0.0, lam, lo), np.where(f < 0.0, lam, hi)
         step = plain & ~done & (low < new) & (new < high)
         lam, lo, hi = np.where(step, new, lam), np.where(step, low, lo), np.where(step, high, hi)
@@ -661,9 +675,17 @@ def _guesses(eq, k, a, b):
 def _far_steps(a, b, guess, margin):
     """:func:`_path`'s steps from each bracket (a, b) toward ``guess``, in lockstep, up to the
     first whose midpoint lies within ``margin`` of it: the brackets they reach, their
-    counts and whether the last of them moved a."""
-    a, b, steps = a.copy(), b.copy(), np.zeros(len(a), dtype=int)
-    far, last_low = np.ones(len(a), dtype=bool), np.zeros(len(a), dtype=bool)
+    counts and whether the last of them moved a.  From (0, b), the leading steps whose
+    midpoints lie above guess + margin are exact halvings of b, as from (a, 0) those below
+    guess - margin are of a; one ldexp jumps all but the last of them (module docstring)."""
+    top = a == 0.0  # b halves from (0, b), a from (a, 0); no other bracket jumps
+    end = np.where(top, b, np.where(b == 0.0, -a, 0.0))
+    edge = np.where(top, guess + margin, margin - guess)
+    with np.errstate(all="ignore"):  # NaN or -inf where there is no edge
+        steps = np.log2(end / edge) // 1.0 - 1.0
+    steps = np.where((edge > 1e-290) & (steps > 0.0), steps, 0.0).astype(int)
+    a, b = np.ldexp(a, -steps), np.ldexp(b, -steps)
+    far, last_low = np.ones(len(a), dtype=bool), (steps > 0) & (b == 0.0)
     while True:
         mid = 0.5 * (a + b)
         far &= (np.abs(mid - guess) > margin) & (mid != a) & (mid != b)
@@ -876,8 +898,8 @@ def _solve_stack(stack):
     0 take the bracket [bound, 0], positive ones expand upward together, and
     every bracketed row skips its far steps where :func:`_skip_far_steps` vouches
     for them (module docstring) and then bisects, one step per round on a
-    compact stack of its unfinished rows (taken anew after a round in which a
-    row finished); its iterations count the skipped steps.  A dropped row is
+    compact stack of its rows (taken anew once a quarter of them have
+    finished); its iterations count the skipped steps.  A dropped row is
     not searched; a failed search gets the error solve raises.
     """
     eq = _Equilibrated(stack)
@@ -925,28 +947,29 @@ def _solve_stack(stack):
         f, z_hat, solved = eq.kernel(rows).classify(b[rows])
 
     # Bisection: keep the best, else halve.  A zero residual closes its bracket
-    # at the midpoint, so one collapse test ends both exits.  The live rows'
-    # brackets and best points are compact arrays, written back as rows finish.
+    # at the midpoint, so one collapse test ends both exits, and a collapsed
+    # bracket stays so.  The brackets and best points are compact arrays, written
+    # back once a quarter of their rows have finished (module docstring).
     rows = np.concatenate(bracketed)
     lower, upper, lam, least, z = a[rows], b[rows], best_lam[rows], best_abs[rows], best_z[rows]
-    skipped = _skip_far_steps(eq, rows, lower, upper, lam, least, z)
-    mid, live, count = np.empty_like(lower), None, 0
+    steps = _skip_far_steps(eq, rows, lower, upper, lam, least, z)
+    mid, live = np.empty_like(lower), None
     while True:
         np.add(lower, upper, out=mid)
         mid *= 0.5
         go = (mid != lower) & (mid != upper)
-        if live is None or not go.all():  # the collapsed brackets end here
+        if live is None or 4 * (len(go) - np.count_nonzero(go)) >= len(go):
             done = rows[~go]
-            iterations[done], best_lam[done], best_z[done] = count + skipped[~go], lam[~go], z[~go]
-            rows, lower, upper, mid, lam, least, z, skipped = (
-                x[go] for x in (rows, lower, upper, mid, lam, least, z, skipped))
+            iterations[done], best_lam[done], best_z[done] = steps[~go], lam[~go], z[~go]
+            rows, lower, upper, mid, lam, least, z, steps, go = (
+                x[go] for x in (rows, lower, upper, mid, lam, least, z, steps, go))
             if not rows.size:
                 break
             live = eq.kernel(rows)
         f, z_hat, _ = live.classify(mid)
-        count += 1
+        steps += go
         size = np.abs(f)
-        better = size < least  # f is inf where not solved
+        better = (size < least) & go  # f is inf where not solved; a collapsed row's is no step's
         np.copyto(lam, mid, where=better)
         np.copyto(least, size, where=better)
         np.copyto(z, z_hat, where=better[:, None])

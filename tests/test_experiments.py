@@ -9,7 +9,8 @@ import pytest
 import uwloc
 from conftest import built_outcomes
 from uwloc import experiments, gtrs
-from uwloc.channel import Environment, MeasurementSet, NoiseModel, Scenario, generate_measurements
+from uwloc.channel import NOISE_KINDS, Environment, MeasurementSet, NoiseModel, Scenario
+from uwloc.channel import generate_measurements, sample_noise
 from uwloc.cli import main
 from uwloc.config import bundled_scenario_path, parse_scenario
 from uwloc.errors import ConfigError, GeometryError, NumericalError, UwlocError
@@ -85,6 +86,36 @@ class TestRunTrial:
         assert_fresh_draws()
         # The sequence is shared, so a later generator of the trial spawns the next children.
         assert trial_rng(99, 4).spawn(1)[0].bit_generator.seed_seq.spawn_key == (4, 2)
+
+    @pytest.mark.parametrize("kind", NOISE_KINDS)
+    def test_memoized_seed_words_draw_the_plain_sequences_draws(self, small_config, monkeypatch,
+                                                                kind):
+        # Inside a sweep, a trial's first generator hashes its sequence's state
+        # words and the second reuses them; both draw what a plain sequence does.
+        noise, seed, n = NoiseModel(kind, 3.0), 99, small_config.scenario.n_anchors
+        pairs, run_group = [], experiments._run_group
+
+        def spy(*args):
+            for trial in (0, 5):
+                plain = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(trial,)))
+                expected = sample_noise(noise, plain, n).tobytes()
+                pairs.extend((sample_noise(noise, trial_rng(seed, trial), n).tobytes(), expected)
+                             for _ in range(2))
+            return run_group(*args)
+
+        monkeypatch.setattr(experiments, "_run_group", spy)
+        run_sweep(replace(small_config, master_seed=seed, mc_trials=6))
+        assert len(pairs) == 4 and all(got == expected for got, expected in pairs)
+        assert_memo_freed()
+
+    def test_spawned_children_are_the_plain_sequences_children(self):
+        experiments._seed_sequence.cache_clear()
+        plain = np.random.default_rng(np.random.SeedSequence(99, spawn_key=(7,)))
+        trial_rng(99, 7).random()  # the words are memoized
+        for mine, theirs in zip(trial_rng(99, 7).spawn(2), plain.spawn(2)):
+            assert mine.bit_generator.seed_seq.spawn_key == theirs.bit_generator.seed_seq.spawn_key
+            assert mine.random(4).tobytes() == theirs.random(4).tobytes()
+        experiments._seed_sequence.cache_clear()
 
     def test_a_sweep_builds_each_trials_seed_sequence_once(self, small_config, monkeypatch):
         config = replace(small_config, mc_trials=6)

@@ -998,6 +998,35 @@ class TestFreeBound:
         assert shared > 0 and calls[2 : 2 + shared] == [24] * shared
 
 
+# Brackets, guesses and margins for _far_steps: the ldexp jump from (0, b) or
+# (a, 0), with its edge guess + margin within one octave of b (no jump) or
+# exactly b*2**-20, and where it must not jump: a subnormal or NaN guess.
+FAR_STEP_BRACKETS = {
+    "positive": (0.0, 4.25, 1e-3, 1e-9),
+    "negative": (-3e-3, 0.0, -2e-4, 2e-10),
+    "far-below": (0.0, 4.25, 3e-207, 3e-213),
+    "far-below-negative": (-4.25, 0.0, -3e-207, 3e-213),
+    "past-b": (0.0, 1.0, 2.0, 0.0),
+    "at-a": (0.0, 1.0, 0.0, 0.0),
+    "all-near": (0.0, 1.0, 0.3, 1.0),
+    "edge-within-an-octave": (0.0, 4.25, 3.0, 1e-7),
+    "edge-on-a-halving": (0.0, 4.25, 4.25 * 2.0**-20 - 2.0**-40, 2.0**-40),
+    "subnormal": (0.0, 4.25, 5e-320, 0.0),
+    "nan": (0.0, 4.25, math.nan, math.nan),
+}
+
+
+def leading_far_steps(a, b, guess, margin):
+    """Reference for gtrs._far_steps on one bracket, from _path: the bracket its
+    steps reach up to the first midpoint within ``margin`` of ``guess``, their
+    count and whether the last of them moved a."""
+    path = gtrs._path(a, b, guess)
+    far = next((i for i, mid in enumerate(path) if not abs(mid - guess) > margin), len(path))
+    lows = [mid for mid in path[:far] if mid < guess]
+    highs = [mid for mid in path[:far] if not mid < guess]
+    return (lows or [a])[-1], (highs or [b])[-1], far, far > 0 and path[far - 1] < guess
+
+
 # Guesses that must not change a bit, from the root: 1e-4 off on the side the
 # predictor's steps land on, 1e-4 off on the other side, and none.
 BAD_GUESSES = {
@@ -1096,18 +1125,27 @@ class TestSkipFarSteps:
         assert None not in scalar
         assert np.allclose(guess, scalar, rtol=1e-10, atol=0.0)
 
-    @pytest.mark.parametrize("a, b, guess, margin", [
-        (0.0, 4.25, 1e-3, 1e-9), (-3e-3, 0.0, -2e-4, 2e-10), (0.0, 4.25, 3e-207, 3e-213),
-        (0.0, 1.0, 2.0, 0.0), (0.0, 1.0, 0.0, 0.0), (0.0, 1.0, 0.3, 1.0),
-    ], ids=["positive", "negative", "far-below", "past-b", "at-a", "all-near"])
+    @pytest.mark.parametrize("a, b, guess, margin", FAR_STEP_BRACKETS.values(),
+                             ids=FAR_STEP_BRACKETS.keys())
     def test_far_steps_are_the_paths_leading_far_midpoints(self, a, b, guess, margin):
-        path = gtrs._path(a, b, guess)
-        far = next((i for i, mid in enumerate(path) if not abs(mid - guess) > margin), len(path))
-        lows = [mid for mid in path[:far] if mid < guess]
-        highs = [mid for mid in path[:far] if not mid < guess]
-        expected = ((lows or [a])[-1], (highs or [b])[-1], far, far > 0 and path[far - 1] < guess)
         got = gtrs._far_steps(*(np.array([x]) for x in (a, b, guess, margin)))
-        assert tuple(x[0] for x in got) == expected
+        assert tuple(x[0] for x in got) == leading_far_steps(a, b, guess, margin)
+
+    def test_stacked_far_steps_are_each_rows_own(self):
+        rows = list(FAR_STEP_BRACKETS.values())
+        got = gtrs._far_steps(*map(np.array, zip(*rows)))
+        assert [tuple(x[row] for x in got) for row in range(len(rows))] == [
+            leading_far_steps(*row) for row in rows]
+
+    @pytest.mark.parametrize("a, b, guess", [(0.0, 4.25, 3e-207), (-4.25, 0.0, -3e-207)],
+                             ids=["positive", "negative"])
+    def test_the_exact_halvings_are_jumped(self, monkeypatch, a, b, guess):
+        # 706 far steps, nearly all of them halvings of b (or a), in about 20
+        # lockstep passes: each pass moves its rows with three copyto calls.
+        copies, copyto = [], np.copyto
+        monkeypatch.setattr(np, "copyto", lambda *args, **kw: copies.append(1) or copyto(*args, **kw))
+        (steps,) = gtrs._far_steps(*(np.array([x]) for x in (a, b, guess, 1e-6 * abs(guess))))[2]
+        assert steps == 706 and len(copies) / 3 <= 25
 
 
 class TestOpening:
@@ -1412,8 +1450,55 @@ class TestFarBelow:
         # not one per step of its slowest row.
         assert len(calls) <= 80
 
+    @pytest.mark.parametrize("build", [build_system, build_known_power_system], ids=["joint", "known"])
+    def test_solve_predicts_where_the_unscaled_terms_overflow(self, reference_scenario, build,
+                                                             monkeypatch):
+        # At -1480 dB the scalar set-up's g^2 overflows; the one-row stacked
+        # predictor, scaled by the largest mu, still guesses the root, so the
+        # opening holds its path instead of a tree round per three steps.
+        system = shifted_system(reference_scenario, build, -1480.0)
+        eq = gtrs._Equilibrated([system])[0]
+        expected = search_outcome(stepwise_search, eq)
+        assert expected[2] > 1000
+        calls = record_calls(monkeypatch)
+        assert search_outcome(gtrs._search, eq) == expected
+        assert len(calls) <= 10
 
-class TestUnderflow:
+
+# Trials at sigma = 9 dB whose unit-diagonal Gram floor lies under SKIP_FLOOR
+# (1e-10 to 5.5e-8): their widened margins leave them more steps than the rest.
+SIGMA9_LOW_FLOOR_TRIALS = [167, 281, 86, 100, 160, 93, 66, 197, 242, 186, 5]
+
+
+class TestFinishedRows:
+    """A row whose bracket collapsed rides along in the bisection's compact stack
+    until a quarter of that stack has finished; its re-classified midpoint is an
+    end of its bracket, which the stepwise bisection never classifies again."""
+
+    def test_rows_finishing_rounds_apart_keep_their_bits(self, bundled_config, monkeypatch):
+        systems = trial_systems(bundled_config, 1.0, SIGMA1_TRIALS)
+        systems += sigma9_trial_systems(bundled_config, SIGMA9_LOW_FLOOR_TRIALS)
+        systems += [shifted_system(bundled_config.scenario, build_system, shift)
+                    for shift in FAR_BELOW_DB + [-1480.0]]
+        reference = solve_each(systems)
+        assert all(isinstance(outcome, gtrs.Estimate) for outcome in reference)
+        # A second reading of a system's multiplier reads a residual of 1e-300
+        # with its sign, smaller than any best so far: let into the best-point
+        # rule, it would take the row's multiplier and z.
+        seen, rereads, classify = set(), [], gtrs._Equilibrated.classify
+
+        def reread(self, lams):
+            residual, z_hat, solved = classify(self, lams)
+            keys = [(rhs.tobytes(), lam) for rhs, lam in zip(self.rhs0, lams.tolist())]
+            again = np.array([key in seen for key in keys])
+            seen.update(keys)
+            rereads.append(np.count_nonzero(again))
+            return np.where(again, np.copysign(1e-300, residual), residual), z_hat, solved
+
+        monkeypatch.setattr(gtrs._Equilibrated, "classify", reread)
+        assert_bit_identical(solve_many(systems), reference)
+        # The finished rows were classified again after the check round: they rode along.
+        assert sum(rereads[2:]) > 0
     """About 1489 dB below the usual readings, a diagonal entry of the normal
     matrix is too small for the Jacobi scaling 1/sqrt(N_ii N_jj) to be finite;
     the build drops that row with a NumericalError before _gram_floor sees it."""
