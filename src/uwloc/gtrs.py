@@ -49,24 +49,26 @@ One kernel, :meth:`_Equilibrated.classify`, decides every multiplier that
 either search driver tries: the opening call at 0 and ||G||_F, each
 upward doubling and each bisection step.  A single fix's search guesses
 the root from the secular equation of the scaled pencil and classifies
-the bisection's likely path in one call; every step is still decided by
-the shifted solve, so the secular function sets only the speed, never the
-multiplier, z or the step count.  A sweep's systems stay arrays from build
+the bisection's likely path, less its far steps, in one call; each step is
+still decided by the shifted solve or skipped as below, so the secular
+function sets only the speed, never the multiplier, z or the step count.
+A sweep's systems stay arrays from build
 to solution (a _Stack, solved into a _Solved); GtrsSystem and Estimate
 objects are made only by the one-fix builders, :func:`solve` and :func:`solve_many`.
 The search never reads beta: :func:`_estimates` and a sweep's records read
 the power 5*beta*log10(u) out of z with the beta the system was built with.
 
-A sweep's stack skips its far steps, and its bits rest on one assumption: a
-class is monotone in lam farther than the margin from the root.  Each row
-with a guess g (Moré & Sorensen 1983's Newton, as for a single fix) moves
-(a, b) along its path's leading steps more than the margin 1e-6*|g| from g,
-and one classify call checks the two ends they reach.  Where a reads low and
-b high, the root lies between them, so each skipped midpoint had the class
-its side of g gave it; phi decreases, so each end has the least |phi| of the
-skipped midpoints on its side, and the best-point rule on the two ends, in
-the order the steps reached them, keeps the stepwise best.  Any other row
-bisects from its opening bracket.  LU's forward error sizes the margin
+Both drivers skip far steps, and their bits rest on one assumption: a class is
+monotone in lam farther than the margin from the root.  Each bracket with a
+guess g (Moré & Sorensen 1983's Newton) moves (a, b) along its path's leading
+steps more than the margin 1e-6*|g| from g, and one classify call checks the
+two ends they reach: a sweep's check round, or a single fix's path call, which
+holds them before its near steps.  Where a reads low and b high, the root lies
+between them, so each skipped midpoint had the class its side of g gave it; phi
+decreases, so each end has the least |phi| of the skipped midpoints on its
+side, and the best-point rule on the two ends, in the order the steps reached
+them, keeps the stepwise best.  Any other bracket bisects from where it opened,
+a single fix after one more call.  LU's forward error sizes the margin
 (Higham 2002, ch. 9): phi is read at a solution with relative error about
 kappa*w*u, so its sign can flip only about that near the root, and kappa <=
 w/floor of the unit-diagonal Gram matrix, under 3e-8 relative at a floor of
@@ -108,7 +110,7 @@ DEPTH = 3
 # fixes it stops after 3 to 9.
 PREDICT_STEPS = 30
 
-# A sweep row skips the bisection steps more than SKIP_MARGIN*|guess| from its
+# A search skips the bisection steps more than SKIP_MARGIN*|guess| from its
 # predicted root, the margin widened below a Gram floor of SKIP_FLOOR (module
 # docstring); at most SCALAR_FINISH unconverged guesses finish in Python floats.
 SKIP_MARGIN, SKIP_FLOOR, SCALAR_FINISH = 1e-6, 1e-7, 8
@@ -401,6 +403,12 @@ class _Equilibrated:
         self.lin2 = 2.0 * self.lin  # the residual's 2h, formed once
         self.rhs0 = self.moment * self.scale
 
+    @functools.cached_property
+    def inverse(self):
+        """L^-1 of each G = L L^T, G the scaled ``gram`` (NaN where not PD), formed once."""
+        return _umath_linalg.inv(_umath_linalg.cholesky_lo(self.gram, signature="d->d"),
+                                 signature="d->d")
+
     def take(self, rows, names=None):
         """The systems at the index array ``rows`` as a stack, or at an int as one
         system; with ``names``, only those arrays are copied."""
@@ -540,6 +548,22 @@ def _path(a, b, guess):
     return mids
 
 
+def _skip_path(eq, a, b):
+    """(guess, mids, far, last_low) of the bracket (a, b) of one system ``eq``: the guess of
+    :func:`_predict`, its path call and the count of :func:`_path`'s leading steps more than
+    the margin from the guess (module docstring).  The call skips those: it holds the ends
+    they reach, then the rest of the path.  ``last_low`` says the last of them moved a."""
+    guess = _predict(eq, a, b)
+    if guess is None:
+        return None, [], 0, False
+    path = _path(a, b, guess)
+    margin = SKIP_MARGIN * abs(guess) * max(1.0, SKIP_FLOOR * float((eq.inverse**2).sum()))
+    far = next((i for i, mid in enumerate(path) if not abs(mid - guess) > margin), len(path))
+    for mid in path[:far]:
+        a, b = (mid, b) if mid < guess else (a, mid)
+    return guess, [a, b, *path[far:]] if far else path, far, far > 0 and path[far - 1] < guess
+
+
 def _predict(eq, a, b):
     """An estimate of the root in the bracket (a, b), from the secular equation.
 
@@ -560,8 +584,7 @@ def _predict(eq, a, b):
     root may lie past it.  Where a term overflows unscaled (mu near 1e303 at
     readings 1480 dB down), the one-row :func:`_guesses` in t = s*lam predicts.
     """
-    factor = _umath_linalg.cholesky_lo(eq.gram, signature="d->d")
-    inverse = _umath_linalg.inv(factor, signature="d->d")
+    inverse = eq.inverse
     mu, u = _umath_linalg.eigh_lo((inverse * eq.quad.diagonal()) @ inverse.T, signature="d->dd")
     c, e = np.array([eq.rhs0, eq.lin]) @ inverse.T @ u
     free = len(mu) - eq.dimension  # the w - k smallest mu are rounding noise about 0
@@ -626,9 +649,7 @@ def _guesses(eq, k, a, b):
     in t = s*lam, s the largest of the row's k nonzero mu, where no term overflows.
     The steps run over arrays while more than SCALAR_FINISH rows take plain ones (no
     pole, finite values, inside the narrowed bracket); :func:`_newton` finishes the rest."""
-    inverse = _umath_linalg.inv(_umath_linalg.cholesky_lo(eq.gram, signature="d->d"),
-                                signature="d->d")
-    inverse_t = inverse.transpose(0, 2, 1)
+    inverse, inverse_t = eq.inverse, eq.inverse.transpose(0, 2, 1)
     pencil = (inverse * eq.quad.diagonal(axis1=1, axis2=2)[:, None]) @ inverse_t
     mu, u = _umath_linalg.eigh_lo(pencil, signature="d->dd")
     c, e = (np.stack([eq.rhs0, eq.lin], axis=1) @ inverse_t @ u).transpose(1, 0, 2)
@@ -704,21 +725,21 @@ def _search(eq):
 
     Returns (multiplier, z_hat, iterations).  Each step looks its midpoint
     up by value in the memo of the current round: the multipliers that one
-    classify call classified.  The opening call holds 0 and ||G||_F and,
-    where :func:`_predict` has a guess for the bracket (0, ||G||_F), the
-    midpoints :func:`_path` lays out for that guess.  A negative
-    root's bracket [bound, 0] and an upward one (one call per further
-    probe) take a guess of their own and classify its path in one more
-    call.  Later rounds, and the first where the opening holds no path,
-    classify the midpoints the next DEPTH steps can reach (:func:`_midpoints`).
-    A class depends on the multiplier alone, so the steps and exits are
-    those of a bisection that classifies one midpoint per step, whatever
-    the guess.  :func:`solve_many` takes the same steps over a stack, skipping
-    its far steps and counting them in its iterations, pinned bit for bit.
+    classify call classified.  The opening call holds 0, ||G||_F and the path
+    call of (0, ||G||_F) (:func:`_skip_path`); a negative root's bracket
+    [bound, 0] and an upward one (one call per further probe) take a path
+    call of their own.  Where the far steps' ends read low and high, the
+    search moves there and counts them; else it classifies the whole path
+    from its bracket in one more call (module docstring).  Later rounds, and
+    the first where there is no guess, classify the midpoints the next DEPTH
+    steps can reach (:func:`_midpoints`).  A class depends on the multiplier
+    alone, so the steps and exits are those of a bisection that classifies
+    one midpoint per step, whatever the guess.  :func:`solve_many` takes the
+    same steps over a stack, pinned bit for bit.
     """
     b = float(eq.gram_norm()[0])
-    guess = _predict(eq, 0.0, b)
-    mids = [0.0, b] if guess is None else [0.0, b, *_path(0.0, b, guess)]
+    guess, path, far, last_low = _skip_path(eq, 0.0, b)
+    mids = [0.0, b, *path]
     f, z_hat, solved = eq.classify(np.array(mids))
     if not solved[0]:
         raise GeometryError("normal matrix is not positive definite")
@@ -726,7 +747,7 @@ def _search(eq):
     f0, fb = f[:2]
     if f0 == 0.0:
         return 0.0, z_hat[0], 0
-    a = 0.0
+    a, at = 0.0, 2  # the far ends, where the path call holds them, are mids[at:at + 2]
     if not f0 > 0.0:  # Root is negative, so [bound, 0] brackets it (module docstring).
         a, b, fb, row, mids = float(eq.bound()), 0.0, f0, 0, []
     elif fb > 0.0:  # Root is above b: double b until phi(b) < 0, as it must (module docstring).
@@ -739,9 +760,19 @@ def _search(eq):
         mids = []
     # phi decreases, so b, the last point that is not low, is the best so far; z_hat is rows[row].
     best, least, rows = b, abs(fb), z_hat
-    if not mids:  # a bracket other than the opening's: its own guess, for its first round
-        guess = _predict(eq, a, b)
+    if not mids:  # a bracket other than the opening's: its own guess and path call
+        guess, mids, far, last_low = _skip_path(eq, a, b)
+        if mids:
+            f, z_hat, _ = eq.classify(np.array(mids))
+            f, at = f.tolist(), 0
     node, iterations = 0, 0
+    if far and f[at] > 0.0 and f[at + 1] < 0.0:  # a reads low and b high: the skip holds
+        for i in (at + last_low, at + 1 - last_low):  # the end the last step moved comes last
+            if mids[i] != (a, b)[i - at] and -least < f[i] < least:
+                best, least, rows, row = mids[i], abs(f[i]), z_hat, i
+        a, b, iterations = *mids[at : at + 2], far
+    elif far:  # the check failed: the first round classifies the whole path from (a, b)
+        mids = []
     while True:
         mid = 0.5 * (a + b)
         if mid == a or mid == b:

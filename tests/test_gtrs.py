@@ -1027,6 +1027,25 @@ def leading_far_steps(a, b, guess, margin):
     return (lows or [a])[-1], (highs or [b])[-1], far, far > 0 and path[far - 1] < guess
 
 
+def skipping_path_call(eq, a, b, guess):
+    """Reference for the path call of gtrs._search on the bracket (a, b) of a system
+    whose 1/||L^-1||_F^2 is above SKIP_FLOOR, so the margin is SKIP_MARGIN*|guess|:
+    the two ends the leading far steps reach, then the rest of _path; and their count."""
+    inverse = np.linalg.inv(np.linalg.cholesky(eq.gram))
+    assert 1.0 / (inverse**2).sum() > gtrs.SKIP_FLOOR
+    low, high, far, _ = leading_far_steps(a, b, guess, gtrs.SKIP_MARGIN * abs(guess))
+    path = gtrs._path(a, b, guess)
+    return ([low, high, *path[far:]] if far else path), far
+
+
+def record_path_calls(monkeypatch):
+    """Per gtrs._skip_path call from now on: its bracket and its (guess, mids, far, last_low)."""
+    plans, skip_path = [], gtrs._skip_path
+    monkeypatch.setattr(gtrs, "_skip_path", lambda eq, a, b: (
+        plans.append(((a, b), skip_path(eq, a, b))) or plans[-1][1]))
+    return plans
+
+
 # Guesses that must not change a bit, from the root: 1e-4 off on the side the
 # predictor's steps land on, 1e-4 off on the other side, and none.
 BAD_GUESSES = {
@@ -1039,8 +1058,10 @@ BAD_GUESSES = {
 class TestSkipFarSteps:
     """_solve_stack moves each row's bracket past the far steps of its predicted
     path where one classify round of the two ends it reaches holds; every
-    other row bisects from its opening bracket.  Either way the bits are those
-    of the stepwise bisection."""
+    other row bisects from its opening bracket.  A single fix's _search checks
+    the two ends in its path call and, where they do not hold, classifies the
+    whole path in one more.  Either way the bits are those of the stepwise
+    bisection."""
 
     @pytest.mark.parametrize("kind", [*BAD_GUESSES, "mix"])
     def test_bad_guesses_fall_back_with_the_same_bits(self, bundled_config, monkeypatch, kind):
@@ -1093,6 +1114,57 @@ class TestSkipFarSteps:
         reference = solve_each([system])
         assert reference[0].multiplier in (low, high)
         assert_bit_identical(solve_many([system]), reference)
+
+    @pytest.mark.parametrize("kind", [*BAD_GUESSES, "check-fails"])
+    def test_a_single_fix_shrugs_off_bad_guesses(self, bundled_config, monkeypatch, kind):
+        # Each bad guess of BAD_GUESSES, or one at 0.999 of every bracket, whose
+        # far steps end on one side of the root, gives _search the stepwise bits
+        # for at most one classify call more than the same guess with no step
+        # skipped (an infinite margin); the guess whose check fails, exactly one.
+        calls, plans, skipped = record_calls(monkeypatch), record_path_calls(monkeypatch), 0
+        for system in trial_systems(bundled_config, 1.0, SIGMA1_TRIALS):
+            eq = gtrs._Equilibrated([system])[0]
+            expected = search_outcome(stepwise_search, eq)
+            root, bad = expected[0], BAD_GUESSES.get(kind)
+            monkeypatch.setattr(gtrs, "_predict", lambda eq, a, b: (
+                a + 0.999 * (b - a) if bad is None else bad(root)))
+            counts = []
+            for margin in (math.inf, gtrs.SKIP_MARGIN):
+                monkeypatch.setattr(gtrs, "SKIP_MARGIN", margin)
+                calls.clear()
+                assert search_outcome(gtrs._search, eq) == expected
+                counts.append(len(calls))
+            skipped += plans[-1][1][2] > 0
+            assert counts[1] - counts[0] in ((1,) if bad is None else (0, 1))
+        assert skipped == (0 if kind == "nan" else 24)
+
+    @pytest.mark.parametrize("trial", [0, 12], ids=["positive", "negative"])
+    def test_a_single_fix_keeps_the_tied_end_reached_first(self, bundled_config, monkeypatch,
+                                                           trial):
+        # As for a stack row: both far ends read residuals of one size, smaller
+        # than any other, so the best point is the end the steps reached first.
+        (system,) = trial_systems(bundled_config, 1.0, [trial])
+        eq = gtrs._Equilibrated([system])[0]
+        plans = record_path_calls(monkeypatch)
+        search_outcome(gtrs._search, eq)
+        (a, b), (_, (low, high, *_), far, last_low) = plans[-1]
+        assert far > 0 and low != a and high != b and (a < 0.0) == (trial == 12)
+
+        def one(eq, lam):
+            is_low, residual, z_hat = classify_one(eq, lam)
+            return is_low, 1e-300 if lam == low else -1e-300 if lam == high else residual, z_hat
+
+        expected = search_outcome(lambda eq: stepwise_search(eq, one), eq)
+        assert expected[0] == (high if last_low else low)
+        classify = gtrs._Equilibrated.classify
+
+        def tied(self, lams):
+            residual, z_hat, solved = classify(self, lams)
+            tie = np.where(lams == low, 1e-300, np.where(lams == high, -1e-300, residual))
+            return tie, z_hat, solved
+
+        monkeypatch.setattr(gtrs._Equilibrated, "classify", tied)
+        assert search_outcome(gtrs._search, eq) == expected
 
     def test_a_sweep_stack_skips_on_nearly_every_row(self, bundled_config, monkeypatch):
         # perfbench's sweep_sigma call: the bundled scenario at 5 sigma x 20
@@ -1152,7 +1224,7 @@ class TestOpening:
     """Both drivers open with one classify call that holds 0 and ||G||_F for
     every row they search, and double upward through classify.  A single
     fix's opening also holds the predicted path where the predictor has a
-    guess for (0, ||G||_F)."""
+    guess for (0, ||G||_F): the two ends of its far steps, then its near ones."""
 
     def test_solve_opens_at_zero_and_the_gram_norm(self, bundled_config, monkeypatch):
         systems = trial_systems(bundled_config, 1.0, SIGMA1_TRIALS)
@@ -1168,13 +1240,14 @@ class TestOpening:
                 positive += 1
                 guess = gtrs._lapack_errors(gtrs._predict)(eq, 0.0, norm)
                 assert 0.0 < guess < norm
-                assert calls[0][2:] == gtrs._path(0.0, norm, guess)
+                path_call, far = skipping_path_call(eq, 0.0, norm, guess)
+                assert far > 0 and calls[0][2:] == path_call
         assert positive == 12
 
     def test_negative_roots_open_at_zero_and_the_gram_norm_alone(self, bundled_config, monkeypatch):
         # The predictor's first step, at 0, lies above the root, so it has no
         # guess for (0, ||G||_F) and the opening holds no path; the bracket
-        # [bound, 0] gets a guess and a path call of its own.
+        # [bound, 0] gets a guess and a path call of its own, which skips too.
         systems = trial_systems(bundled_config, 1.0, SIGMA1_TRIALS)
         calls = record_calls(monkeypatch, np.ndarray.tolist)
         predict = gtrs._lapack_errors(gtrs._predict)
@@ -1188,7 +1261,8 @@ class TestOpening:
                 assert predict(eq, 0.0, norm) is None
                 assert calls[0] == [0.0, norm]
                 bound = float(eq.bound())
-                assert calls[1] == gtrs._path(bound, 0.0, predict(eq, bound, 0.0))
+                path_call, far = skipping_path_call(eq, bound, 0.0, predict(eq, bound, 0.0))
+                assert far > 0 and calls[1] == path_call
         assert negative == 12
 
     def test_solve_many_opens_every_valid_row_in_one_call(self, bundled_config, monkeypatch):
@@ -1224,10 +1298,11 @@ class TestOpening:
 
 class TestSpeculativeSearch:
     """gtrs._search opens with one classify call at 0 and ||G||_F that also
-    holds the predicted path where the root lies inside (0, ||G||_F); else
-    the path gets a call of its own.  Then it classifies the midpoints of
-    DEPTH steps per round, in stacked calls, and replays the steps; it must
-    match stepwise_search bit for bit whatever the predictor guesses."""
+    holds the predicted path, less its far steps, where the root lies inside
+    (0, ||G||_F); else the path gets a call of its own.  Then it classifies
+    the midpoints of DEPTH steps per round, in stacked calls, and replays the
+    steps; it must match stepwise_search bit for bit whatever the predictor
+    guesses."""
 
     @pytest.fixture(scope="class")
     def sigma1(self, bundled_config):
@@ -1244,6 +1319,7 @@ class TestSpeculativeSearch:
         assert sum(lam < 0.0 for lam, _, _ in expected) == 12
         monkeypatch.setattr(gtrs, "DEPTH", depth)
         calls, guesses, paths = record_calls(monkeypatch), [], []
+        plans = record_path_calls(monkeypatch)
         predict, path = gtrs._predict, gtrs._path
         monkeypatch.setattr(gtrs, "_predict", lambda eq, a, b: (
             guesses.append(predict(eq, a, b)) or guesses[-1]))
@@ -1258,14 +1334,17 @@ class TestSpeculativeSearch:
             # The predictor is good enough that the path round takes most steps.
             assert taken >= iterations / 2
             assert len(paths[-1]) > 2**depth - 1
-            # One call at [0, ||G||_F] and the whole path where the root lies
-            # inside that bracket; else the opening, any further upward probes
-            # and one call for the path.  Then one call per DEPTH steps; a
-            # bracket that collapses at a tree round's first step costs no call.
+            # One call at [0, ||G||_F] and the path, its far steps' two ends in
+            # place of those steps, where the root lies inside that bracket;
+            # else the opening, any further upward probes and one call for the
+            # path.  Then one call per DEPTH steps; a bracket that collapses at
+            # a tree round's first step costs no call.
+            _, path_call, far, _ = plans[-1][1]
+            assert far > 0 and len(path_call) == 2 + len(paths[-1]) - far
             if inside:
-                assert calls[0] == 2 + len(paths[-1])
+                assert calls[0] == 2 + len(path_call)
             else:
-                assert calls[:opening + 1] == [2] + [1] * (opening - 1) + [len(paths[-1])]
+                assert calls[:opening + 1] == [2] + [1] * (opening - 1) + [len(path_call)]
             lead = 1 if inside else opening + 1
             assert calls[lead:] == [2**depth - 1] * -(-(iterations - taken) // depth)
             ends_inside_a_round += (iterations - taken) % depth != 0
@@ -1295,17 +1374,28 @@ class TestSpeculativeSearch:
     def test_zero_residual_inside_a_round(
         self, sigma1, sigma1_steps, monkeypatch, depth, step, trial, where
     ):
-        # The residual reads exactly 0 at the bisection's step-th solved
-        # midpoint, which ends both searches there with that midpoint as the
-        # estimate.  A negative root's first midpoints can lie below the pole,
-        # where there is no solution to return, so those are not counted.
-        # A wrong first guess puts steps after the first in tree rounds.
+        # The residual reads exactly 0 at a midpoint, which ends both searches
+        # there with that midpoint as the estimate.  On the path, it is the
+        # step-th the search classifies after the far steps it skips: a zero at
+        # a far midpoint would break the monotone classes the skip rests on.
+        # A wrong first guess fails the check, so nothing is skipped, and puts
+        # steps after the first in tree rounds; there it is the step-th solved
+        # midpoint (a negative root's first midpoints can lie below the pole,
+        # where there is no solution to return, so those are not counted).
         (lam, _, _), steps, opening, inside = sigma1_steps[SIGMA1_TRIALS.index(trial)]
         eq = sigma1[SIGMA1_TRIALS.index(trial)]
         assert (lam < 0.0) == (trial == 12)
         solved = [count for count, (_, residual) in enumerate(steps, 1) if residual != np.inf]
         assert (solved[0] > 1) == (trial == 12)
-        step = solved[step - 1]
+        if where == "path":
+            with pytest.MonkeyPatch.context() as patch:
+                plans = record_path_calls(patch)
+                search_outcome(gtrs._search, eq)
+            far = plans[-1][1][2]
+            assert far > 0 and far + step in solved
+            step += far
+        else:
+            step = solved[step - 1]
         zero_at = steps[step - 1][0]
 
         def one(eq, lam):
@@ -1326,7 +1416,9 @@ class TestSpeculativeSearch:
             guess_wrong_first(monkeypatch, steps)
         calls = record_calls(monkeypatch)
         assert search_outcome(gtrs._search, eq) == expected
-        lead = 1 if inside else opening + 1  # calls up to the one that holds the path
+        # Calls up to the one that holds the path; in a tree case, the one more
+        # call for the whole path after the failed check.
+        lead = (1 if inside else opening + 1) + (where == "tree")
         if where == "path" or step == 1:
             assert len(calls) == lead
         else:
@@ -1463,6 +1555,24 @@ class TestFarBelow:
         calls = record_calls(monkeypatch)
         assert search_outcome(gtrs._search, eq) == expected
         assert len(calls) <= 10
+
+    @pytest.mark.parametrize("build", [build_system, build_known_power_system], ids=["joint", "known"])
+    def test_solve_skips_the_halvings_toward_the_root(self, reference_scenario, build, monkeypatch):
+        # From (0, ||G||_F ~ 4) toward a root near 1e-297, nearly every step
+        # halves b; solve skips those, so each fix classifies tens of
+        # multipliers in all its calls (1073 to 1110 when every step was
+        # classified), with the stepwise bits and iterations.
+        calls = record_calls(monkeypatch)
+        for shift_db in (-1450.0, -1480.0):
+            system = shifted_system(reference_scenario, build, shift_db)
+            eq = gtrs._Equilibrated([system])[0]
+            expected = search_outcome(stepwise_search, eq)
+            assert expected[2] > 1000
+            assert search_outcome(gtrs._search, eq) == expected
+            calls.clear()
+            estimate = solve(system)
+            assert (estimate.multiplier, estimate.iterations) == (expected[0], expected[2])
+            assert sum(calls) <= 120
 
 
 # Trials at sigma = 9 dB whose unit-diagonal Gram floor lies under SKIP_FLOOR
