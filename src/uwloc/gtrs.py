@@ -52,9 +52,9 @@ the root from the secular equation of the scaled pencil and classifies
 the bisection's likely path, less its far steps, in one call; each step is
 still decided by the shifted solve or skipped as below, so the secular
 function sets only the speed, never the multiplier, z or the step count.
-A sweep's systems stay arrays from build
-to solution (a _Stack, solved into a _Solved); GtrsSystem and Estimate
-objects are made only by the one-fix builders, :func:`solve` and :func:`solve_many`.
+A sweep's systems stay arrays from build to solution (a _Stack, solved into a
+_Solved of what its records read); GtrsSystem and Estimate objects, and their KKT
+diagnostics (:func:`_kkt`), are made only by :func:`solve` and :func:`solve_many`.
 The search never reads beta: :func:`_estimates` and a sweep's records read
 the power 5*beta*log10(u) out of z with the beta the system was built with.
 
@@ -182,10 +182,9 @@ class Estimate:
 # keeps one k for all its rows, its design and target, and the ple of :func:`_only`.
 _Stack = namedtuple("_Stack", "normal moment dimension errors design target ple",
                     defaults=(None, None, None))
-# A _Stack's solutions: Estimate fields as arrays and the errors.  The position is
-# z[:k] and the power 5*ple*log10(z[-1]) where power_valid; a dropped row's z is 0.
-_Solved = namedtuple("_Solved", "multiplier z iterations kkt_stationarity kkt_constraint"
-                     " kkt_min_eig_ratio power_valid errors")
+# A _Stack's solutions: the Estimate fields a sweep reads, as arrays, and the errors.  The
+# position is z[:k] and the power 5*ple*log10(z[-1]) where power_valid; a dropped row's z is 0.
+_Solved = namedtuple("_Solved", "multiplier z iterations power_valid errors")
 
 
 def _gram_floor(normal):
@@ -824,15 +823,22 @@ def _stationarity(shifted, z, rhs):
     return np.where(scale > 0, residual / scale, residual), np.isfinite(residual + scale)
 
 
-@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _finalize(eq, lam, z_hat, iterations, errors):
     """The _Solved stack of the finished searches of ``eq``, one entry per row in each
-    argument.  One stacked pass gives each matrix its arithmetic alone, so a row does
-    not depend on its batch; a row that ``errors`` drops gets z = 0, so no power."""
-    quad, lin, normal = eq.constraint_quad, eq.constraint_lin, eq.normal
+    argument; a row that ``errors`` drops gets z = 0, so no power."""
     z = z_hat * eq.scale
     z[[error is not None for error in errors]] = 0.0
-    rhs = eq.moment - lam[:, None] * lin
+    valid = (z[:, -1] > 0.0) & (eq.dimension == z.shape[-1] - 2)  # u > 0, in a joint system
+    return _Solved(lam, z, iterations, valid, errors)
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _kkt(normal, moment, dimension, lam, z):
+    """Estimate diagnostics (stationarity, constraint, min_eig_ratio) of the solutions
+    ``lam``, ``z`` of R^T R ``normal``, R^T v ``moment`` and k ``dimension``, per row, in one
+    stacked pass that gives each matrix its own arithmetic.  No sweep calls it."""
+    quad, lin = (lift.take(dimension, axis=0) for lift in _liftings(normal.shape[-1]))
+    rhs = moment - lam[:, None] * lin
     shifted = normal + lam[:, None, None] * quad
     stationarity, finite = _stationarity(shifted, z, rhs)
     if not finite.all():  # norms that overflow: divide M and rhs by their largest entry
@@ -840,20 +846,17 @@ def _finalize(eq, lam, z_hat, iterations, errors):
         top = np.maximum(abs(shifted[over]).max(axis=(1, 2)), abs(rhs[over]).max(axis=1))
         stationarity[over] = _stationarity(
             shifted[over] / top[:, None, None], z[over], rhs[over] / top[:, None])[0]
-    constraint = _quadratic(z, quad, 2.0 * lin)
     min_eig = _umath_linalg.eigvalsh_lo(shifted, signature="d->d").min(axis=1)
-    min_eig_ratio = min_eig / _umath_linalg.svd(normal, signature="d->d").max(axis=1)
-    valid = (z[:, -1] > 0.0) & (eq.dimension == normal.shape[-1] - 2)  # u > 0, in a joint system
-    return _Solved(lam, z, iterations, stationarity, constraint, min_eig_ratio, valid, errors)
+    return (stationarity, _quadratic(z, quad, 2.0 * lin),
+            min_eig / _umath_linalg.svd(normal, signature="d->d").max(axis=1))
 
 
-def _estimates(solved, systems):
-    """Per row of the _Solved stack of ``systems``, its Estimate, with the power read
-    out with that system's ple, or the UwlocError that dropped it."""
+def _estimates(solved, stack, systems):
+    """Per row of the _Solved stack of ``stack`` (a _Stack or _Equilibrated) and ``systems``,
+    its Estimate with its system's ple and :func:`_kkt`, or the UwlocError that dropped it."""
+    kkt = _kkt(stack.normal, stack.moment, stack.dimension, solved.multiplier, solved.z)
     rows = zip(systems, solved.errors, solved.z, solved.power_valid.tolist(),
-               solved.multiplier.tolist(), solved.iterations.tolist(),
-               solved.kkt_stationarity.tolist(), solved.kkt_constraint.tolist(),
-               solved.kkt_min_eig_ratio.tolist())
+               solved.multiplier.tolist(), solved.iterations.tolist(), *map(np.ndarray.tolist, kkt))
     return [error or Estimate(z, z[: s.dimension].copy(),
                               _power_dbm(z[-1], s.ple) if valid else None, valid, lam, steps, *kkt)
             for s, error, z, valid, lam, steps, *kkt in rows]
@@ -872,7 +875,7 @@ def solve(system):
     eq = _Equilibrated([system])
     lam, z_hat, iterations = _search(eq[0])
     solved = _finalize(eq, np.array([lam]), z_hat[None], np.array([iterations]), [None])
-    return _estimates(solved, [system])[0]
+    return _estimates(solved, eq, [system])[0]
 
 
 # The known-power system needs no solver of its own; the name stays public.
@@ -888,7 +891,8 @@ def solve_many(systems):
     widths = sorted({system.design.shape[1] for system in systems})
     if len(widths) > 1:
         raise ValueError(f"solve_many takes systems of one design width, got widths {widths}")
-    return _estimates(_solve_stack(_stack(systems)), systems)
+    stack = _stack(systems)
+    return _estimates(_solve_stack(stack), stack, systems)
 
 
 def _skip_far_steps(eq, rows, lower, upper, lam, least, z):

@@ -206,12 +206,13 @@ def solve_alone(setting, config, trial):
 
 
 def sweep_with_stacks(config, monkeypatch):
-    """run_sweep's records and the gtrs._Solved stack of each of its groups."""
+    """run_sweep's records and, for each of its groups, its gtrs._Stack and the
+    gtrs._Solved stack of it."""
     stacks, solve_stack = [], gtrs._solve_stack
 
     def spy(stack):
-        stacks.append(solve_stack(stack))
-        return stacks[-1]
+        stacks.append((stack, solve_stack(stack)))
+        return stacks[-1][1]
 
     monkeypatch.setattr(gtrs, "_solve_stack", spy)
     return run_sweep(config), stacks
@@ -221,11 +222,15 @@ def bits(value):
     return np.float64(value).tobytes()
 
 
-def assert_rows_match_solve(solved, settings, config, trials):
-    """Each row of the gtrs._Solved stack of ``trials`` at each point of ``settings``
-    holds its one-by-one outcome: the Estimate's fields, bit for bit, the power read
-    out of z with the ple of the row's point, or the class and message of the error
-    that dropped it.  Returns those outcomes, row by row."""
+def assert_rows_match_solve(group, settings, config, trials):
+    """Each row of a group's (gtrs._Stack, gtrs._Solved) pair of ``trials`` at each
+    point of ``settings`` holds its one-by-one outcome: the Estimate's fields, bit for
+    bit, the KKT diagnostics gtrs._kkt gives the stack, the power read out of z with
+    the ple of the row's point, or the class and message of the error that dropped it.
+    Returns those outcomes, row by row."""
+    stack, solved = group
+    kkt = dict(zip(("kkt_stationarity", "kkt_constraint", "kkt_min_eig_ratio"), gtrs._kkt(
+        stack.normal, stack.moment, stack.dimension, solved.multiplier, solved.z)))
     points = [setting for setting in settings for _ in trials]
     alone = [solve_alone(setting, config, t) for setting in settings for t in trials]
     assert len(solved.errors) == len(alone)
@@ -237,8 +242,9 @@ def assert_rows_match_solve(solved, settings, config, trials):
         assert solved.errors[row] is None
         assert same_bits(solved.z[row], expected.z)
         assert same_bits(solved.z[row, : setting.scenario.dimension], expected.position_m)
-        for field in ("multiplier", "kkt_stationarity", "kkt_constraint", "kkt_min_eig_ratio"):
-            assert bits(getattr(solved, field)[row]) == bits(getattr(expected, field)), field
+        assert bits(solved.multiplier[row]) == bits(expected.multiplier)
+        for field, diagnostic in kkt.items():
+            assert bits(diagnostic[row]) == bits(getattr(expected, field)), field
         assert solved.iterations[row] == expected.iterations
         assert solved.power_valid[row] == expected.power_valid
         if expected.power_valid:
@@ -322,6 +328,21 @@ class TestRunSweep:
         # Five points of 20 trials, grouped whole and in order.
         assert sizes == {1: [20] * 5, 20: [20] * 5, 50: [40, 40, 20]}[batch_trials]
 
+    @pytest.mark.parametrize("known_power", [False, True], ids=["joint", "known"])
+    def test_a_sweep_computes_no_kkt_diagnostics(self, bundled_config, monkeypatch, known_power):
+        # A record reads z, power_valid and the errors of its _Solved slice;
+        # only an Estimate reads the KKT diagnostics of gtrs._kkt.
+        config = replace(bundled_config, known_power=known_power)
+        calls, stacks, kkt, solve_stack = [], [], gtrs._kkt, gtrs._solve_stack
+        monkeypatch.setattr(gtrs, "_kkt", lambda *args: calls.append(args) or kkt(*args))
+        monkeypatch.setattr(
+            gtrs, "_solve_stack", lambda stack: stacks.append(stack) or solve_stack(stack))
+        records = run_sweep(config)
+        assert len(records) == len(config.sigma_grid_db) and stacks and not calls
+        setting = experiments._sweep_settings(config)[0]
+        gtrs.solve(experiments._trial_system(setting, config, 0))
+        assert len(calls) == 1  # the spy sees a fix's one call
+
     def test_anchor_sweep_drops_last_listed_first(self, small_config):
         config = replace(small_config, sweep_kind="anchor_count", mc_trials=5)
         records = run_sweep(config)
@@ -384,16 +405,16 @@ class TestRunSweep:
             bundled_config, sweep_kind=kind, known_power=known_power, weighted=weighted,
             mc_trials=8, sigma_grid_db=(3.0, 9.0),
         )
-        _, (solved,) = sweep_with_stacks(config, monkeypatch)  # every point in one group
+        _, (group,) = sweep_with_stacks(config, monkeypatch)  # every point in one group
         settings = experiments._sweep_settings(config)
-        assert_rows_match_solve(solved, settings, config, range(config.mc_trials))
+        assert_rows_match_solve(group, settings, config, range(config.mc_trials))
 
     def test_a_rank_gate_drop_keeps_its_row(self, bundled_config, monkeypatch):
         # On the bundled sigma = 9 dB point, trial 210 alone fails the rank gate.
         config = replace(bundled_config, sigma_grid_db=(9.0,), mc_trials=211)
-        (record,), (solved,) = sweep_with_stacks(config, monkeypatch)
+        (record,), (group,) = sweep_with_stacks(config, monkeypatch)
         settings = experiments._sweep_settings(config)
-        alone = assert_rows_match_solve(solved, settings, config, range(211))
+        alone = assert_rows_match_solve(group, settings, config, range(211))
         assert [i for i, outcome in enumerate(alone) if isinstance(outcome, UwlocError)] == [210]
         assert isinstance(alone[210], GeometryError)
         assert record.failures == (("GeometryError", (210,), str(alone[210])),)
@@ -515,9 +536,9 @@ class TestStackedBuild:
         path = tmp_path / "underflow_overflow.json"
         path.write_text(json.dumps(doc))
         config = parse_scenario(path)
-        _, (solved,) = sweep_with_stacks(config, monkeypatch)
+        _, ((stack, solved),) = sweep_with_stacks(config, monkeypatch)
         settings = experiments._sweep_settings(config)
-        alone = assert_rows_match_solve(solved, settings, config, range(3))
+        alone = assert_rows_match_solve((stack, solved), settings, config, range(3))
         assert all(isinstance(outcome, NumericalError) for outcome in alone)
         assert not solved.power_valid.any() and not solved.z.any()
 
@@ -595,7 +616,7 @@ class TestSquaredErrors:
         z_hat[::3, -1] *= -1.0
         z_hat[1::7, -1] = 0.0
         again = gtrs._finalize(eq, solved.multiplier, z_hat, solved.iterations, stack.errors)
-        estimates = gtrs._estimates(again, built_outcomes(built))
+        estimates = gtrs._estimates(again, stack, built_outcomes(built))
         k, ple = setting.scenario.dimension, setting.solve_env.ple
         for row, estimate in enumerate(estimates):
             z = z_hat[row] * eq.scale[row]
@@ -630,8 +651,7 @@ class TestSquaredErrors:
                       for _ in range(3 * m)]
             z[[error is not None for error in errors]] = 0.0  # as _finalize leaves a dropped row
             zeros = np.zeros(3 * m)
-            solved = gtrs._Solved(zeros, z, zeros.astype(int), zeros, zeros, zeros,
-                                  z[:, -1] > 0.0, errors)
+            solved = gtrs._Solved(zeros, z, zeros.astype(int), z[:, -1] > 0.0, errors)
             record = experiments._record(
                 setting, small_config, solved, slice(m, 2 * m), (1.0, 2.0), 0.0)
             positions, power_err2 = [], []
@@ -663,8 +683,7 @@ class TestSquaredErrors:
         n = np.count_nonzero(apart) // 2 * 2
         z, zeros = np.ones((n, 5)), np.zeros(n)
         z[:, -1] = u[apart][:n]
-        solved = gtrs._Solved(zeros, z, zeros.astype(int), zeros, zeros, zeros,
-                              np.full(n, True), [None] * n)
+        solved = gtrs._Solved(zeros, z, zeros.astype(int), np.full(n, True), [None] * n)
         told_apart = 0
         for first in range(0, n, 2):
             rows = slice(first, first + 2)

@@ -250,7 +250,7 @@ def direct_lapack(spd, matrices, rhs):
 
 
 class TestDirectLapack:
-    """_Equilibrated.classify and _finalize call numpy.linalg's LAPACK gufuncs
+    """_Equilibrated.classify and _kkt call numpy.linalg's LAPACK gufuncs
     without its wrapper."""
 
     def test_numpy_exposes_the_gufuncs(self):
@@ -278,7 +278,7 @@ class TestDirectLapack:
             assert factor.tobytes() == np.linalg.cholesky(unit).tobytes()
             for a, y in zip((unit, general), solved):
                 assert y.tobytes() == np.linalg.solve(a, rhs).tobytes()
-            # _finalize's eigenvalues of a shifted matrix and singular values of N
+            # _kkt's eigenvalues of a shifted matrix and singular values of N
             shifted = spd - rng.uniform(0.0, 2.0) * np.diag(rng.uniform(size=width))
             assert (
                 _umath_linalg.eigvalsh_lo(shifted, signature="d->d").tobytes()
@@ -778,6 +778,33 @@ class TestSolveMany:
         assert failed and all(isinstance(outcome, NumericalError) for outcome in failed)
         assert all("could not be solved at multiplier" in str(outcome) for outcome in failed)
         assert_bit_identical(solve_many(systems), reference)
+
+    def test_one_kkt_pass_per_stack_at_the_returned_z(self, monkeypatch):
+        # solve_many takes its stack's diagnostics in one gtrs._kkt call, at the
+        # z it returns: a row whose upward walk fails is 0 there, not the
+        # solution at multiplier 0 its search kept.  solve takes one per fix.
+        systems = [orthonormal_system(seed) for seed in range(6)]
+        calls, kkt = [], gtrs._kkt
+        monkeypatch.setattr(gtrs, "_kkt", lambda *args: calls.append(args) or kkt(*args))
+        classify = gtrs._Equilibrated.classify
+        monkeypatch.setattr(gtrs._Equilibrated, "classify", lambda self, lams: classify(
+            self, np.where(lams > 0.0, np.inf, lams)))
+        outcomes = solve_many(systems)
+        ((normal, moment, dimension, lam, z),) = calls
+        assert normal.tobytes() == np.array([s.normal for s in systems]).tobytes()
+        assert moment.tobytes() == np.array([s.moment for s in systems]).tobytes()
+        assert dimension.tolist() == [2] * 6
+        failed = [isinstance(outcome, UwlocError) for outcome in outcomes]
+        assert any(failed) and not all(failed) and not z[failed].any()
+        for row, outcome in enumerate(outcomes):
+            if not failed[row]:
+                assert (z[row].tobytes(), lam[row]) == (outcome.z.tobytes(), outcome.multiplier)
+        calls.clear()
+        assert_bit_identical(solve_many(systems[:3]) + solve_many(systems[3:]), outcomes)
+        assert len(calls) == 2
+        calls.clear()
+        assert_bit_identical(solve_each(systems), outcomes)
+        assert len(calls) == failed.count(False)
 
     def test_zero_design_column_fails_alone(self):
         # A zero column gives the normal matrix a zero diagonal entry, which
@@ -1492,7 +1519,7 @@ class TestFinalize:
     @pytest.mark.parametrize("driver", ["solve", "solve_many"])
     def test_readings_far_above_the_usual_ones(self, reference_scenario, shift_db, build, driver):
         # Shifting every reading, and a known power with them, rescales the
-        # problem without moving the fix; its norms overflow in _finalize.
+        # problem without moving the fix; its norms overflow in _kkt.
         estimates = []
         for shift in (0.0, shift_db):
             system = shifted_system(reference_scenario, build, shift)
@@ -1668,5 +1695,5 @@ class TestPowerDbm:
             flagged = z_hat.copy()
             flagged[-1] = u / eq.scale[0, -1]
             solved = gtrs._finalize(eq, np.array([lam]), flagged[None], np.array([steps]), [None])
-            (estimate,) = gtrs._estimates(solved, [system])
+            (estimate,) = gtrs._estimates(solved, eq, [system])
             assert estimate.transmit_power_dbm is None and not estimate.power_valid
