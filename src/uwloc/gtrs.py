@@ -61,20 +61,20 @@ the power 5*beta*log10(u) out of z with the beta the system was built with.
 Both drivers skip far steps, and their bits rest on one assumption: a class is
 monotone in lam farther than the margin from the root.  Each bracket with a
 guess g (Moré & Sorensen 1983's Newton) moves (a, b) along its path's leading
-steps more than the margin 1e-6*|g| from g, and one classify call checks the
+steps more than the margin from g, and one classify call checks the
 two ends they reach: a sweep's check round, or a single fix's path call, which
 holds them before its near steps.  Where a reads low and b high, the root lies
 between them, so each skipped midpoint had the class its side of g gave it; phi
 decreases, so each end has the least |phi| of the skipped midpoints on its
 side, and the best-point rule on the two ends, in the order the steps reached
 them, keeps the stepwise best.  Any other bracket bisects from where it opened,
-a single fix after one more call.  LU's forward error sizes the margin
-(Higham 2002, ch. 9): phi is read at a solution with relative error about
-kappa*w*u, so its sign can flip only about that near the root, and kappa <=
-w/floor of the unit-diagonal Gram matrix, under 3e-8 relative at a floor of
-1e-7; below that the margin widens by 1e-7/f, f = 1/||L^-1||_F^2 <= floor
-(under 1000*w times, by the rank gate).  On 6000 bundled sweep rows a class
-disagreed with its side only within 5.6e-8 relative of the root.  From (0, b)
+a single fix after one more call.  LU's forward error sizes the margin (Higham
+2002, ch. 9): phi is read at a solution with relative error about kappa*u, and
+kappa <= w/floor for the unit-diagonal G = L L^T; the shift barely moves G below
+1/mu, mu the largest eigenvalue of P = L^-1 H L^-T, so a class flips only about
+kappa*u*max(|lam|, 1/mu) from the root.  The margin SKIP_BAND*max(|g|, k/tr P)*
+||L^-1||_F^2 is at least 1e-13*max(|g|, 1/mu)/floor, and on 142,187 sweep rows
+every flip lay within 5.0e-15*max(|lam|, 1/mu)/floor of the root.  From (0, b)
 a midpoint is 0.5*(0 + x) = x/2, exact in the normal range, so the leading
 steps above g + margin reach b*2^-j (from (a, 0), those below g - margin reach
 a*2^-j), and the advance jumps all but the last of them with one ldexp.  In
@@ -110,10 +110,10 @@ DEPTH = 3
 # fixes it stops after 3 to 9.
 PREDICT_STEPS = 30
 
-# A search skips the bisection steps more than SKIP_MARGIN*|guess| from its
-# predicted root, the margin widened below a Gram floor of SKIP_FLOOR (module
+# A search skips the bisection steps more than the margin SKIP_BAND*max(|g|,
+# k/tr P)*||L^-1||_F^2 from its predicted root g, P the scaled pencil (module
 # docstring); at most SCALAR_FINISH unconverged guesses finish in Python floats.
-SKIP_MARGIN, SKIP_FLOOR, SCALAR_FINISH = 1e-6, 1e-7, 8
+SKIP_BAND, SCALAR_FINISH = 1e-13, 8
 
 _NONPOSITIVE_DIAGONAL = "normal matrix has a nonpositive diagonal entry"
 _TINY = np.finfo(float).tiny  # the smallest normal double
@@ -556,11 +556,18 @@ def _skip_path(eq, a, b):
     if guess is None:
         return None, [], 0, False
     path = _path(a, b, guess)
-    margin = SKIP_MARGIN * abs(guess) * max(1.0, SKIP_FLOOR * float((eq.inverse**2).sum()))
+    margin = float(_margin(eq, eq.dimension, guess, 1.0 / np.vdot(eq.inverse, eq.inverse)))
     far = next((i for i, mid in enumerate(path) if not abs(mid - guess) > margin), len(path))
     for mid in path[:far]:
         a, b = (mid, b) if mid < guess else (a, mid)
     return guess, [a, b, *path[far:]] if far else path, far, far > 0 and path[far - 1] < guess
+
+
+def _margin(eq, k, guess, floor):
+    """The skip margin SKIP_BAND*max(|guess|, k/tr P)/floor of each system of ``eq``, P =
+    L^-1 H L^-T its scaled pencil and ``floor`` 1/||L^-1||_F^2 (module docstring)."""
+    trace = np.einsum("...ij,...jj,...ij->...", eq.inverse, eq.quad, eq.inverse)
+    return SKIP_BAND * np.maximum(abs(guess), k / trace) / floor
 
 
 def _predict(eq, a, b):
@@ -833,11 +840,12 @@ def _finalize(eq, lam, z_hat, iterations, errors):
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def _kkt(normal, moment, dimension, lam, z):
+def _kkt(normal, moment, dimension, lam, z, *lifting):
     """Estimate diagnostics (stationarity, constraint, min_eig_ratio) of the solutions
     ``lam``, ``z`` of R^T R ``normal``, R^T v ``moment`` and k ``dimension``, per row, in one
-    stacked pass that gives each matrix its own arithmetic.  No sweep calls it."""
-    quad, lin = (lift.take(dimension, axis=0) for lift in _liftings(normal.shape[-1]))
+    stacked pass that gives each matrix its own arithmetic; ``lifting`` is their (H, h)
+    where the caller holds them.  No sweep calls it."""
+    quad, lin = lifting or (lift.take(dimension, axis=0) for lift in _liftings(normal.shape[-1]))
     rhs = moment - lam[:, None] * lin
     shifted = normal + lam[:, None, None] * quad
     stationarity, finite = _stationarity(shifted, z, rhs)
@@ -854,7 +862,9 @@ def _kkt(normal, moment, dimension, lam, z):
 def _estimates(solved, stack, systems):
     """Per row of the _Solved stack of ``stack`` (a _Stack or _Equilibrated) and ``systems``,
     its Estimate with its system's ple and :func:`_kkt`, or the UwlocError that dropped it."""
-    kkt = _kkt(stack.normal, stack.moment, stack.dimension, solved.multiplier, solved.z)
+    held = isinstance(stack, _Equilibrated)  # a solve's: it holds H and h
+    lifting = (stack.constraint_quad, stack.constraint_lin) if held else ()
+    kkt = _kkt(stack.normal, stack.moment, stack.dimension, solved.multiplier, solved.z, *lifting)
     rows = zip(systems, solved.errors, solved.z, solved.power_valid.tolist(),
                solved.multiplier.tolist(), solved.iterations.tolist(), *map(np.ndarray.tolist, kkt))
     return [error or Estimate(z, z[: s.dimension].copy(),
@@ -904,9 +914,9 @@ def _skip_far_steps(eq, rows, lower, upper, lam, least, z):
         return skipped
     k = eq.dimension[rows[0]]
     at = np.flatnonzero(eq.dimension[rows] == k)
-    guess, floor = _guesses(eq.kernel(rows[at]), k, lower[at], upper[at])
-    margin = SKIP_MARGIN * np.abs(guess) * np.maximum(1.0, SKIP_FLOOR / floor)
-    a, b, steps, last_low = _far_steps(lower[at], upper[at], guess, margin)
+    part = eq.kernel(rows[at])
+    guess, floor = _guesses(part, k, lower[at], upper[at])
+    a, b, steps, last_low = _far_steps(lower[at], upper[at], guess, _margin(part, k, guess, floor))
     moved = steps > 0
     at, a, b, steps, last_low = (x[moved] for x in (at, a, b, steps, last_low))
     if not at.size:

@@ -1054,13 +1054,18 @@ def leading_far_steps(a, b, guess, margin):
     return (lows or [a])[-1], (highs or [b])[-1], far, far > 0 and path[far - 1] < guess
 
 
+# Relative distances from a root at which a margin check classifies: 1e-3
+# down to 10**-15.5, 8 to a decade.
+FLIP_DELTAS = 10.0 ** -(3.0 + np.arange(101) / 8.0)
+
+
 def skipping_path_call(eq, a, b, guess):
-    """Reference for the path call of gtrs._search on the bracket (a, b) of a system
-    whose 1/||L^-1||_F^2 is above SKIP_FLOOR, so the margin is SKIP_MARGIN*|guess|:
-    the two ends the leading far steps reach, then the rest of _path; and their count."""
+    """Reference for the path call of gtrs._search on the bracket (a, b), whose margin is
+    SKIP_BAND*max(|guess|, k/tr P)*||L^-1||_F^2, G = L L^T and P = L^-1 H L^-T the scaled
+    pencil: the two ends the leading far steps reach, then the rest of _path; and their count."""
     inverse = np.linalg.inv(np.linalg.cholesky(eq.gram))
-    assert 1.0 / (inverse**2).sum() > gtrs.SKIP_FLOOR
-    low, high, far, _ = leading_far_steps(a, b, guess, gtrs.SKIP_MARGIN * abs(guess))
+    unit = max(abs(guess), eq.dimension / np.trace(inverse @ eq.quad @ inverse.T))
+    low, high, far, _ = leading_far_steps(a, b, guess, gtrs.SKIP_BAND * unit * (inverse**2).sum())
     path = gtrs._path(a, b, guess)
     return ([low, high, *path[far:]] if far else path), far
 
@@ -1156,8 +1161,8 @@ class TestSkipFarSteps:
             monkeypatch.setattr(gtrs, "_predict", lambda eq, a, b: (
                 a + 0.999 * (b - a) if bad is None else bad(root)))
             counts = []
-            for margin in (math.inf, gtrs.SKIP_MARGIN):
-                monkeypatch.setattr(gtrs, "SKIP_MARGIN", margin)
+            for band in (math.inf, gtrs.SKIP_BAND):
+                monkeypatch.setattr(gtrs, "SKIP_BAND", band)
                 calls.clear()
                 assert search_outcome(gtrs._search, eq) == expected
                 counts.append(len(calls))
@@ -1203,7 +1208,33 @@ class TestSkipFarSteps:
         experiments.run_sweep(config)
         (skip,) = skips
         assert len(skip.rows) == 100 and np.count_nonzero(skip.skipped) >= 95
-        assert len(calls) <= 50
+        # The margin in the pencil's units leaves 3109 multipliers (3928 at 1e-6*|guess|).
+        assert len(calls) <= 50 and sum(calls) <= 3300
+
+    def test_classes_flip_well_inside_the_margin(self, bundled_config):
+        # The skip's bits rest on each class being monotone farther than the
+        # margin from the root (gtrs module docstring).  Classified at
+        # root*(1 +- delta), every class contrary to its side lies within a
+        # tenth of the margin, taken with the root as the guess: on sigma = 1
+        # trial 2996 (root 6.8e-11, which flips 1.8e-7 relative from it), the
+        # low-floor sigma = 9 rows and the seed-0 perfbench stack.
+        systems = trial_systems(bundled_config, 1.0, [2996])
+        systems += sigma9_trial_systems(bundled_config, SIGMA9_LOW_FLOOR_TRIALS)
+        perfbench = replace(bundled_config, master_seed=2103381652)
+        for sigma in (1.0, 3.0, 5.0, 7.0, 9.0):
+            systems += trial_systems(perfbench, sigma, range(20))
+        roots = np.array([estimate.multiplier for estimate in solve_many(systems)])
+        eq = gtrs._Equilibrated(systems)
+        lams = roots[:, None] * (1.0 + np.concatenate([FLIP_DELTAS, -FLIP_DELTAS]))
+        rows = np.repeat(np.arange(len(systems)), lams.shape[1])
+        classify = gtrs._lapack_errors(eq.kernel(rows).classify)
+        residual = classify(lams.ravel())[0].reshape(lams.shape)
+        contrary = np.where(lams > roots[:, None], residual > 0.0, residual < 0.0)
+        flip = np.where(contrary, np.abs(lams - roots[:, None]), 0.0).max(axis=1)
+        floor = 1.0 / (eq.inverse**2).sum(axis=(1, 2))
+        margin = gtrs._margin(eq, eq.dimension, roots, floor)
+        assert len(systems) == 112 and flip[0] > 1e-7 * abs(roots[0])
+        assert np.count_nonzero(flip) >= 100 and (flip <= margin / 10.0).all()
 
     @pytest.mark.parametrize("finish", [0, 8, 100])
     def test_stacked_guesses_are_the_scalar_predictors(self, bundled_config, monkeypatch, finish):
@@ -1602,8 +1633,8 @@ class TestFarBelow:
             assert sum(calls) <= 120
 
 
-# Trials at sigma = 9 dB whose unit-diagonal Gram floor lies under SKIP_FLOOR
-# (1e-10 to 5.5e-8): their widened margins leave them more steps than the rest.
+# Trials at sigma = 9 dB whose unit-diagonal Gram floor lies under 1e-7 (1e-10
+# to 5.5e-8): their margins, wide against the root, leave them more steps than the rest.
 SIGMA9_LOW_FLOOR_TRIALS = [167, 281, 86, 100, 160, 93, 66, 197, 242, 186, 5]
 
 
