@@ -46,17 +46,16 @@ returned z are unchanged).  Below the interval's pole the shifted matrix is
 indefinite, which a Cholesky failure detects; such points are treated as
 lying below the root, so the search never needs an estimate of lam*.
 One kernel, :meth:`_Equilibrated.classify`, decides every multiplier that
-either search driver tries: the opening call at 0 and ||G||_F, each
-upward doubling and each bisection step.  A single fix's search guesses
-the root from the secular equation of the scaled pencil and classifies
-the bisection's likely path, less its far steps, in one call; each step is
-still decided by the shifted solve or skipped as below, so the secular
-function sets only the speed, never the multiplier, z or the step count.
-A sweep's systems stay arrays from build to solution (a _Stack, solved into a
-_Solved of what its records read); GtrsSystem and Estimate objects, and their KKT
-diagnostics (:func:`_kkt`), are made only by :func:`solve` and :func:`solve_many`.
-The search never reads beta: :func:`_estimates` and a sweep's records read
-the power 5*beta*log10(u) out of z with the beta the system was built with.
+either search driver tries: the opening call at 0 and ||G||_F, each upward
+doubling and each bisection step.  Both guess each root from one scaled form
+of the secular equation (:func:`_predict`, and :func:`_guesses` over a stack),
+which sets only the speed, never the multiplier, z or the step count.  A
+sweep's systems stay arrays from build to solution (a _Stack of one width and
+one k, solved into a _Solved of what its records read); GtrsSystem and Estimate
+objects, and their KKT diagnostics (:func:`_kkt`), are made only by
+:func:`solve` and :func:`solve_many`, which stacks each k apart.  The search
+never reads beta: :func:`_estimates` and a sweep's records read the power
+5*beta*log10(u) out of z with the beta the system was built with.
 
 Both drivers skip far steps, and their bits rest on one assumption: a class is
 monotone in lam farther than the margin from the root.  Each bracket with a
@@ -177,9 +176,9 @@ class Estimate:
     kkt_min_eig_ratio: float
 
 
-# Systems stacked one per row, as a sweep keeps them from build to solve: R^T R,
-# R^T v, k and the UwlocError that drops the row, or None.  A _build's own stack
-# keeps one k for all its rows, its design and target, and the ple of :func:`_only`.
+# Systems of one width and one k stacked one per row, as a sweep keeps them from build
+# to solve: R^T R, R^T v, k and the UwlocError that drops the row, or None.  A _build's
+# own stack also keeps its design and target, and the ple of :func:`_only`.
 _Stack = namedtuple("_Stack", "normal moment dimension errors design target ple",
                     defaults=(None, None, None))
 # A _Stack's solutions: the Estimate fields a sweep reads, as arrays, and the errors.  The
@@ -318,15 +317,15 @@ def _only(stack):
 
 
 def _stack(systems):
-    """GtrsSystems as one _Stack, in order, none dropped, with a k per row."""
+    """GtrsSystems of one width and one k as one _Stack, in order, none dropped."""
     return _Stack(np.array([s.normal for s in systems]), np.array([s.moment for s in systems]),
-                  np.array([s.dimension for s in systems]), [None] * len(systems))
+                  systems[0].dimension, [None] * len(systems))
 
 
 def _join(stacks):
-    """The rows of equal-width ``stacks`` as one _Stack, in order, with a k per row."""
-    per_row = [(s.normal, s.moment, np.broadcast_to(s.dimension, len(s.errors))) for s in stacks]
-    return _Stack(*map(np.concatenate, zip(*per_row)), [e for s in stacks for e in s.errors])
+    """The rows of ``stacks`` of one width and one k as one _Stack, in order."""
+    arrays = map(np.concatenate, zip(*[(s.normal, s.moment) for s in stacks]))
+    return _Stack(*arrays, stacks[0].dimension, [e for s in stacks for e in s.errors])
 
 
 def _dropped(error, rows, k, estimates_power):
@@ -364,21 +363,20 @@ def build_known_power_system(measurements, weights, anchors_m, env):
 
 
 @functools.cache
-def _liftings(width):
-    """H = diag(I_k, 0) and h = -e_k/2 of a ``width``-column system, stacked by k."""
-    column, k = np.arange(width), np.arange(width)[:, None]
-    return np.eye(width) * (column < k)[:, None, :], np.where(column == k, -0.5, 0.0)
+def _lifting(width, k):
+    """H = diag(I_k, 0) and h = -e_k/2 of a ``width``-column system."""
+    column = np.arange(width)
+    return np.diag((column < k) * 1.0), np.where(column == k, -0.5, 0.0)
 
 
 class _Equilibrated:
-    """Jacobi-scaled normal equations of a stack of equal-width systems.
+    """Jacobi-scaled normal equations of a stack of systems of one width and one k.
 
     Row i of every array belongs to system i: ``normal`` and ``moment``
-    are its unscaled R^T R and R^T v, ``constraint_quad`` and
-    ``constraint_lin`` its unscaled H = diag(I_k, 0) and h = -e_k/2,
-    derived from its ``dimension`` k and the width, and ``gram``, ``quad``,
-    ``lin`` and ``rhs0`` their scaled copies.  It takes GtrsSystems, or a
-    _Stack with a k per row (:func:`_join`, :func:`_stack`).  ``valid`` is
+    are its unscaled R^T R and R^T v, and ``gram``, ``quad``, ``lin`` and
+    ``rhs0`` the scaled copies of them and of H = diag(I_k, 0) and
+    h = -e_k/2 (:func:`_lifting` of the width and the stack's ``dimension``
+    k).  It takes GtrsSystems or a _Stack.  ``valid`` is
     False where the normal matrix has a nonpositive diagonal entry; such a
     row has no scaling and is never searched.  :meth:`classify` takes the
     stack, ``take(rows)`` a compact stack of some rows, ``kernel(rows)`` one
@@ -389,16 +387,14 @@ class _Equilibrated:
     def __init__(self, systems):
         stack = systems if isinstance(systems, _Stack) else _stack(systems)
         self.normal, self.moment, self.dimension = stack[:3]
-        quads, lins = _liftings(self.normal.shape[-1])
-        self.constraint_quad = quads.take(self.dimension, axis=0)
-        self.constraint_lin = lins.take(self.dimension, axis=0)
+        quad, lin = _lifting(self.normal.shape[-1], self.dimension)
         diag = self.normal.diagonal(axis1=1, axis2=2)
         self.valid = ~(diag <= 0.0).any(axis=1)
         self.scale = 1.0 / np.sqrt(diag)
         outer = self.scale[:, :, None] * self.scale[:, None, :]
         self.gram = self.normal * outer
-        self.quad = self.constraint_quad * outer
-        self.lin = self.constraint_lin * self.scale
+        self.quad = quad * outer
+        self.lin = lin * self.scale
         self.lin2 = 2.0 * self.lin  # the residual's 2h, formed once
         self.rhs0 = self.moment * self.scale
 
@@ -410,9 +406,10 @@ class _Equilibrated:
 
     def take(self, rows, names=None):
         """The systems at the index array ``rows`` as a stack, or at an int as one
-        system; with ``names``, only those arrays are copied."""
+        system, of the same k; with ``names``, only those arrays are copied."""
         sub, arrays = object.__new__(_Equilibrated), vars(self)
-        sub.__dict__ = {name: arrays[name][rows] for name in names or arrays}
+        sub.__dict__ = {name: arrays[name][rows] for name in names or arrays.keys() - {"dimension"}}
+        sub.dimension = self.dimension
         return sub
 
     def kernel(self, rows):
@@ -427,8 +424,7 @@ class _Equilibrated:
 
     def bound(self):
         """a = -min_{i<k} (R^T R)_ii, where a negative root's bracket starts (module docstring)."""
-        position = self.constraint_quad.diagonal(axis1=-2, axis2=-1) > 0.0
-        return -np.where(position, self.normal.diagonal(axis1=-2, axis2=-1), np.inf).min(axis=-1)
+        return -self.normal.diagonal(axis1=-2, axis2=-1)[..., : self.dimension].min(axis=-1)
 
     def gram_norm(self):
         """||G||_F of each system, where a positive root's upward search starts."""
@@ -556,18 +552,20 @@ def _skip_path(eq, a, b):
     if guess is None:
         return None, [], 0, False
     path = _path(a, b, guess)
-    margin = float(_margin(eq, eq.dimension, guess, 1.0 / np.vdot(eq.inverse, eq.inverse)))
+    margin = float(_margin(eq, guess))
     far = next((i for i, mid in enumerate(path) if not abs(mid - guess) > margin), len(path))
     for mid in path[:far]:
         a, b = (mid, b) if mid < guess else (a, mid)
     return guess, [a, b, *path[far:]] if far else path, far, far > 0 and path[far - 1] < guess
 
 
-def _margin(eq, k, guess, floor):
-    """The skip margin SKIP_BAND*max(|guess|, k/tr P)/floor of each system of ``eq``, P =
-    L^-1 H L^-T its scaled pencil and ``floor`` 1/||L^-1||_F^2 (module docstring)."""
-    trace = np.einsum("...ij,...jj,...ij->...", eq.inverse, eq.quad, eq.inverse)
-    return SKIP_BAND * np.maximum(abs(guess), k / trace) / floor
+def _margin(eq, guess):
+    """The skip margin SKIP_BAND*max(|guess|, k/tr P)*||L^-1||_F^2 of each system of ``eq``,
+    G = L L^T its scaled ``gram`` and P = L^-1 H L^-T its scaled pencil (module docstring)."""
+    inverse = eq.inverse
+    trace = np.einsum("...ij,...jj,...ij->...", inverse, eq.quad, inverse)
+    norm2 = (inverse * inverse).sum(axis=(-2, -1))
+    return SKIP_BAND * np.maximum(abs(guess), eq.dimension / trace) * norm2
 
 
 def _predict(eq, a, b):
@@ -585,25 +583,30 @@ def _predict(eq, a, b):
     (Moré & Sorensen 1983).  So a Newton step on phi or on psi, and l's own
     root, all land at or below the root, and each step takes the largest of
     them; a step that leaves the bracket it narrows halves it instead.
-    Returns None where a factorization fails or a value is not finite, or
-    where the steps end against an end of (a, b) that no step crossed: the
-    root may lie past it.  Where a term overflows unscaled (mu near 1e303 at
-    readings 1480 dB down), the one-row :func:`_guesses` in t = s*lam predicts.
+    The steps run in t = s*lam, s the largest of the k nonzero mu, on the
+    terms :func:`_guesses` forms, so that none overflows (mu reaches 1e303 at
+    readings 1480 dB down): nu = mu/s, h = (sqrt(mu)*c + e/sqrt(mu))^2 = g^2/mu,
+    n = sum h/(1 + t*nu)^2 and l = alpha + (beta/s)*t.  Returns None where a
+    factorization fails or a value is not finite, or where the steps end
+    against an end of (a, b) that no step crossed: the root may lie past it.
     """
     inverse = eq.inverse
     mu, u = _umath_linalg.eigh_lo((inverse * eq.quad.diagonal()) @ inverse.T, signature="d->dd")
     c, e = np.array([eq.rhs0, eq.lin]) @ inverse.T @ u
     free = len(mu) - eq.dimension  # the w - k smallest mu are rounding noise about 0
-    mu, c0, e0, c, e = mu[free:], c[:free], e[:free], c[free:], e[free:]
-    g2 = (mu * c + e) ** 2
-    alpha, beta = float(e @ (e / mu) - 2.0 * e0 @ c0), 2.0 * float(e0 @ e0)
-    g2mu, mu, g2 = (g2 / mu).tolist(), mu.tolist(), g2.tolist()
-    if not math.isfinite(alpha + beta + sum(g2mu) + sum(g2)):
-        guess = _guesses(eq.kernel(np.newaxis), eq.dimension, np.array([a]), np.array([b]))[0][0]
-        return None if math.isnan(guess) else float(guess)
+    c0, e0, mu, c, e = (x.tolist() for x in (c[:free], e[:free], mu[free:], c[free:], e[free:]))
     if not min(mu) > 0.0:
         return None
-    return _newton(list(zip(mu, g2mu, g2)), alpha, beta, (a, b), (a, a, b))
+    s, roots = mu[-1], [math.sqrt(m) for m in mu]
+    e_mu = [x / root for x, root in zip(e, roots)]  # so that no square overflows
+    h = [t * t for t in (root * x + y for root, x, y in zip(roots, c, e_mu))]
+    alpha = sum(x * x for x in e_mu) - 2.0 * sum(x * y for x, y in zip(e0, c0))
+    beta = 2.0 * sum(t * t for t in (x / math.sqrt(s) for x in e0))
+    if not math.isfinite(alpha + beta + sum(h) + s):
+        return None
+    terms = [(nu, x, x * nu) for nu, x in zip((m / s for m in mu), h)]
+    guess = _newton(terms, alpha, beta, (a * s, b * s), (a * s, a * s, b * s))
+    return None if guess is None else guess / s
 
 
 def _newton(terms, alpha, beta, ends, at, steps=PREDICT_STEPS):
@@ -649,22 +652,21 @@ def _newton(terms, alpha, beta, ends, at, steps=PREDICT_STEPS):
     return lam if ends[0] < b < ends[1] else None
 
 
-def _guesses(eq, k, a, b):
-    """:func:`_predict` of each row of the stack ``eq`` of one ``k`` on its bracket (a, b),
-    NaN where it has none, and 1/||L^-1||_F^2, at most the row's Gram floor.  It runs
-    in t = s*lam, s the largest of the row's k nonzero mu, where no term overflows.
-    The steps run over arrays while more than SCALAR_FINISH rows take plain ones (no
-    pole, finite values, inside the narrowed bracket); :func:`_newton` finishes the rest."""
+def _guesses(eq, a, b):
+    """:func:`_predict` of each row of the stack ``eq`` on its bracket (a, b), NaN where it
+    has none, in the same t = s*lam and terms.  The steps run over arrays while more than
+    SCALAR_FINISH rows take plain ones (no pole, finite values, inside the narrowed
+    bracket); :func:`_newton` finishes the rest."""
     inverse, inverse_t = eq.inverse, eq.inverse.transpose(0, 2, 1)
     pencil = (inverse * eq.quad.diagonal(axis1=1, axis2=2)[:, None]) @ inverse_t
     mu, u = _umath_linalg.eigh_lo(pencil, signature="d->dd")
     c, e = (np.stack([eq.rhs0, eq.lin], axis=1) @ inverse_t @ u).transpose(1, 0, 2)
-    free = mu.shape[1] - k
+    free = mu.shape[1] - eq.dimension
     mu, c0, e0, c, e = mu[:, free:], c[:, :free], e[:, :free], c[:, free:], e[:, free:]
     s, root = mu.max(axis=1), np.sqrt(mu)
     e_mu, e0_s = e / root, e0 / np.sqrt(s)[:, None]  # so that no square overflows
     h, nu = (root * c + e_mu) ** 2, mu / s[:, None]
-    h_nu, floor = h * nu, 1.0 / (inverse * inverse).sum(axis=(1, 2))
+    h_nu = h * nu
     alpha, beta = (e_mu * e_mu).sum(1) - 2.0 * (e0 * c0).sum(1), 2.0 * (e0_s * e0_s).sum(1)
     usable = (mu.min(axis=1) > 0.0) & np.isfinite(alpha + beta + h.sum(1) + s)
     ends, live, h_nu2 = (a * s, b * s), usable.copy(), 2.0 * h_nu
@@ -696,7 +698,7 @@ def _guesses(eq, k, a, b):
         terms = list(zip(nu[row].tolist(), h[row].tolist(), h_nu[row].tolist()))
         found = _newton(terms, row_alpha, row_beta, (start, end), at, int(left[row]))
         guess[row] = np.nan if found is None else found
-    return guess / s, floor
+    return guess / s
 
 
 def _far_steps(a, b, guess, margin):
@@ -840,12 +842,11 @@ def _finalize(eq, lam, z_hat, iterations, errors):
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def _kkt(normal, moment, dimension, lam, z, *lifting):
+def _kkt(normal, moment, dimension, lam, z):
     """Estimate diagnostics (stationarity, constraint, min_eig_ratio) of the solutions
     ``lam``, ``z`` of R^T R ``normal``, R^T v ``moment`` and k ``dimension``, per row, in one
-    stacked pass that gives each matrix its own arithmetic; ``lifting`` is their (H, h)
-    where the caller holds them.  No sweep calls it."""
-    quad, lin = lifting or (lift.take(dimension, axis=0) for lift in _liftings(normal.shape[-1]))
+    stacked pass that gives each matrix its own arithmetic.  No sweep calls it."""
+    quad, lin = _lifting(normal.shape[-1], dimension)
     rhs = moment - lam[:, None] * lin
     shifted = normal + lam[:, None, None] * quad
     stationarity, finite = _stationarity(shifted, z, rhs)
@@ -862,9 +863,7 @@ def _kkt(normal, moment, dimension, lam, z, *lifting):
 def _estimates(solved, stack, systems):
     """Per row of the _Solved stack of ``stack`` (a _Stack or _Equilibrated) and ``systems``,
     its Estimate with its system's ple and :func:`_kkt`, or the UwlocError that dropped it."""
-    held = isinstance(stack, _Equilibrated)  # a solve's: it holds H and h
-    lifting = (stack.constraint_quad, stack.constraint_lin) if held else ()
-    kkt = _kkt(stack.normal, stack.moment, stack.dimension, solved.multiplier, solved.z, *lifting)
+    kkt = _kkt(stack.normal, stack.moment, stack.dimension, solved.multiplier, solved.z)
     rows = zip(systems, solved.errors, solved.z, solved.power_valid.tolist(),
                solved.multiplier.tolist(), solved.iterations.tolist(), *map(np.ndarray.tolist, kkt))
     return [error or Estimate(z, z[: s.dimension].copy(),
@@ -893,16 +892,18 @@ solve_known_power = solve
 
 
 def solve_many(systems):
-    """:func:`solve` of every system, bit for bit, by one :func:`_solve_stack`: in
-    order, its Estimate or the UwlocError solve raises.  Mixed design widths
-    are a ValueError."""
-    if not systems:
-        return []
+    """:func:`solve` of every system, bit for bit: in order, its Estimate or the
+    UwlocError solve raises.  The systems of each k are one :func:`_solve_stack`,
+    in input order.  Mixed design widths are a ValueError."""
     widths = sorted({system.design.shape[1] for system in systems})
     if len(widths) > 1:
         raise ValueError(f"solve_many takes systems of one design width, got widths {widths}")
-    stack = _stack(systems)
-    return _estimates(_solve_stack(stack), stack, systems)
+    outcomes = {}
+    for k in dict.fromkeys(system.dimension for system in systems):
+        part = [system for system in systems if system.dimension == k]
+        stack = _stack(part)
+        outcomes[k] = iter(_estimates(_solve_stack(stack), stack, part))
+    return [next(outcomes[system.dimension]) for system in systems]
 
 
 def _skip_far_steps(eq, rows, lower, upper, lam, least, z):
@@ -912,15 +913,13 @@ def _skip_far_steps(eq, rows, lower, upper, lam, least, z):
     skipped = np.zeros(len(rows), dtype=int)
     if not rows.size:
         return skipped
-    k = eq.dimension[rows[0]]
-    at = np.flatnonzero(eq.dimension[rows] == k)
-    part = eq.kernel(rows[at])
-    guess, floor = _guesses(part, k, lower[at], upper[at])
-    a, b, steps, last_low = _far_steps(lower[at], upper[at], guess, _margin(part, k, guess, floor))
-    moved = steps > 0
-    at, a, b, steps, last_low = (x[moved] for x in (at, a, b, steps, last_low))
+    part = eq.kernel(rows)
+    guess = _guesses(part, lower, upper)
+    a, b, steps, last_low = _far_steps(lower, upper, guess, _margin(part, guess))
+    at = np.flatnonzero(steps)
     if not at.size:
         return skipped
+    a, b, steps, last_low = (x[at] for x in (a, b, steps, last_low))
     f, z_hat, _ = eq.kernel(np.tile(rows[at], 2)).classify(np.concatenate([a, b]))
     (f_a, f_b), (z_a, z_b) = np.split(f, 2), np.split(z_hat, 2)
     held = (f_a > 0.0) & (f_b < 0.0)  # a reads low and b high

@@ -5,6 +5,7 @@ lines are visible.  The Monte Carlo criteria share module-scoped sweep
 fixtures; the full module takes several minutes.
 """
 
+import hashlib
 import io
 import json
 import time
@@ -23,6 +24,7 @@ from uwloc.cli import main as cli_main
 from uwloc.config import bundled_scenario_path
 from uwloc.errors import NumericalError
 from uwloc.experiments import measure_runtime, run_sweep, write_csv
+from uwloc import gtrs
 from uwloc.gtrs import build_system, lambda_interval, phi, solve
 from uwloc.weighting import link_weights
 
@@ -77,33 +79,67 @@ def bundled(bundled_config):
 
 
 @pytest.fixture(scope="module")
-def sigma_sweep_weighted(bundled):
-    return run_sweep(bundled)
+def solved_digests():
+    """Per full-size sweep fixture, the :func:`solved_digest` of each group it solved."""
+    return {}
+
+
+def solved_digest(solved):
+    """SHA-256 of a gtrs._Solved's bits: multiplier, z, iterations, power_valid
+    and each row's error class."""
+    digest = hashlib.sha256()
+    for array in (solved.multiplier, solved.z, solved.iterations, solved.power_valid):
+        digest.update(np.ascontiguousarray(array).tobytes())
+    digest.update(" ".join(type(error).__name__ for error in solved.errors).encode())
+    return digest.hexdigest()
+
+
+def digested_sweep(request, config):
+    """run_sweep(config), keeping the digest of each group's _Solved under the fixture's name."""
+    groups, solve_stack = [], gtrs._solve_stack
+
+    def spy(stack):
+        solved = solve_stack(stack)
+        groups.append(solved_digest(solved))
+        return solved
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gtrs, "_solve_stack", spy)
+        records = run_sweep(config)
+    request.getfixturevalue("solved_digests")[request.fixturename] = groups
+    return records
 
 
 @pytest.fixture(scope="module")
-def sigma_sweep_unweighted(bundled):
-    return run_sweep(replace(bundled, weighted=False))
+def sigma_sweep_weighted(request, bundled):
+    return digested_sweep(request, bundled)
 
 
 @pytest.fixture(scope="module")
-def sigma_sweep_known(bundled):
-    return run_sweep(replace(bundled, known_power=True))
+def sigma_sweep_unweighted(request, bundled):
+    return digested_sweep(request, replace(bundled, weighted=False))
 
 
 @pytest.fixture(scope="module")
-def noise_scenario_sweep(bundled):
-    return run_sweep(replace(bundled, sweep_kind="noise_scenarios", sigma_grid_db=(3.0, 5.0, 7.0)))
+def sigma_sweep_known(request, bundled):
+    return digested_sweep(request, replace(bundled, known_power=True))
 
 
 @pytest.fixture(scope="module")
-def sensitivity_sweep(bundled):
-    return run_sweep(replace(bundled, sweep_kind="sensitivity", sigma_grid_db=(3.0, 5.0, 7.0)))
+def noise_scenario_sweep(request, bundled):
+    return digested_sweep(
+        request, replace(bundled, sweep_kind="noise_scenarios", sigma_grid_db=(3.0, 5.0, 7.0)))
 
 
 @pytest.fixture(scope="module")
-def anchor_sweep(bundled):
-    return run_sweep(replace(bundled, sweep_kind="anchor_count"))
+def sensitivity_sweep(request, bundled):
+    return digested_sweep(
+        request, replace(bundled, sweep_kind="sensitivity", sigma_grid_db=(3.0, 5.0, 7.0)))
+
+
+@pytest.fixture(scope="module")
+def anchor_sweep(request, bundled):
+    return digested_sweep(request, replace(bundled, sweep_kind="anchor_count"))
 
 
 def _by_coord(records):
@@ -420,3 +456,15 @@ def test_full_size_sweep_is_pinned(request, sweep):
     csv_text, failures = sweep_pins(request.getfixturevalue(sweep))
     assert csv_text.encode() == (GOLDEN_DIR / f"full_{sweep}.csv").read_bytes()
     assert failures == json.loads((GOLDEN_DIR / f"full_{sweep}_failures.json").read_text())
+
+
+@pytest.mark.parametrize("sweep", FULL_SWEEPS)
+def test_full_size_sweep_solves_to_the_pinned_bits(request, sweep, solved_digests):
+    """Every bit each group's gtrs._Solved holds, not only the CSV digits they round to.
+
+    The CSVs absorb solver changes up to about 1e-11 relative; these digests
+    pin the multiplier, z, iterations, power_valid and error class of every row.
+    """
+    request.getfixturevalue(sweep)
+    pinned = json.loads((GOLDEN_DIR / "full_solved_digests.json").read_text())
+    assert solved_digests[sweep] == pinned[sweep]

@@ -780,9 +780,10 @@ class TestSolveMany:
         assert_bit_identical(solve_many(systems), reference)
 
     def test_one_kkt_pass_per_stack_at_the_returned_z(self, monkeypatch):
-        # solve_many takes its stack's diagnostics in one gtrs._kkt call, at the
-        # z it returns: a row whose upward walk fails is 0 there, not the
-        # solution at multiplier 0 its search kept.  solve takes one per fix.
+        # solve_many takes the diagnostics of its stack of one k (here all six
+        # are k = 2) in one gtrs._kkt call, at the z it returns: a row whose upward
+        # walk fails is 0 there, not the solution at multiplier 0 its search
+        # kept.  solve takes one per fix.
         systems = [orthonormal_system(seed) for seed in range(6)]
         calls, kkt = [], gtrs._kkt
         monkeypatch.setattr(gtrs, "_kkt", lambda *args: calls.append(args) or kkt(*args))
@@ -793,7 +794,7 @@ class TestSolveMany:
         ((normal, moment, dimension, lam, z),) = calls
         assert normal.tobytes() == np.array([s.normal for s in systems]).tobytes()
         assert moment.tobytes() == np.array([s.moment for s in systems]).tobytes()
-        assert dimension.tolist() == [2] * 6
+        assert dimension == 2
         failed = [isinstance(outcome, UwlocError) for outcome in outcomes]
         assert any(failed) and not all(failed) and not z[failed].any()
         for row, outcome in enumerate(outcomes):
@@ -820,6 +821,29 @@ class TestSolveMany:
         assert sum(isinstance(outcome, gtrs.Estimate) for outcome in reference) == 5
         assert_bit_identical(solve_many(systems), reference)
         assert_bit_identical(solve_many(systems[2:3]), reference[2:3])
+
+    def test_each_k_of_one_width_is_its_own_stack(self, monkeypatch):
+        # Width 4 holds k = 2 joint systems and k = 3 known-power ones.  Each k
+        # is one _solve_stack of its systems in input order, the k first met
+        # first, and the rows of both k skip their far steps.
+        rng = np.random.default_rng(12)
+        systems = []
+        for _ in range(6):
+            joint, known = (random_solver_instance(rng, dims=(k,)) for k in (2, 3))
+            scenario = known["scenario"]
+            systems += [joint["system"], build_known_power_system(
+                known["measurements"], known["weights"], scenario.anchors_m, scenario.environment)]
+        assert {system.design.shape[1] for system in systems} == {4}
+        reference = solve_each(systems)
+        stacks, solve_stack, skips = [], gtrs._solve_stack, record_skips(monkeypatch)
+        monkeypatch.setattr(gtrs, "_solve_stack", lambda stack: (
+            stacks.append(stack) or solve_stack(stack)))
+        assert_bit_identical(solve_many(systems), reference)
+        assert [stack.dimension for stack in stacks] == [2, 3] and len(skips) == 2
+        for stack, skip in zip(stacks, skips):
+            rows = [s for s in systems if s.dimension == stack.dimension]
+            assert stack.normal.tobytes() == np.array([s.normal for s in rows]).tobytes()
+            assert len(skip.rows) == len(rows) and (skip.skipped > 0).all()
 
     def test_mixed_widths_are_a_named_error(self):
         inst = random_solver_instance(np.random.default_rng(10))
@@ -1105,12 +1129,12 @@ class TestSkipFarSteps:
         kinds = [kind if kind != "mix" else [*BAD_GUESSES, None][row % 4] for row in range(24)]
         calls, skips, guesses = record_calls(monkeypatch), record_skips(monkeypatch), gtrs._guesses
 
-        def adversary(eq, k, a, b):
-            guess, floor = guesses(eq, k, a, b)
+        def adversary(eq, a, b):
+            guess = guesses(eq, a, b)
             rows = skips[-1].rows.tolist()
-            assert len(rows) == len(guess)  # one k: every row is predicted
+            assert len(rows) == len(guess)  # every row is predicted
             return np.array([g if kinds[row] is None else BAD_GUESSES[kinds[row]](roots[row])
-                             for row, g in zip(rows, guess.tolist())]), floor
+                             for row, g in zip(rows, guess.tolist())])
 
         monkeypatch.setattr(gtrs, "_guesses", adversary)
         assert_bit_identical(solve_many(systems), reference)
@@ -1231,17 +1255,17 @@ class TestSkipFarSteps:
         residual = classify(lams.ravel())[0].reshape(lams.shape)
         contrary = np.where(lams > roots[:, None], residual > 0.0, residual < 0.0)
         flip = np.where(contrary, np.abs(lams - roots[:, None]), 0.0).max(axis=1)
-        floor = 1.0 / (eq.inverse**2).sum(axis=(1, 2))
-        margin = gtrs._margin(eq, eq.dimension, roots, floor)
+        margin = gtrs._margin(eq, roots)
         assert len(systems) == 112 and flip[0] > 1e-7 * abs(roots[0])
         assert np.count_nonzero(flip) >= 100 and (flip <= margin / 10.0).all()
 
     @pytest.mark.parametrize("finish", [0, 8, 100])
     def test_stacked_guesses_are_the_scalar_predictors(self, bundled_config, monkeypatch, finish):
         # Over arrays, in Python floats from where the arrays left off, or all
-        # in Python floats: each row's guess is _predict's on the same bracket,
-        # up to rounding, since the stacked one runs in t = s*lam (2.5e-12 apart
-        # at most on these rows).
+        # in Python floats: each row's guess is _predict's on the same bracket.
+        # Both form the same terms in t = s*lam and take the same steps, the
+        # array ones summing a row's k terms in the same order, so the guesses
+        # are equal, not only where _newton takes every step (100).
         monkeypatch.setattr(gtrs, "SCALAR_FINISH", finish)
         systems = trial_systems(bundled_config, 1.0, SIGMA1_TRIALS)
         systems += sigma9_trial_systems(bundled_config, range(12))
@@ -1249,11 +1273,11 @@ class TestSkipFarSteps:
         negative = np.array([estimate.multiplier < 0.0 for estimate in solve_each(systems)])
         a = np.where(negative, eq.bound(), 0.0)
         b = np.where(negative, 0.0, eq.gram_norm())
-        guess, _ = gtrs._lapack_errors(gtrs._guesses)(eq.kernel(np.arange(len(systems))), 3, a, b)
+        guess = gtrs._lapack_errors(gtrs._guesses)(eq.kernel(np.arange(len(systems))), a, b)
         predict = gtrs._lapack_errors(gtrs._predict)
         scalar = [predict(eq[row], a[row], b[row]) for row in range(len(systems))]
         assert None not in scalar
-        assert np.allclose(guess, scalar, rtol=1e-10, atol=0.0)
+        assert guess.tolist() == scalar
 
     @pytest.mark.parametrize("a, b, guess, margin", FAR_STEP_BRACKETS.values(),
                              ids=FAR_STEP_BRACKETS.keys())
@@ -1603,8 +1627,8 @@ class TestFarBelow:
     @pytest.mark.parametrize("build", [build_system, build_known_power_system], ids=["joint", "known"])
     def test_solve_predicts_where_the_unscaled_terms_overflow(self, reference_scenario, build,
                                                              monkeypatch):
-        # At -1480 dB the scalar set-up's g^2 overflows; the one-row stacked
-        # predictor, scaled by the largest mu, still guesses the root, so the
+        # At -1480 dB an unscaled g^2 overflows; the predictor's terms, scaled
+        # by the largest mu, do not, so it still guesses the root and the
         # opening holds its path instead of a tree round per three steps.
         system = shifted_system(reference_scenario, build, -1480.0)
         eq = gtrs._Equilibrated([system])[0]
